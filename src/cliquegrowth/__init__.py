@@ -57,17 +57,13 @@ from .oracle import (
     z_transition_probs,
 )
 from .process import (
-    ExponentCache,
     RateParams,
     State,
     Trajectory,
-    apply_allocation,
-    draw_vertex,
     exponent_vector,
     make_rng,
     rate_exponent,
     run,
-    step,
     transition_probs,
     write_state_csv,
     write_trajectory_csv,

@@ -15,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .detection import final_maximal_clique
-from .graphs import Graph, enumerate_maximal_cliques, is_clique
+from .graphs import Graph, enumerate_maximal_cliques, is_clique, is_maximal_clique
 from .process import RateParams, State, Trajectory, run
 
 __all__ = [
@@ -112,7 +112,7 @@ def classify_outcome(g: Graph, s: Sequence[int]) -> Classification:
     members = tuple(sorted(set(s)))
     if len(members) == 1:
         return Classification(KIND_SINGLE_VERTEX, members)
-    if members in set(enumerate_maximal_cliques(g)):
+    if is_maximal_clique(g, members):
         return Classification(KIND_CLIQUE, members)
     return Classification(KIND_UNDECIDED, members)
 
@@ -293,6 +293,8 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     args = [(g, params, x0, steps, seed, i, tail_fraction) for i in range(replicas)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

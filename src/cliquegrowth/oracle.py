@@ -176,8 +176,8 @@ def _log_product_tail(n_vertices: int, rate: float, start: int,
 
 def epsilon_n(n_vertices: int, alpha: float, m: int, horizon: int) -> float:
     """Finite product (prod_{r=1}^{horizon-1} 1/(1+|V| e^(-alpha r)))^m."""
-    if alpha <= 0 or m < 1 or horizon < 1:
-        raise ValueError("need alpha > 0, m >= 1, horizon >= 1")
+    if n_vertices < 1 or alpha <= 0 or m < 1 or horizon < 1:
+        raise ValueError("need n_vertices >= 1, alpha > 0, m >= 1, horizon >= 1")
     s = sum(math.log1p(n_vertices * math.exp(-alpha * r))
             for r in range(1, horizon))
     return math.exp(-m * s)
@@ -198,8 +198,8 @@ def epsilon_lower_bound(n_vertices: int, alpha: float, m: int,
     each vertex's first allocation adds the r = 0 factor 1/(1+|V|), so the
     bound there is this value divided by (1+|V|)^m.
     """
-    if alpha <= 0 or m < 1:
-        raise ValueError("need alpha > 0 and m >= 1")
+    if n_vertices < 1 or alpha <= 0 or m < 1:
+        raise ValueError("need n_vertices >= 1, alpha > 0 and m >= 1")
     return math.exp(-m * _log_product_tail(n_vertices, alpha, 1, tail_tol))
 
 
@@ -208,6 +208,8 @@ def single_vertex_bound(n_vertices: int, alpha: float, beta: float,
     """Certified lower bound on prod_{n>=0} 1/(1+|V| e^(-(alpha-beta) n)),
     the probability of confining all allocations to a maximal-rate vertex.
     Requires beta < alpha."""
+    if n_vertices < 1:
+        raise ValueError("need n_vertices >= 1")
     if beta >= alpha:
         raise ValueError("single-vertex bound needs beta < alpha")
     return math.exp(-_log_product_tail(n_vertices, alpha - beta, 0, tail_tol))
@@ -278,6 +280,8 @@ def drift_shell_max(m: int, a, lam: float, c0: int, c1: int) -> tuple[float, tup
 
     Returns (max drift, a maximizing z, number of states scanned).
     """
+    if m < 2:
+        raise ValueError("need m >= 2")
     if c0 < 0 or c1 < c0:
         raise ValueError("need 0 <= c0 <= c1")
     best = -math.inf

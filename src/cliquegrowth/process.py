@@ -5,9 +5,18 @@ proportional to exp(L_v) where L_v is a linear function of the current counts
 in the closed neighbourhood of v.  All probability work happens on the
 exponents L_v with max-subtraction, never on the raw rates, so runs of 10^6+
 steps stay finite in 64-bit floats.
+
+`run` keeps the exponents L = offset + K x, with K = diag(alpha) + beta, and
+adds the support of column K[:, v] after each allocation at v.  It draws one
+uniform per step (in blocks) and inverts the cumulative weights
+exp(L - max L).  Small graphs use a pure-Python kernel with memoized `np.exp`
+weights, larger ones a numpy kernel; both give the same allocations bit for
+bit, so the output depends only on (seed, stream), never on the kernel.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Mapping
@@ -19,15 +28,11 @@ from .graphs import Graph, is_connected
 __all__ = [
     "RateParams",
     "State",
-    "ExponentCache",
     "Trajectory",
     "make_rng",
     "rate_exponent",
     "exponent_vector",
     "transition_probs",
-    "draw_vertex",
-    "apply_allocation",
-    "step",
     "run",
     "write_trajectory_csv",
     "write_state_csv",
@@ -37,6 +42,16 @@ REGIME_SINGLE_VERTEX = "single_vertex"
 REGIME_CRITICAL = "critical"
 REGIME_CLIQUE = "clique"
 REGIME_OTHER = "other"
+
+# Graphs with at most this many vertices are sampled by the pure-Python
+# kernel, larger ones by the numpy kernel (measured crossover, see CHANGES.md).
+SCALAR_KERNEL_MAX_N = 64
+# Uniforms drawn per rng.random call.
+UNIFORM_BLOCK = 4096
+# np.exp(d) is exactly 0.0 for every d below this.
+EXP_UNDERFLOW = -746.0
+# Most np.exp weights the scalar kernel memoizes in one run.
+EXP_MEMO_MAX = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,12 @@ class RateParams:
     alpha_v: tuple[float, ...] | None = None
     beta_vu: tuple[tuple[int, int, float], ...] | None = None
     base_offset_v: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        values = [self.alpha, self.beta, *(self.alpha_v or ()),
+                  *(b for _, _, b in self.beta_vu or ()), *(self.base_offset_v or ())]
+        if not all(math.isfinite(x) for x in values if x is not None):
+            raise ValueError("rate parameters must be finite")
 
     @staticmethod
     def uniform(alpha: float, beta: float,
@@ -207,65 +228,93 @@ def probs_from_exponents(exponents: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def draw_vertex(exponents: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample one vertex by inverse CDF over the stabilized weights.
+def _columns(params: RateParams, g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per vertex v, the support (indices, values) of column v of the
+    interaction matrix K = diag(alpha) + beta: what one allocation at v adds
+    to the exponents."""
+    alpha_vec, beta_mat, _ = params.arrays(g)
+    K = beta_mat + np.diag(alpha_vec)
+    cols = []
+    for v in range(g.n):
+        idx = np.flatnonzero(K[:, v])
+        cols.append((idx, K[idx, v]))
+    return cols
 
-    Uses a single uniform draw; a draw of 0 selects the first vertex in index
-    order with positive cumulative mass.
+
+def _scalar_kernel(L: list, columns, uniforms):
+    """Yield one vertex per uniform, advancing the exponent list L in place.
+
+    The same arithmetic as `_numpy_kernel`, step for step, on Python floats:
+    weights exp(L_j - max L) summed left to right, then the first index whose
+    partial sum exceeds u * total.  Weights come from `np.exp`, memoized per
+    run (never `math.exp`, which differs from `np.exp` in the last bit for
+    some arguments); below EXP_UNDERFLOW `np.exp` returns 0.0, so those
+    weights are 0.0 without a lookup.
     """
-    w = np.exp(exponents - exponents.max())
-    c = np.cumsum(w)
-    v = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    return min(v, len(c) - 1)
+    cols = [list(zip(idx.tolist(), val.tolist())) for idx, val in columns]
+    memo: dict[float, float] = {}
+    get = memo.get
+    last = len(L) - 1
+    for u in uniforms:
+        top = max(L)
+        total = 0.0
+        cum = []
+        append = cum.append
+        for x in L:
+            d = x - top
+            if d >= EXP_UNDERFLOW:
+                w = get(d)
+                if w is None:
+                    w = float(np.exp(d))
+                    if len(memo) < EXP_MEMO_MAX:
+                        memo[d] = w
+                total += w
+            append(total)
+        v = bisect_right(cum, u * total)
+        if v > last:
+            v = last
+        for j, k in cols[v]:
+            L[j] += k
+        yield v
 
 
-class ExponentCache:
-    """Incrementally maintained rate exponents for one (params, graph) pair.
-
-    An allocation at v bumps L_v by alpha_v and L_u by beta_uv for each
-    neighbour u, a deg(v)+1 update.  `exponents` stays within 1e-9 of the
-    from-scratch recomputation over long runs.
-    """
-
-    __slots__ = ("exponents", "_bump_idx", "_bump_val")
-
-    def __init__(self, exponents: np.ndarray, bump_idx, bump_val):
-        self.exponents = exponents
-        self._bump_idx = bump_idx
-        self._bump_val = bump_val
-
-    @staticmethod
-    def build(params: RateParams, g: Graph, state: State) -> "ExponentCache":
-        alpha_vec, beta_mat, _ = params.arrays(g)
-        bump_idx = []
-        bump_val = []
-        for v in range(g.n):
-            idx = np.array([v] + sorted(g.adjacency[v]), dtype=np.intp)
-            val = np.empty(len(idx), dtype=np.float64)
-            val[0] = alpha_vec[v]
-            val[1:] = beta_mat[idx[1:], v]
-            bump_idx.append(idx)
-            bump_val.append(val)
-        return ExponentCache(exponent_vector(params, g, state), bump_idx, bump_val)
-
-    def allocation_delta(self, v: int) -> np.ndarray:
-        """Dense exponent increment caused by one allocation at v."""
-        delta = np.zeros(len(self.exponents), dtype=np.float64)
-        delta[self._bump_idx[v]] = self._bump_val[v]
-        return delta
+def _numpy_kernel(L: np.ndarray, columns, uniforms):
+    """Yield one vertex per uniform, advancing the exponent array L in place:
+    cumsum(exp(L - max L)) and a right-side search for u * total."""
+    last = len(L) - 1
+    w = np.empty_like(L)
+    cum = np.empty_like(L)
+    for u in uniforms:
+        np.subtract(L, L.max(), out=w)
+        np.exp(w, out=w)
+        np.cumsum(w, out=cum)
+        v = int(cum.searchsorted(u * cum[-1], side="right"))
+        if v > last:
+            v = last
+        idx, val = columns[v]
+        L[idx] += val
+        yield v
 
 
-def apply_allocation(state: State, cache: ExponentCache, v: int) -> None:
-    """Add one particle at v, updating counts and cached exponents in place."""
-    state.counts[v] += 1
-    cache.exponents[cache._bump_idx[v]] += cache._bump_val[v]
+def _allocate(params: RateParams, g: Graph, x0: State, uniforms, steps: int,
+              scalar: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Allocations for the first `steps` uniforms from x0, and the exponents
+    after them, by the scalar or the numpy kernel (the two agree bit for
+    bit).  Uniform 0 selects the first vertex with positive weight."""
+    L = exponent_vector(params, g, x0)
+    kernel = _numpy_kernel
+    if scalar:
+        L, kernel = L.tolist(), _scalar_kernel
+    alloc = np.fromiter(kernel(L, _columns(params, g), uniforms),
+                        dtype=np.int64, count=steps)
+    return alloc, np.asarray(L, dtype=np.float64)
 
 
-def step(state: State, cache: ExponentCache, rng: np.random.Generator) -> int:
-    """Sample one allocation vertex and apply it."""
-    v = draw_vertex(cache.exponents, rng)
-    apply_allocation(state, cache, v)
-    return v
+def _uniforms(rng: np.random.Generator, steps: int):
+    """`steps` uniforms drawn UNIFORM_BLOCK at a time; PCG64 gives the same
+    numbers as one `rng.random()` per step."""
+    for start in range(0, steps, UNIFORM_BLOCK):
+        yield from rng.random(min(UNIFORM_BLOCK, steps - start)).tolist()
 
 
 @dataclass
@@ -317,7 +366,8 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
     """Run the allocation process for `steps` steps from x0.
 
     Rejects disconnected graphs (the localisation statements assume
-    connectivity).  Deterministic given (seed, stream).
+    connectivity) and runs whose exponents leave the finite floats.
+    Deterministic given (seed, stream).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -325,12 +375,12 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
         raise ValueError("graph must be connected")
     if len(x0.counts) != g.n:
         raise ValueError("initial state size does not match the graph")
-    state = x0.copy()
-    cache = ExponentCache.build(params, g, state)
     rng = make_rng(seed, stream)
-    alloc = np.empty(steps, dtype=np.int64)
-    for i in range(steps):
-        alloc[i] = step(state, cache, rng)
+    alloc, exponents = _allocate(params, g, x0, _uniforms(rng, steps), steps,
+                                 scalar=g.n <= SCALAR_KERNEL_MAX_N)
+    if not np.isfinite(exponents).all():
+        raise ValueError("rate exponents overflowed to a non-finite value; "
+                         "use smaller rates or fewer steps")
     return Trajectory(initial=x0.copy(), allocations=alloc, seed=seed, stream=stream)
 
 

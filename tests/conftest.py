@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from cliquegrowth import Graph, parse_graph
 
@@ -33,3 +34,10 @@ def idx(g: Graph, *labels: int) -> tuple[int, ...]:
 def labs(g: Graph, verts) -> tuple[int, ...]:
     """Map internal indices back to labels, sorted."""
     return tuple(sorted(g.labels[v] for v in verts))
+
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# reproducible; no example database is written.
+settings.register_profile("tier1", derandomize=True, max_examples=60,
+                          deadline=None, database=None)
+settings.load_profile("tier1")

@@ -24,6 +24,7 @@ from cliquegrowth import (
     z_transition_probs,
 )
 from cliquegrowth.analysis import onset_step
+from cliquegrowth.graphs import Graph
 
 from conftest import idx, labs
 
@@ -71,6 +72,29 @@ class TestClassify:
 
     def test_singleton(self, fig1):
         assert classify_outcome(fig1, idx(fig1, 7)).kind == "single_vertex"
+
+    def test_clique_kind_matches_enumeration(self):
+        # members of size >= 2 classify as a clique exactly when they are one
+        # of the enumerated maximal cliques
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(150):
+            n = int(rng.integers(3, 11))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < rng.uniform(0.2, 0.8)]
+            if not pairs:
+                continue
+            g = Graph.from_edge_labels(pairs)
+            cliques = set(enumerate_maximal_cliques(g))
+            candidates = [c for c in cliques if len(c) >= 2]
+            candidates += [c[:-1] for c in candidates if len(c) > 2]
+            candidates += [tuple(sorted(rng.choice(g.n, size=k, replace=False).tolist()))
+                           for k in rng.integers(2, g.n + 1, size=6)]
+            for members in candidates:
+                kind = classify_outcome(g, members).kind
+                assert (kind == "clique") == (members in cliques)
+                checked += 1
+        assert checked > 1000
 
 
 class TestCMatrix:

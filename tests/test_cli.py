@@ -173,3 +173,38 @@ class TestDeterminism:
         assert a == b
         doc = json.loads(a)
         assert doc["report"]["replicas"] == 8
+
+
+class TestBadInput:
+    """Inputs that once gave a traceback or silent garbage: each now exits 1
+    with a single `error:` line and no output."""
+
+    def check_rejected(self, capsys, *argv):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("alpha, beta", [("nan", "1"), ("inf", "1"),
+                                             ("1", "-inf"), ("1e308", "1e308")])
+    def test_simulate_non_finite_rates(self, capsys, fig1_file, alpha, beta):
+        self.check_rejected(capsys, "simulate", fig1_file, f"--alpha={alpha}",
+                            f"--beta={beta}", "--steps", "20", "--seed", "1")
+
+    def test_localize_overflowing_rates(self, capsys, fig1_file):
+        self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1e308",
+                            "--beta", "1e308", "--steps", "20",
+                            "--replicas", "2", "--seed", "1")
+
+    def test_drift_m_below_two(self, capsys):
+        self.check_rejected(capsys, "drift", "--m", "1", "--alpha", "1",
+                            "--beta", "2", "--shell", "0:3")
+
+    def test_localize_jobs_zero(self, capsys, fig1_file):
+        self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",
+                            "--beta", "1", "--steps", "20", "--replicas", "2",
+                            "--seed", "1", "--jobs", "0")
+
+    def test_bounds_zero_vertices(self, capsys):
+        self.check_rejected(capsys, "bounds", "--vertices", "0", "--alpha", "1",
+                            "--m", "2")

@@ -5,25 +5,36 @@ import numpy as np
 import pytest
 
 from cliquegrowth import (
-    ExponentCache,
     RateParams,
     State,
-    apply_allocation,
     complete_graph,
-    draw_vertex,
     exponent_vector,
     make_rng,
     rate_exponent,
     run,
-    step,
     transition_probs,
     write_state_csv,
     write_trajectory_csv,
 )
 from cliquegrowth.graphs import Graph
-from cliquegrowth.process import probs_from_exponents
+from cliquegrowth.process import _allocate
 
 from conftest import idx
+
+KERNELS = (True, False)  # the `scalar` argument of _allocate
+
+
+def uniforms_selecting(params, g, x0, vertices):
+    """Uniforms that make the sampler allocate exactly `vertices` from x0:
+    each is the midpoint of its vertex's slice of the cumulative law."""
+    counts = x0.counts.copy()
+    out = []
+    for v in vertices:
+        c = np.cumsum(transition_probs(params, g, State(counts)))
+        lo = c[v - 1] if v else 0.0
+        out.append((lo + c[v]) / 2 / c[-1])
+        counts[v] += 1
+    return out
 
 
 class TestRateParams:
@@ -88,13 +99,11 @@ class TestTransitionProbs:
         # so the distribution never moves.
         g = complete_graph(2)
         p = RateParams.uniform(0.7, 0.7)
-        s = State.zeros(2)
-        base = transition_probs(p, g, s)
-        cache = ExponentCache.build(p, g, s)
-        rng = make_rng(0)
-        for _ in range(200):
-            step(s, cache, rng)
-            assert np.allclose(transition_probs(p, g, s), base, atol=1e-12)
+        base = transition_probs(p, g, State.zeros(2))
+        t = run(g, p, State.zeros(2), 200, seed=0)
+        for i in range(1, 201):
+            probs = transition_probs(p, g, State(t.counts_at(i)))
+            assert np.allclose(probs, base, atol=1e-12)
 
     def test_huge_exponents_stay_finite(self):
         g = complete_graph(2)
@@ -109,46 +118,50 @@ class TestApplyAllocation:
     def test_k2_example(self):
         g = complete_graph(2)
         p = RateParams.uniform(2.0, 1.0)
-        s = State.zeros(2)
-        cache = ExponentCache.build(p, g, s)
-        apply_allocation(s, cache, 0)
-        assert cache.exponents[0] == 2.0
-        assert cache.exponents[1] == 1.0
+        for scalar in KERNELS:
+            alloc, L = _allocate(p, g, State.zeros(2), [0.0], 1, scalar)
+            assert alloc.tolist() == [0]
+            assert L[0] == 2.0
+            assert L[1] == 1.0
 
     def test_allocations_commute_on_state(self, fig1):
         p = RateParams.uniform(1.0, 2.0)
-        a = State.zeros(fig1.n)
-        ca = ExponentCache.build(p, fig1, a)
-        apply_allocation(a, ca, 0)
-        apply_allocation(a, ca, 3)
-        b = State.zeros(fig1.n)
-        cb = ExponentCache.build(p, fig1, b)
-        apply_allocation(b, cb, 3)
-        apply_allocation(b, cb, 0)
-        assert (a.counts == b.counts).all()
+        x0 = State.zeros(fig1.n)
+        for scalar in KERNELS:
+            ends = []
+            for order in ([0, 3], [3, 0]):
+                us = uniforms_selecting(p, fig1, x0, order)
+                alloc, L = _allocate(p, fig1, x0, us, 2, scalar)
+                assert alloc.tolist() == order
+                ends.append((x0.counts + np.bincount(alloc, minlength=fig1.n), L))
+            (ca, La), (cb, Lb) = ends
+            assert (ca == cb).all()
+            assert (La == Lb).all()
 
     def test_cache_matches_recomputation_after_1e4(self, fig1):
         p = RateParams.uniform(0.9, 1.7)
-        s = State.zeros(fig1.n)
-        cache = ExponentCache.build(p, fig1, s)
-        rng = make_rng(42)
-        for _ in range(10_000):
-            apply_allocation(s, cache, int(rng.integers(fig1.n)))
-        fresh = exponent_vector(p, fig1, s)
-        assert np.abs(cache.exponents - fresh).max() <= 1e-9
+        x0 = State.zeros(fig1.n)
+        us = make_rng(42).random(10_000).tolist()
+        for scalar in KERNELS:
+            alloc, L = _allocate(p, fig1, x0, us, len(us), scalar)
+            final = x0.counts + np.bincount(alloc, minlength=fig1.n)
+            fresh = exponent_vector(p, fig1, State(final))
+            assert np.abs(L - fresh).max() <= 1e-9
 
 
 class TestSampling:
     def test_zero_draw_takes_first_positive_mass(self):
-        class ZeroRng:
-            def random(self):
-                return 0.0
+        g = complete_graph(3)
 
-        exps = np.array([0.0, 5.0, 1.0])
-        assert draw_vertex(exps, ZeroRng()) == 0
-        # first entry carries no mass once it underflows
-        exps = np.array([-800.0, 5.0, 1.0])
-        assert draw_vertex(exps, ZeroRng()) == 1
+        def first(offsets, scalar):
+            p = RateParams.general([0.0] * 3, {}, base_offset_v=offsets)
+            alloc, _ = _allocate(p, g, State.zeros(3), [0.0], 1, scalar)
+            return int(alloc[0])
+
+        for scalar in KERNELS:
+            assert first((0.0, 5.0, 1.0), scalar) == 0
+            # first entry carries no mass once it underflows
+            assert first((-800.0, 5.0, 1.0), scalar) == 1
 
     def test_identical_seeds_identical_sequences(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
@@ -158,17 +171,15 @@ class TestSampling:
         t3 = run(fig1, p, State.zeros(fig1.n), 2000, seed=9, stream=1)
         assert not (t1.allocations == t3.allocations).all()
 
-    def test_empirical_frequencies_match_probs(self, fig1):
-        p = RateParams.uniform(1.0, 1.0)
-        s = State.from_label_counts(fig1, {4: 2, 7: 1})
-        exps = exponent_vector(p, fig1, s)
-        probs = probs_from_exponents(exps)
-        rng = make_rng(123)
+    def test_empirical_frequencies_match_probs(self):
+        # On a complete graph with alpha = beta every allocation shifts all
+        # exponents equally, so a run draws i.i.d. from one fixed law.
+        g = complete_graph(4)
+        p = RateParams.uniform(1.0, 1.0, base_offset_v=(0.0, 0.5, 1.0, -0.3))
+        probs = transition_probs(p, g, State.zeros(4))
         n = 1_000_000
-        hits = np.zeros(fig1.n)
-        for _ in range(n):
-            hits[draw_vertex(exps, rng)] += 1
-        freq = hits / n
+        t = run(g, p, State.zeros(4), n, seed=123)
+        freq = np.bincount(t.allocations, minlength=4) / n
         se = np.sqrt(probs * (1 - probs) / n)
         assert (np.abs(freq - probs) <= 3 * se).all()
 
@@ -205,28 +216,34 @@ class TestRun:
 def test_normalization_along_long_run(fig1):
     # probability vector sums to 1 within 1e-12 at every visited state
     p = RateParams.uniform(1.0, 1.0)
-    s = State.zeros(fig1.n)
-    cache = ExponentCache.build(p, fig1, s)
-    rng = make_rng(77)
-    for _ in range(1_000_000):
-        probs = probs_from_exponents(cache.exponents)
-        assert abs(probs.sum() - 1.0) <= 1e-12
-        step(s, cache, rng)
+    alpha, beta, offset = p.arrays(fig1)
+    t = run(fig1, p, State.zeros(fig1.n), 1_000_000, seed=77)
+    one_hot = np.eye(fig1.n, dtype=np.int64)
+    counts = t.initial.counts
+    for chunk in np.array_split(t.allocations, 20):
+        x = np.vstack([counts, counts + np.cumsum(one_hot[chunk], axis=0)])
+        E = offset + alpha * x + x @ beta.T
+        w = np.exp(E - E.max(axis=1, keepdims=True))
+        probs = w / w.sum(axis=1, keepdims=True)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+        counts = x[-1]
 
 
 def test_critical_clique_invariance(fig1):
-    # confined allocations in a clique keep in-clique exponent differences fixed
-    p = RateParams.uniform(1.0, 1.0)
-    clique = idx(fig1, 2, 3, 4, 5)
-    s = State.zeros(fig1.n)
-    cache = ExponentCache.build(p, fig1, s)
-    rng = make_rng(8)
-    base = cache.exponents[list(clique)].copy()
-    for _ in range(100_000):
-        apply_allocation(s, cache, clique[int(rng.integers(4))])
-    now = cache.exponents[list(clique)]
-    drift = np.abs((now - now[0]) - (base - base[0])).max()
-    assert drift <= 1e-9
+    # confined allocations in a clique keep in-clique exponent differences
+    # fixed; an offset of -1e4 outside the clique keeps the run inside it
+    clique = list(idx(fig1, 2, 3, 4, 5))
+    offsets = tuple(0.0 if v in clique else -1e4 for v in range(fig1.n))
+    p = RateParams.uniform(1.0, 1.0, base_offset_v=offsets)
+    x0 = State.zeros(fig1.n)
+    base = exponent_vector(p, fig1, x0)[clique]
+    us = make_rng(8).random(100_000).tolist()
+    for scalar in KERNELS:
+        alloc, L = _allocate(p, fig1, x0, us, len(us), scalar)
+        assert set(alloc.tolist()) == set(clique)
+        now = L[clique]
+        drift = np.abs((now - now[0]) - (base - base[0])).max()
+        assert drift <= 1e-9
 
 
 class TestCsv:
@@ -246,3 +263,28 @@ class TestCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "vertex,count"
         assert "4,2" in lines
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf),
+                                             (-math.inf, 1.0)])
+    def test_uniform_rejects(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            RateParams.uniform(alpha, beta)
+
+    def test_general_rejects(self):
+        ok = dict(alpha_v=[1.0, 1.0], beta_vu={(0, 1): 1.0, (1, 0): 1.0},
+                  base_offset_v=[0.0, 0.0])
+        RateParams.general(**ok)
+        for key, bad in [("alpha_v", [1.0, math.nan]),
+                         ("beta_vu", {(0, 1): math.inf}),
+                         ("base_offset_v", [0.0, -math.inf])]:
+            with pytest.raises(ValueError, match="finite"):
+                RateParams.general(**{**ok, key: bad})
+        with pytest.raises(ValueError, match="finite"):
+            RateParams.uniform(1.0, 1.0, base_offset_v=(0.0, math.nan))
+
+    def test_run_rejects_overflow(self, fig1):
+        p = RateParams.uniform(1e308, 1e308)
+        with pytest.raises(ValueError, match="non-finite"):
+            run(fig1, p, State.zeros(fig1.n), 20, seed=1)
