@@ -153,7 +153,7 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
 def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
     """Lower bound 1/(1 + |V| e^(-alpha r)) on the in-vertex-given-in-block
     conditional probability after r own-vertex allocations."""
-    if n_vertices < 1 or alpha <= 0 or r < 0:
+    if n_vertices < 1 or not alpha > 0 or r < 0:
         raise ValueError("need n_vertices >= 1, alpha > 0, r >= 0")
     return 1.0 / (1.0 + n_vertices * math.exp(-alpha * r))
 
@@ -161,8 +161,11 @@ def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
 def _log_product_tail(n_vertices: int, rate: float, start: int,
                       tail_tol: float) -> float:
     """Certified upper bound on sum_{r>=start} log(1 + |V| e^(-rate r))."""
-    if rate <= 0:
-        raise ValueError("rate must be positive for the product to converge")
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite for the product "
+                         "to converge")
+    if not tail_tol > 0:
+        raise ValueError("tail tolerance must be positive")
     total = 0.0
     r = start
     while True:
@@ -176,7 +179,7 @@ def _log_product_tail(n_vertices: int, rate: float, start: int,
 
 def epsilon_n(n_vertices: int, alpha: float, m: int, horizon: int) -> float:
     """Finite product (prod_{r=1}^{horizon-1} 1/(1+|V| e^(-alpha r)))^m."""
-    if n_vertices < 1 or alpha <= 0 or m < 1 or horizon < 1:
+    if n_vertices < 1 or not alpha > 0 or m < 1 or horizon < 1:
         raise ValueError("need n_vertices >= 1, alpha > 0, m >= 1, horizon >= 1")
     s = sum(math.log1p(n_vertices * math.exp(-alpha * r))
             for r in range(1, horizon))
@@ -198,7 +201,7 @@ def epsilon_lower_bound(n_vertices: int, alpha: float, m: int,
     each vertex's first allocation adds the r = 0 factor 1/(1+|V|), so the
     bound there is this value divided by (1+|V|)^m.
     """
-    if n_vertices < 1 or alpha <= 0 or m < 1:
+    if n_vertices < 1 or not alpha > 0 or m < 1:
         raise ValueError("need n_vertices >= 1, alpha > 0 and m >= 1")
     return math.exp(-m * _log_product_tail(n_vertices, alpha, 1, tail_tol))
 

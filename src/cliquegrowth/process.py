@@ -224,8 +224,10 @@ def transition_probs(params: RateParams, g: Graph, state: State) -> np.ndarray:
 
 
 def probs_from_exponents(exponents: np.ndarray) -> np.ndarray:
-    w = np.exp(exponents - exponents.max())
-    return w / w.sum()
+    """exp(L - max L) normalized along the last axis: one probability vector
+    per row of a 2-D array."""
+    w = np.exp(exponents - exponents.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _columns(params: RateParams, g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -36,8 +36,8 @@ def labs(g: Graph, verts) -> tuple[int, ...]:
     return tuple(sorted(g.labels[v] for v in verts))
 
 
-# Property tests draw the same examples on every run, so tier-1 stays
+# Property tests draw the same 200 examples on every run, so tier-1 stays
 # reproducible; no example database is written.
-settings.register_profile("tier1", derandomize=True, max_examples=60,
+settings.register_profile("tier1", derandomize=True, max_examples=200,
                           deadline=None, database=None)
 settings.load_profile("tier1")

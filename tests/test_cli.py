@@ -208,3 +208,12 @@ class TestBadInput:
     def test_bounds_zero_vertices(self, capsys):
         self.check_rejected(capsys, "bounds", "--vertices", "0", "--alpha", "1",
                             "--m", "2")
+
+    @pytest.mark.parametrize("extra", [["--alpha", "nan"], ["--alpha", "inf"],
+                                       ["--alpha", "1", "--tol", "0"],
+                                       ["--alpha", "1", "--tol", "nan"],
+                                       ["--alpha", "2", "--beta", "nan"],
+                                       ["--alpha", "2", "--beta=-inf"]])
+    def test_bounds_nan_inf_or_zero_tolerance(self, capsys, extra):
+        self.check_rejected(capsys, "bounds", "--vertices", "3", "--m", "2",
+                            *extra)

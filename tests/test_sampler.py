@@ -7,7 +7,7 @@ The reference recomputes the exponents densely at every step; the kernels
 update them incrementally, which must stay within 1e-9 of a recomputation.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cliquegrowth import Graph, RateParams, State, exponent_vector
@@ -53,7 +53,6 @@ def cases(draw):
     return g, params, x0, uniforms.tolist()
 
 
-@settings(max_examples=200)
 @given(cases())
 def test_kernels_match_reference_bit_for_bit(case):
     g, params, x0, uniforms = case
