@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -199,8 +200,10 @@ def cmd_zchain(args) -> str:
 
 
 def cmd_drift(args) -> str:
+    if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
+        raise ValueError("rate parameters must be finite")
     lam = args.beta - args.alpha
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("drift scan needs beta > alpha")
     c0, _, c1 = args.shell.partition(":")
     lo, hi = int(c0), int(c1)

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BUDGET = 1_000_000
+# Array cells (rows times columns) the exact tools evaluate at once: levels
+# and shells are scored in row blocks of this many floats per scratch array.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,68 @@ class CliquePathSpace:
         return itertools.product(range(len(self.clique)), repeat=self.horizon)
 
 
-def _allocation_deltas(params: RateParams, g: Graph,
-                       vertices: Sequence[int]) -> np.ndarray:
-    """Row i: exponent increment vector of one allocation at vertices[i]."""
-    alpha_vec, beta_mat, _ = params.arrays(g)
-    deltas = np.zeros((len(vertices), g.n), dtype=np.float64)
-    for i, v in enumerate(vertices):
-        deltas[i] = beta_mat[:, v]
-        deltas[i, v] = alpha_vec[v]
-    return deltas
+def _start_exponents(params: RateParams, g: Graph, x0: State,
+                     vertices: Sequence[int], horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents at x0, and as row i the increment of one allocation at
+    vertices[i] (column vertices[i] of the interaction matrix K).  Refuses
+    rates at which an exponent within `horizon` allocations, or the
+    difference of two, would overflow a float."""
+    exps0 = exponent_vector(params, g, x0)
+    deltas = params.interaction_matrix(g).T[list(vertices)]
+    reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
+    if not math.isfinite(2.0 * reach):
+        raise ValueError("rate exponents overflow a float within the horizon; "
+                         "use smaller rates or a shorter horizon")
+    return exps0, deltas
+
+
+def _composition_levels(m: int, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For k = 0..horizon-1, the count vectors of total k over m parts and
+    the rows they move to with one more allocation.
+
+    Yields (comps, up): comps is a (C(k+m-1, m-1), m) array in descending
+    lexicographic order, the order in which a dict DP that allocates at
+    0..m-1 from each vector in turn first reaches them; up[r, i] is the
+    row of comps[r] + e_i in the next level.
+    """
+    # binom[a + 1, p] = C(a + p, p), the number of count vectors of total a
+    # over p + 1 parts; row 0 stands for a = -1 and holds 0
+    binom = np.zeros((horizon + 2, m), dtype=np.int64)
+    binom[1:] = [[math.comb(a + p, p) for p in range(m)] for a in range(horizon + 1)]
+    parts_after = np.arange(m - 1, 0, -1)
+    comps = np.zeros((1, m), dtype=np.int64)
+    for k in range(horizon):
+        # The rank of a vector among those of total k+1 counts, for each
+        # position j < m-1, the vectors equal to it before j and larger at
+        # j.  For comps + e_i that term is `before` for j < i and `after`
+        # for j >= i, where its prefix sums are one larger.
+        prefix = np.cumsum(comps[:, :-1], axis=1)
+        before = binom[k + 1 - prefix, parts_after]
+        after = binom[k - prefix, parts_after]
+        up = np.zeros((len(comps), m), dtype=np.int64)
+        np.cumsum(before, axis=1, out=up[:, 1:])
+        up[:, :-1] += np.cumsum(after[:, ::-1], axis=1)[:, ::-1]
+        nxt = np.empty((math.comb(k + m, m - 1), m), dtype=np.int64)
+        for i in range(m):
+            nxt[up[:, i]] = comps
+            nxt[up[:, i], i] += 1
+        yield comps, up
+        comps = nxt
+
+
+def _level_weights(exps0: np.ndarray, deltas: np.ndarray,
+                   comps: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Per block of rows of `comps`: (rows, w, total), where w = exp(L - max L)
+    row by row at the exponents L = exps0 + comp @ deltas of each count
+    vector, and total (a column) the row sums of w."""
+    step = max(1, BLOCK_CELLS // len(exps0))
+    for start in range(0, len(comps), step):
+        rows = slice(start, start + step)
+        # a stack of vector-matrix products: per row the same arithmetic
+        # as comp @ deltas on one count vector
+        exps = exps0 + (comps[rows, None, :].astype(np.float64) @ deltas)[:, 0]
+        w = np.exp(exps - exps.max(axis=1, keepdims=True))
+        yield rows, w, w.sum(axis=1, keepdims=True)
 
 
 def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
@@ -71,6 +127,10 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
     probability that the allocation lands in block k(j+1), evaluated at the
     state reached by allocating along the path.  The blocks come from the
     D-set partition of `clique`, so the measure always has total mass 1.
+
+    The block masses depend on a path prefix only through its count vector,
+    so they are computed once per count vector at each depth; the path
+    weights are extended a depth at a time, in `itertools.product` order.
 
     `clique` must be a final maximal clique for x0; the path count m^horizon
     must not exceed `budget`.
@@ -85,30 +145,24 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
         raise ValueError(f"{clique.vertices} is not a final maximal clique for this state")
     part = d_sets(g, clique)
     block_idx = [np.fromiter(sorted(b), dtype=np.intp) for b in part.blocks]
-    exps0 = exponent_vector(params, g, x0)
-    deltas = _allocation_deltas(params, g, clique.vertices)
+    exps0, deltas = _start_exponents(params, g, x0, clique.vertices, horizon)
 
-    out: dict[tuple[int, ...], float] = {}
-    path: list[int] = []
-    nvec = np.zeros(m, dtype=np.int64)
-
-    def rec(depth: int, weight: float) -> None:
-        if depth == horizon:
-            out[tuple(path)] = weight
-            return
-        exps = exps0 + nvec @ deltas
-        w = np.exp(exps - exps.max())
-        total = w.sum()
-        for k in range(m):
-            mass = w[block_idx[k]].sum() / total
-            path.append(k)
-            nvec[k] += 1
-            rec(depth + 1, weight * mass)
-            nvec[k] -= 1
-            path.pop()
-
-    rec(0, 1.0)
-    return out
+    # weights[p]: weight of path prefix p; comp[p]: its count vector's row
+    weights = np.ones(1)
+    comp = np.zeros(1, dtype=np.int64)
+    for comps, up in _composition_levels(m, horizon):
+        masses = np.empty((len(comps), m))
+        for rows, w, total in _level_weights(exps0, deltas, comps):
+            for k, b in enumerate(block_idx):
+                # take() keeps the rows C-contiguous, so each row sums in
+                # the order of a 1-D sum (w[:, b] would be column-major)
+                masses[rows, k] = w.take(b, axis=1).sum(axis=1) / total[:, 0]
+        weights = (weights[:, None] * masses[comp]).ravel()
+        comp = up[comp].ravel()
+    # the dict is the largest object here: drop the arrays before building it
+    values = weights.tolist()
+    del comps, up, masses, comp, weights
+    return dict(zip(itertools.product(range(m), repeat=horizon), values))
 
 
 def confinement_prob(g: Graph, params: RateParams, x0: State,
@@ -120,6 +174,11 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
     rate exponent depends on the path only through how many allocations each
     clique vertex received, so C(horizon+m-1, m-1) states replace m^horizon
     paths.  Singleton cliques are allowed (single-vertex confinement).
+
+    Each level is one array of count vectors.  A vector's mass is the sum of
+    its predecessors' contributions, added in the order of the predecessors
+    in the level (allocation at position m-1 first), and the last level is
+    summed in its order.
     """
     verts = clique.vertices
     if not verts or not is_clique(g, verts):
@@ -132,22 +191,19 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
             f"C({horizon}+{m}-1,{m}-1) states exceed the DP budget {budget}")
     if horizon == 0:
         return 1.0
-    exps0 = exponent_vector(params, g, x0)
-    deltas = _allocation_deltas(params, g, verts)
+    exps0, deltas = _start_exponents(params, g, x0, verts, horizon)
     vert_idx = np.fromiter(verts, dtype=np.intp)
 
-    level: dict[tuple[int, ...], float] = {(0,) * m: 1.0}
-    for _ in range(horizon):
-        nxt: dict[tuple[int, ...], float] = {}
-        for comp, mass in level.items():
-            exps = exps0 + np.asarray(comp, dtype=np.float64) @ deltas
-            w = np.exp(exps - exps.max())
-            p_in = w[vert_idx] / w.sum()
-            for i in range(m):
-                key = comp[:i] + (comp[i] + 1,) + comp[i + 1:]
-                nxt[key] = nxt.get(key, 0.0) + mass * p_in[i]
-        level = nxt
-    return float(sum(level.values()))
+    mass = np.ones(1)
+    for k, (comps, up) in enumerate(_composition_levels(m, horizon)):
+        p_in = np.empty((len(comps), m))
+        for rows, w, total in _level_weights(exps0, deltas, comps):
+            p_in[rows] = w[:, vert_idx] / total
+        nxt = np.zeros(math.comb(k + m, m - 1))
+        for i in range(m - 1, -1, -1):
+            nxt[up[:, i]] += mass * p_in[:, i]
+        mass = nxt
+    return float(sum(mass.tolist()))
 
 
 def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
@@ -233,6 +289,54 @@ def clique_probs(params: RateParams, g: Graph, state: State,
     return w / w.sum()
 
 
+def _chain_log_coefficients(m: int, a, lam: float) -> np.ndarray:
+    """log a, after checking the parameters of the difference chain."""
+    a = np.asarray(a, dtype=np.float64)
+    if m < 2 or a.shape != (m - 1,):
+        raise ValueError("need m >= 2 and a of length m-1")
+    if not (math.isfinite(lam) and np.isfinite(a).all()):
+        raise ValueError("rate parameters must be finite")
+    if not lam > 0 or not (a > 0).all():
+        raise ValueError("need lam > 0 and positive coefficients a")
+    return np.log(a)
+
+
+def _check_logits(log_a: np.ndarray, lam: float, reach: float) -> None:
+    """Refuse rates at which the logits at |z_i| <= reach, or the difference
+    of two, would overflow a float."""
+    if not math.isfinite(2.0 * lam * reach + float(log_a.max() - log_a.min())):
+        raise ValueError(f"lam * {reach:g} overflows a float; use a smaller rate or shell")
+
+
+def _z_probs_rows(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
+    """Transition law of the difference chain at each row of z."""
+    logits = np.empty((len(z), len(log_a) + 1))
+    logits[:, :-1] = log_a - lam * z
+    logits[:, -1] = 0.0
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _drift_rows(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
+    """Drift of sum z_i^2 at each row of z (see `z_drift`)."""
+    p = _z_probs_rows(log_a, lam, z)
+    up = 2.0 * z + 1.0
+    down = np.sum(1.0 - 2.0 * z, axis=1)
+    # a stack of dot products: per row the same arithmetic as p[:-1] @ up
+    return (p[:, None, :-1] @ up[:, :, None])[:, 0, 0] + p[:, -1] * down
+
+
+def _chain_point(m: int, a, lam: float, z) -> tuple[np.ndarray, np.ndarray]:
+    """(log a, z as a single row), after checking the chain parameters, the
+    length of z and its logits."""
+    log_a = _chain_log_coefficients(m, a, lam)
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (m - 1,):
+        raise ValueError("need z of length m-1")
+    _check_logits(log_a, lam, float(np.abs(z).max()))
+    return log_a, z[None, :]
+
+
 def z_transition_probs(m: int, a, lam: float, z) -> np.ndarray:
     """Transition law of the count-difference chain on a complete graph.
 
@@ -240,73 +344,123 @@ def z_transition_probs(m: int, a, lam: float, z) -> np.ndarray:
     the last outcome lowers every coordinate with probability 1/W, where
     W = 1 + sum_i a_i e^(-lam z_i).  Computed in log-space.
     """
-    a = np.asarray(a, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if m < 2 or a.shape != (m - 1,) or z.shape != (m - 1,):
-        raise ValueError("need m >= 2 and a, z of length m-1")
-    if lam <= 0 or (a <= 0).any():
-        raise ValueError("need lam > 0 and positive coefficients a")
-    logits = np.append(np.log(a) - lam * z, 0.0)
-    w = np.exp(logits - logits.max())
-    return w / w.sum()
+    log_a, z = _chain_point(m, a, lam, z)
+    return _z_probs_rows(log_a, lam, z)[0]
 
 
 def z_drift(m: int, a, lam: float, z) -> float:
     """Exact one-step drift of f(z) = sum z_i^2 under the difference chain.
 
     An up-move at i contributes 2 z_i + 1; the down-move shifts every
-    coordinate by -1, contributing sum_i (1 - 2 z_i).
+    coordinate by -1, contributing sum_i (1 - 2 z_i).  The same row kernel
+    scores whole shells in `drift_shell_max`.
     """
-    z = np.asarray(z, dtype=np.float64)
-    p = z_transition_probs(m, a, lam, z)
-    up = 2.0 * z + 1.0
-    down = float(np.sum(1.0 - 2.0 * z))
-    return float(p[:-1] @ up + p[-1] * down)
+    log_a, z = _chain_point(m, a, lam, z)
+    return float(_drift_rows(log_a, lam, z)[0])
 
 
-def _iter_l1_sphere(dim: int, radius: int) -> Iterator[tuple[int, ...]]:
-    """All integer vectors of exact l1 norm `radius`."""
-    if dim == 1:
-        if radius == 0:
-            yield (0,)
-        else:
-            yield (radius,)
-            yield (-radius,)
-        return
-    for first in range(-radius, radius + 1):
-        for rest in _iter_l1_sphere(dim - 1, radius - abs(first)):
-            yield (first,) + rest
+def _sphere_size(dim: int, radius: int) -> int:
+    """Number of integer vectors in `dim` coordinates of l1 norm `radius`:
+    k nonzero coordinates, their signs, and radius split into k positive
+    parts."""
+    if radius == 0:
+        return 1
+    return sum(2 ** k * math.comb(dim, k) * math.comb(radius - 1, k - 1)
+               for k in range(1, min(dim, radius) + 1))
+
+
+def _l1_sphere(dim: int, radius: int) -> np.ndarray:
+    """All integer vectors of exact l1 norm `radius` in `dim` >= 1
+    coordinates, one per row.
+
+    The order is that of the recursive enumeration: the first coordinate
+    ascending from -radius, each followed by every completion of the
+    remaining norm in the same order, and a last coordinate r before -r.
+    """
+    # sizes[k, r]: vectors of l1 norm r in k coordinates
+    sizes = np.zeros((dim + 1, radius + 1), dtype=np.int64)
+    sizes[0, 0] = 1
+    for k in range(1, dim + 1):
+        sizes[k] = sizes[k - 1]
+        sizes[k, 1:] += 2 * np.cumsum(sizes[k - 1])[:-1]
+    out = np.empty((sizes[dim, radius], dim), dtype=np.int64)
+    rest = np.array([radius])  # norm left after each prefix, prefixes in order
+    for j in range(dim - 1):
+        # each prefix is followed by every value -rest..rest at column j
+        n_vals = 2 * rest + 1
+        parent = np.repeat(np.arange(len(rest)), n_vals)
+        first = np.cumsum(n_vals) - n_vals
+        vals = np.arange(len(parent)) - first[parent] - rest[parent]
+        rest = rest[parent] - np.abs(vals)
+        out[:, j] = np.repeat(vals, sizes[dim - 1 - j, rest])
+    # the last coordinate takes the norm left, r before -r
+    reps = np.where(rest > 0, 2, 1)
+    last = np.repeat(rest, reps)
+    neg = (np.cumsum(reps) - 1)[rest > 0]
+    last[neg] = -last[neg]
+    out[:, -1] = last
+    return out
+
+
+def _check_scan(log_a: np.ndarray, lam: float, c0: int, c1: int) -> int:
+    """Number of states with c0 <= l1 norm <= c1, counted before any is
+    built; refuses scans over DEFAULT_ENUM_BUDGET states, and rates at which
+    the logits of the outer shell would overflow."""
+    _check_logits(log_a, lam, c1)
+    count = 0
+    for radius in range(c0, c1 + 1):
+        count += _sphere_size(len(log_a), radius)
+        if count > DEFAULT_ENUM_BUDGET:
+            raise ValueError(
+                f"the shell {c0}:{c1} in {len(log_a)} dimensions has more "
+                f"than {DEFAULT_ENUM_BUDGET} states")
+    return count
+
+
+def _shell_max(log_a: np.ndarray, lam: float,
+               radius: int) -> tuple[float, np.ndarray]:
+    """Maximum drift over the l1 shell of `radius`, and the first state in
+    enumeration order that attains it, scored in row blocks."""
+    shell = _l1_sphere(len(log_a), radius)
+    step = max(1, BLOCK_CELLS // (len(log_a) + 1))
+    best, best_z = -math.inf, shell[0]
+    for start in range(0, len(shell), step):
+        d = _drift_rows(log_a, lam, shell[start:start + step].astype(np.float64))
+        i = int(d.argmax())
+        if d[i] > best:
+            best, best_z = float(d[i]), shell[start + i]
+    return best, best_z
 
 
 def drift_shell_max(m: int, a, lam: float, c0: int, c1: int) -> tuple[float, tuple[int, ...], int]:
     """Maximum drift over all z with c0 <= ||z||_1 <= c1.
 
-    Returns (max drift, a maximizing z, number of states scanned).
+    Returns (max drift, a maximizing z, number of states scanned).  The z is
+    the first maximizer in the enumeration order of the shells, radius by
+    radius.  Scans of more than DEFAULT_ENUM_BUDGET states are refused.
     """
-    if m < 2:
-        raise ValueError("need m >= 2")
+    log_a = _chain_log_coefficients(m, a, lam)
     if c0 < 0 or c1 < c0:
         raise ValueError("need 0 <= c0 <= c1")
-    best = -math.inf
-    best_z: tuple[int, ...] | None = None
-    count = 0
+    count = _check_scan(log_a, lam, c0, c1)
+    best, best_z = -math.inf, None
     for radius in range(c0, c1 + 1):
-        for z in _iter_l1_sphere(m - 1, radius):
-            count += 1
-            d = z_drift(m, a, lam, z)
-            if d > best:
-                best, best_z = d, z
-    if best_z is None:
-        raise ValueError("empty shell")
-    return best, best_z, count
+        top, z = _shell_max(log_a, lam, radius)
+        if top > best:
+            best, best_z = top, z
+    return best, tuple(best_z.tolist()), count
 
 
 def negative_drift_radius(m: int, a, lam: float, threshold: float = -0.1,
                           width: int = 10, c_max: int = 200) -> int:
     """Smallest C <= c_max with max drift over ||z||_1 in [C, C+width] below
-    `threshold`; outward search from C=1."""
+    `threshold`; outward search from C=1.  Each shell is scored once."""
+    log_a = _chain_log_coefficients(m, a, lam)
+    tops = [-math.inf]  # tops[r]: max drift over the shell of radius r
     for c in range(1, c_max + 1):
-        top, _, _ = drift_shell_max(m, a, lam, c, c + width)
-        if top <= threshold:
+        while len(tops) <= c + width:
+            _check_scan(log_a, lam, len(tops), len(tops))
+            tops.append(_shell_max(log_a, lam, len(tops))[0])
+        if max(tops[c:c + width + 1]) <= threshold:
             return c
     raise ValueError(f"no radius up to {c_max} gives drift <= {threshold}")

@@ -131,6 +131,12 @@ class RateParams:
         """
         return _materialized_arrays(self, g)
 
+    def interaction_matrix(self, g: Graph) -> np.ndarray:
+        """K = diag(alpha) + beta for graph g: the exponents are
+        L = offset + K x, and one allocation at v adds column K[:, v]."""
+        alpha_vec, beta_mat, _ = self.arrays(g)
+        return beta_mat + np.diag(alpha_vec)
+
 
 @lru_cache(maxsize=64)
 def _materialized_arrays(p: RateParams, g: Graph):
@@ -234,8 +240,7 @@ def _columns(params: RateParams, g: Graph) -> list[tuple[np.ndarray, np.ndarray]
     """Per vertex v, the support (indices, values) of column v of the
     interaction matrix K = diag(alpha) + beta: what one allocation at v adds
     to the exponents."""
-    alpha_vec, beta_mat, _ = params.arrays(g)
-    K = beta_mat + np.diag(alpha_vec)
+    K = params.interaction_matrix(g)
     cols = []
     for v in range(g.n):
         idx = np.flatnonzero(K[:, v])

@@ -148,6 +148,17 @@ class TestZchainAndDrift:
         assert doc["max_drift"] < -0.1
         assert doc["states_scanned"] > 100
 
+    def test_drift_many_dimensions(self, capsys):
+        # 1499 dimensions: deeper than Python's recursion limit for an
+        # enumerator that recurses per coordinate; the unique maximum is at 0
+        code, out, _ = run_main(capsys, "drift", "--m", "1500", "--alpha", "1",
+                                "--beta", "2", "--shell", "0:1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["states_scanned"] == 1 + 2 * 1499
+        assert doc["argmax_z"] == [0] * 1499
+        assert doc["max_drift"] == pytest.approx(2 * 1499 / 1500, rel=1e-14)
+
     def test_drift_needs_lambda_positive(self, capsys):
         code, _, err = run_main(capsys, "drift", "--m", "3", "--alpha", "2",
                                 "--beta", "1", "--shell", "5:15")
@@ -184,6 +195,7 @@ class TestBadInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        return err
 
     @pytest.mark.parametrize("alpha, beta", [("nan", "1"), ("inf", "1"),
                                              ("1", "-inf"), ("1e308", "1e308")])
@@ -199,6 +211,25 @@ class TestBadInput:
     def test_drift_m_below_two(self, capsys):
         self.check_rejected(capsys, "drift", "--m", "1", "--alpha", "1",
                             "--beta", "2", "--shell", "0:3")
+
+    @pytest.mark.parametrize("rates", [["--alpha", "1", "--beta", "inf"],
+                                       ["--alpha", "1", "--beta", "nan"],
+                                       ["--alpha=-inf", "--beta", "1"]])
+    def test_drift_non_finite_rates(self, capsys, rates):
+        err = self.check_rejected(capsys, "drift", "--m", "3", *rates,
+                                  "--shell", "0:3")
+        assert "finite" in err
+
+    def test_drift_shell_over_budget(self, capsys):
+        # 4 * 250001 states, just over the enumeration budget
+        self.check_rejected(capsys, "drift", "--m", "3", "--alpha", "1",
+                            "--beta", "2", "--shell", "250001:250001")
+
+    @pytest.mark.parametrize("mode", ["confine", "q"])
+    def test_exact_overflowing_exponents(self, capsys, fig1_file, mode):
+        self.check_rejected(capsys, "exact", fig1_file, "--alpha", "1e308",
+                            "--beta", "1e308", "--clique", "4,5,6",
+                            "--horizon", "3", "--mode", mode)
 
     def test_localize_jobs_zero(self, capsys, fig1_file):
         self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",

@@ -3,19 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquegrowth import (
     CliquePathSpace,
+    Graph,
     OrderedClique,
     RateParams,
     State,
     clique_probs,
     complete_graph,
     confinement_prob,
+    d_sets,
     drift_shell_max,
     epsilon_lower_bound,
     epsilon_n,
     exponent_vector,
+    final_maximal_clique,
+    is_clique,
     negative_drift_radius,
     p11_bound,
     q_measure,
@@ -25,6 +31,8 @@ from cliquegrowth import (
     z_drift,
     z_transition_probs,
 )
+
+from cliquegrowth import oracle
 
 from conftest import idx
 
@@ -121,6 +129,17 @@ class TestConfinement:
         vals = [confinement_prob(fig1, p, State.zeros(fig1.n), c, n)
                 for n in range(0, 20)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize("labels, horizon", [((2, 3, 4, 5), 10), ((4, 5, 6), 20)])
+    def test_levels_sum_in_dict_order(self, fig1, beta, labels, horizon):
+        # integer exponents: every mass must be summed in the order of the
+        # dict DP to give the same bits
+        p = RateParams.uniform(1.0, beta)
+        c = OrderedClique(idx(fig1, *labels))
+        x0 = State.zeros(fig1.n)
+        assert (confinement_prob(fig1, p, x0, c, horizon)
+                == ref_confinement_prob(fig1, p, x0, c, horizon))
 
     def test_not_a_clique_rejected(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
@@ -293,3 +312,258 @@ class TestZDrift:
         # one shell inward the guarantee does not yet hold
         inner, _, _ = drift_shell_max(3, np.ones(2), 1.0, c - 1, c - 1 + 10)
         assert inner > -0.1
+
+
+# Reference oracles: the exact tools evaluated one count vector, path prefix
+# or lattice point at a time.  The level-at-a-time versions must match them.
+
+def ref_increments(params, g, vertices):
+    alpha_vec, beta_mat, _ = params.arrays(g)
+    deltas = np.zeros((len(vertices), g.n), dtype=np.float64)
+    for i, v in enumerate(vertices):
+        deltas[i] = beta_mat[:, v]
+        deltas[i, v] = alpha_vec[v]
+    return deltas
+
+
+def ref_confinement_prob(g, params, x0, clique, horizon):
+    verts = clique.vertices
+    m = len(verts)
+    if horizon == 0:
+        return 1.0
+    exps0 = exponent_vector(params, g, x0)
+    deltas = ref_increments(params, g, verts)
+    vert_idx = np.fromiter(verts, dtype=np.intp)
+    level = {(0,) * m: 1.0}
+    for _ in range(horizon):
+        nxt = {}
+        for comp, mass in level.items():
+            exps = exps0 + np.asarray(comp, dtype=np.float64) @ deltas
+            w = np.exp(exps - exps.max())
+            p_in = w[vert_idx] / w.sum()
+            for i in range(m):
+                key = comp[:i] + (comp[i] + 1,) + comp[i + 1:]
+                nxt[key] = nxt.get(key, 0.0) + mass * p_in[i]
+        level = nxt
+    return float(sum(level.values()))
+
+
+def ref_q_measure(g, params, x0, clique, horizon):
+    m = len(clique)
+    part = d_sets(g, clique)
+    block_idx = [np.fromiter(sorted(b), dtype=np.intp) for b in part.blocks]
+    exps0 = exponent_vector(params, g, x0)
+    deltas = ref_increments(params, g, clique.vertices)
+    out = {}
+    path = []
+    nvec = np.zeros(m, dtype=np.int64)
+
+    def rec(depth, weight):
+        if depth == horizon:
+            out[tuple(path)] = weight
+            return
+        exps = exps0 + nvec @ deltas
+        w = np.exp(exps - exps.max())
+        total = w.sum()
+        for k in range(m):
+            mass = w[block_idx[k]].sum() / total
+            path.append(k)
+            nvec[k] += 1
+            rec(depth + 1, weight * mass)
+            nvec[k] -= 1
+            path.pop()
+
+    rec(0, 1.0)
+    return out
+
+
+def ref_z_drift(a, lam, z):
+    z = np.asarray(z, dtype=np.float64)
+    logits = np.append(np.log(np.asarray(a, dtype=np.float64)) - lam * z, 0.0)
+    w = np.exp(logits - logits.max())
+    p = w / w.sum()
+    up = 2.0 * z + 1.0
+    down = float(np.sum(1.0 - 2.0 * z))
+    return float(p[:-1] @ up + p[-1] * down)
+
+
+def ref_iter_l1_sphere(dim, radius):
+    if dim == 1:
+        if radius == 0:
+            yield (0,)
+        else:
+            yield (radius,)
+            yield (-radius,)
+        return
+    for first in range(-radius, radius + 1):
+        for rest in ref_iter_l1_sphere(dim - 1, radius - abs(first)):
+            yield (first,) + rest
+
+
+def ref_drift_scan(m, a, lam, c0, c1):
+    """Every (z, drift) of the shells c0..c1 in enumeration order."""
+    return [(z, ref_z_drift(a, lam, z)) for radius in range(c0, c1 + 1)
+            for z in ref_iter_l1_sphere(m - 1, radius)]
+
+
+def ref_drift_shell_max(m, a, lam, c0, c1):
+    best, best_z, count = -math.inf, None, 0
+    for z, d in ref_drift_scan(m, a, lam, c0, c1):
+        count += 1
+        if d > best:
+            best, best_z = d, z
+    return best, best_z, count
+
+
+@st.composite
+def oracle_cases(draw):
+    """A connected graph (random spanning tree plus random extra edges),
+    uniform or general-mode parameters (all integers, or reals), a start
+    state, a random clique grown from a random vertex, and a horizon."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n * 3))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    g = Graph.from_edge_labels(sorted(edges))
+    integral = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(size):
+        if integral:
+            return rng.integers(-1, 4, size).astype(np.float64)
+        return rng.uniform(-0.5, 2.5, size)
+
+    if draw(st.booleans()):
+        alpha, beta = values(2)
+        params = RateParams.uniform(alpha, beta,
+                                    base_offset_v=tuple(values(n).tolist()))
+    else:
+        pairs = [(v, u) for v in range(n) for u in sorted(g.adjacency[v])]
+        params = RateParams.general(values(n), dict(zip(pairs, values(len(pairs)))),
+                                    base_offset_v=values(n))
+    x0 = State(rng.integers(0, 4, n))
+    size = rng.integers(1, n + 1)
+    verts = [int(rng.integers(n))]
+    common = set(g.adjacency[verts[0]])
+    while common and len(verts) < size:
+        verts.append(int(rng.choice(sorted(common))))
+        common &= g.adjacency[verts[-1]]
+    return g, params, integral, x0, OrderedClique(tuple(verts)), int(rng.integers(0, 7))
+
+
+def assert_same(got, want, exact):
+    if exact:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@given(oracle_cases())
+def test_level_oracles_match_reference(case):
+    """Level-at-a-time DP and path measure against the per-state loops:
+    identical values when every exponent is an integer, within 1e-13
+    relative otherwise, and the q paths in the same order."""
+    g, params, integral, x0, clique, horizon = case
+    assert is_clique(g, clique.vertices)
+    assert_same(confinement_prob(g, params, x0, clique, horizon),
+                ref_confinement_prob(g, params, x0, clique, horizon), integral)
+
+    final = final_maximal_clique(g, params, x0)
+    hq = max(1, horizon)
+    while len(final) ** hq > 729:
+        hq -= 1
+    got = q_measure(g, params, x0, final, hq)
+    want = ref_q_measure(g, params, x0, final, hq)
+    assert list(got) == list(want)
+    for path, mass in want.items():
+        assert_same(got[path], mass, integral)
+
+
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(0, 5),
+       st.integers(0, 3), st.booleans())
+def test_drift_scan_matches_reference(m, seed, c0, extra, symmetric):
+    """The shell scan against the per-state loop: the same state count, the
+    maximum within 1e-13, z_drift at the returned z equal to the maximum
+    bit for bit, and the reference argmax when its maximum is unique by
+    more than 1e-12.  Among tied states (a = 1 gives many) the returned z
+    is the first maximizer of z_drift in enumeration order."""
+    rng = np.random.default_rng(seed)
+    a = np.ones(m - 1) if symmetric else rng.uniform(0.2, 3.0, m - 1)
+    lam = float(rng.uniform(0.05, 2.0))
+    c1 = c0 + extra
+    top, z, count = drift_shell_max(m, a, lam, c0, c1)
+    scan = ref_drift_scan(m, a, lam, c0, c1)
+    want_top, want_z, want_count = ref_drift_shell_max(m, a, lam, c0, c1)
+    assert count == want_count == len(scan)
+    assert abs(top - want_top) <= 1e-13 * max(1.0, abs(want_top))
+    assert z_drift(m, a, lam, z) == top
+    mine = [z_drift(m, a, lam, zz) for zz, _ in scan]
+    assert max(mine) == top and z == scan[mine.index(top)][0]
+    assert abs(z_drift(m, a, lam, want_z) - ref_z_drift(a, lam, want_z)) <= 1e-13 * max(1.0, abs(want_top))
+    runner_up = max((d for zz, d in scan if zz != want_z), default=-math.inf)
+    if want_top - runner_up > 1e-12:
+        assert z == want_z
+
+
+def test_row_blocks_do_not_change_results(fig1, monkeypatch):
+    # one- or two-row blocks against one block per level or shell; a = 1
+    # gives tied maxima that straddle blocks
+    p = RateParams.uniform(0.7, 1.3)
+    x0 = State.from_label_counts(fig1, {2: 1})
+    c = OrderedClique(idx(fig1, 2, 3, 4, 5))
+
+    def results():
+        return (confinement_prob(fig1, p, x0, c, 8),
+                q_measure(fig1, p, x0, final_maximal_clique(fig1, p, x0), 6),
+                drift_shell_max(4, np.ones(3), 0.8, 4, 6))
+
+    whole = results()
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", 8)
+    assert results() == whole
+
+
+class TestShellEnumeration:
+    def test_rows_in_recursive_order(self):
+        for dim in range(1, 6):
+            for radius in range(9):
+                want = [list(z) for z in ref_iter_l1_sphere(dim, radius)]
+                assert oracle._l1_sphere(dim, radius).tolist() == want
+                assert oracle._sphere_size(dim, radius) == len(want)
+
+    def test_scan_over_budget_refused(self):
+        # 4r states at radius r in two dimensions: 250000 is exactly the budget
+        a = np.ones(2)
+        assert oracle._sphere_size(2, 250_000) == oracle.DEFAULT_ENUM_BUDGET
+        top, z, count = drift_shell_max(3, a, 1.0, 250_000, 250_000)
+        assert count == oracle.DEFAULT_ENUM_BUDGET
+        assert z_drift(3, a, 1.0, z) == top
+        with pytest.raises(ValueError, match="states"):
+            drift_shell_max(3, a, 1.0, 250_001, 250_001)
+        with pytest.raises(ValueError, match="states"):
+            drift_shell_max(3, a, 1.0, 0, 250_000)
+
+    def test_shells_in_use_fit_the_budget(self):
+        # the benchmark's scan and the CLI tests' scans
+        for m, c0, c1 in ((4, 0, 15), (3, 0, 3), (1500, 0, 1)):
+            oracle._check_scan(np.zeros(m - 1), 1.0, c0, c1)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_negative_drift_radius_matches_rescanning_loop(self, m, lam):
+        a, threshold, width = np.ones(m - 1), -0.1, 10
+        want = next(c for c in range(1, 201)
+                    if drift_shell_max(m, a, lam, c, c + width)[0] <= threshold)
+        assert negative_drift_radius(m, a, lam, threshold, width) == want
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_rates_rejected(self, lam):
+        with pytest.raises(ValueError):
+            drift_shell_max(3, np.ones(2), lam, 0, 3)
+
+    def test_overflowing_logits_rejected(self):
+        # lam * z overflows: an error, not a NaN drift
+        with pytest.raises(ValueError, match="overflows"):
+            drift_shell_max(3, np.ones(2), 1e308, 0, 3)
+        with pytest.raises(ValueError, match="overflows"):
+            z_drift(3, np.ones(2), 1e308, [2, -2])
