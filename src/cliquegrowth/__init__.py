@@ -43,7 +43,6 @@ from .graphs import (
     validate_partition,
 )
 from .oracle import (
-    CliquePathSpace,
     clique_probs,
     confinement_prob,
     drift_shell_max,
@@ -62,7 +61,6 @@ from .process import (
     Trajectory,
     exponent_vector,
     make_rng,
-    rate_exponent,
     run,
     transition_probs,
     write_state_csv,

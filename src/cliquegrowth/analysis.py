@@ -122,31 +122,20 @@ def c_matrix(g: Graph, lam: float, state: State, clique: Sequence[int]) -> np.nd
 
     Entry (i, j) is lam times the signed count of particles at vertices
     adjacent to clique vertex i but not to clique vertex j (minus the reverse),
-    skipping the two vertices themselves.  Within the clique the terminal
-    count ratio of i over j converges to exp of this entry.  Antisymmetric
-    by construction.
+    skipping the two vertices themselves: lam (s_i - s_j) for the counts s
+    of the closed neighbourhoods.  Within the clique the terminal count ratio
+    of i over j converges to exp of this entry.  Antisymmetric by
+    construction, -0.0 below a zero.
     """
     verts = list(clique)
     if not is_clique(g, verts) or len(verts) < 2:
         raise ValueError(f"{tuple(verts)} is not a clique of size >= 2")
     x = state.counts
-    m = len(verts)
-    out = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            v, u = verts[i], verts[j]
-            total = 0
-            for w in range(g.n):
-                if w == v or w == u:
-                    continue
-                wv = w in g.adjacency[v]
-                wu = w in g.adjacency[u]
-                if wv and not wu:
-                    total += int(x[w])
-                elif wu and not wv:
-                    total -= int(x[w])
-            out[i, j] = lam * total
-            out[j, i] = -out[i, j]
+    s = x @ g.adjacency_matrix[:, verts] + x[verts]
+    upper = np.triu_indices(len(verts), 1)
+    out = np.zeros((len(verts), len(verts)), dtype=np.float64)
+    out[upper] = lam * (s[upper[0]] - s[upper[1]])
+    out.T[upper] = -out[upper]
     return out
 
 
@@ -261,15 +250,9 @@ def replica_outcome(g: Graph, params: RateParams, t: Trajectory,
     cmat = None
     if cls.kind == KIND_CLIQUE:
         counts = t.final_counts()[list(s)].astype(np.float64)
-        ratios = tuple(
-            tuple(float(counts[i] / counts[j]) for j in range(len(s)))
-            for i in range(len(s))
-        )
+        ratios = tuple(map(tuple, (counts[:, None] / counts).tolist()))
         if params.regime == "critical":
-            cmat = tuple(
-                tuple(float(x) for x in row)
-                for row in c_matrix(g, params.lam, t.final_state(), s)
-            )
+            cmat = tuple(map(tuple, c_matrix(g, params.lam, t.final_state(), s).tolist()))
         elif params.regime == "clique":
             # the log-ratio limits vanish here: ratios converge to 1
             cmat = tuple((0.0,) * len(s) for _ in s)
@@ -329,14 +312,12 @@ def write_ratio_trace_csv(fh: IO[str], t: Trajectory, g: Graph,
     Rows start at the first n where both counts are positive.
     """
     verts = list(clique)
-    paths = t.count_paths(verts)
+    rows = t.count_paths(verts).tolist()
     fh.write("n,v,u,ratio\n")
     for i, v in enumerate(verts):
         for j, u in enumerate(verts):
             if i == j:
                 continue
-            for n in range(t.n_steps + 1):
-                if paths[n, i] > 0 and paths[n, j] > 0:
-                    fh.write(
-                        f"{n},{g.labels[v]},{g.labels[u]},"
-                        f"{paths[n, i] / paths[n, j]!r}\n")
+            for n, row in enumerate(rows):
+                if row[i] > 0 and row[j] > 0:
+                    fh.write(f"{n},{g.labels[v]},{g.labels[u]},{row[i] / row[j]!r}\n")

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, detection, oracle, process
-from .graphs import Graph, OrderedClique, d_sets, enumerate_maximal_cliques, parse_graph, validate_partition
+from .graphs import Graph, OrderedClique, complete_graph, d_sets, enumerate_maximal_cliques, parse_graph, validate_partition
 from .process import RateParams, State
 
 
@@ -178,8 +178,8 @@ def cmd_bounds(args) -> str:
 
 
 def cmd_zchain(args) -> str:
-    from .graphs import complete_graph
-
+    if args.m * (args.m - 1) // 2 > oracle.DEFAULT_ENUM_BUDGET:
+        raise ValueError(f"K_{args.m} has more than {oracle.DEFAULT_ENUM_BUDGET} edges")
     g = complete_graph(args.m)
     params = RateParams.uniform(args.alpha, args.beta)
     t = process.run(g, params, State.zeros(g.n), args.steps, args.seed)
@@ -206,9 +206,15 @@ def cmd_drift(args) -> str:
     if not lam > 0:
         raise ValueError("drift scan needs beta > alpha")
     c0, _, c1 = args.shell.partition(":")
-    lo, hi = int(c0), int(c1)
+    try:
+        lo, hi = int(c0), int(c1)
+    except ValueError:
+        raise ValueError(f"bad shell {args.shell!r}, expected C0:C1") from None
+    if args.m - 1 > oracle.DEFAULT_ENUM_BUDGET:
+        raise ValueError(f"m - 1 exceeds the enumeration budget {oracle.DEFAULT_ENUM_BUDGET}")
+    # an empty list for m < 2, which drift_shell_max rejects
     top, argmax, count = oracle.drift_shell_max(
-        args.m, np.ones(args.m - 1), lam, lo, hi)
+        args.m, [1.0] * (args.m - 1), lam, lo, hi)
     return _dump({
         "operation": "drift",
         "inputs": {"m": args.m, "alpha": args.alpha, "beta": args.beta,
@@ -219,8 +225,15 @@ def cmd_drift(args) -> str:
     })
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in subparsers too, end as one `error:` line from main."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cliquegrowth",
         description="Simulate and verify the clique-localising growth process.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,17 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = args.func(args)
-    except (ValueError, OSError) as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

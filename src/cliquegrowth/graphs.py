@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "GraphParseError",
@@ -57,14 +59,14 @@ class Graph:
         except KeyError:
             raise ValueError(f"unknown vertex label {label}") from None
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+    @cached_property
+    def adjacency_matrix(self) -> np.ndarray:
+        """Read-only boolean (n, n) matrix, True at [u, v] iff u ~ v."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        for v, nbrs in enumerate(self.adjacency):
+            adj[v, list(nbrs)] = True
+        adj.setflags(write=False)
+        return adj
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as index pairs (u, v) with u < v, sorted."""

@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .detection import check_final_properties
 from .graphs import Graph, OrderedClique, d_sets, is_clique
-from .process import RateParams, State, exponent_vector
+from .process import (EXP_UNDERFLOW, RateParams, State, exponent_vector,
+                      probs_from_exponents)
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
-    "CliquePathSpace",
     "q_measure",
     "confinement_prob",
     "p11_bound",
@@ -38,21 +37,6 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 # Array cells (rows times columns) the exact tools evaluate at once: levels
 # and shells are scored in row blocks of this many floats per scratch array.
 BLOCK_CELLS = 1 << 14
-
-
-@dataclass(frozen=True)
-class CliquePathSpace:
-    """All length-`horizon` sequences over the positions of an ordered clique."""
-
-    clique: OrderedClique
-    horizon: int
-
-    @property
-    def size(self) -> int:
-        return len(self.clique) ** self.horizon
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(len(self.clique)), repeat=self.horizon)
 
 
 def _start_exponents(params: RateParams, g: Graph, x0: State,
@@ -138,7 +122,8 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     m = len(clique)
-    if m ** horizon > budget:
+    # the same test without a huge power: m >= 2 gives m^(bits + 1) > budget
+    if m ** min(horizon, budget.bit_length() + 1) > budget:
         raise ValueError(
             f"{m}^{horizon} paths exceed the enumeration budget {budget}")
     if not check_final_properties(g, params, x0, clique):
@@ -216,29 +201,38 @@ def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
 
 def _log_product_tail(n_vertices: int, rate: float, start: int,
                       tail_tol: float) -> float:
-    """Certified upper bound on sum_{r>=start} log(1 + |V| e^(-rate r))."""
+    """Certified upper bound on sum_{r>=start} log(1 + |V| e^(-rate r)),
+    or inf once the partial sum reaches -EXP_UNDERFLOW or 1 - e^(-rate) is
+    0.0 (sum > 10^14): every bound exp(-m sum), m >= 1, is then 0.0."""
     if not 0 < rate < math.inf:
         raise ValueError("rate must be positive and finite for the product "
                          "to converge")
-    if not tail_tol > 0:
-        raise ValueError("tail tolerance must be positive")
+    if not 0 < tail_tol < math.inf:
+        raise ValueError("tail tolerance must be positive and finite")
+    gap = 1.0 - math.exp(-rate)
     total = 0.0
     r = start
-    while True:
+    while gap > 0 and total < -EXP_UNDERFLOW:
         # log(1+x) <= x bounds the whole remaining tail geometrically
-        tail = n_vertices * math.exp(-rate * (r)) / (1.0 - math.exp(-rate))
+        tail = n_vertices * math.exp(-rate * (r)) / gap
         if tail < tail_tol:
             return total + tail
         total += math.log1p(n_vertices * math.exp(-rate * r))
         r += 1
+    return math.inf
 
 
 def epsilon_n(n_vertices: int, alpha: float, m: int, horizon: int) -> float:
     """Finite product (prod_{r=1}^{horizon-1} 1/(1+|V| e^(-alpha r)))^m."""
     if n_vertices < 1 or not alpha > 0 or m < 1 or horizon < 1:
         raise ValueError("need n_vertices >= 1, alpha > 0, m >= 1, horizon >= 1")
+    # the factors at alpha r > -EXP_UNDERFLOW are exactly 1
+    stop = min(horizon, -EXP_UNDERFLOW / alpha + 1)
+    if stop > DEFAULT_ENUM_BUDGET:
+        raise ValueError(f"the product has more than {DEFAULT_ENUM_BUDGET} "
+                         "factors below 1; use a larger alpha or a shorter horizon")
     s = sum(math.log1p(n_vertices * math.exp(-alpha * r))
-            for r in range(1, horizon))
+            for r in range(1, math.ceil(stop)))
     return math.exp(-m * s)
 
 
@@ -283,10 +277,7 @@ def clique_probs(params: RateParams, g: Graph, state: State,
     """
     if params.regime != "critical":
         raise ValueError("clique_probs requires the critical regime (alpha = beta > 0)")
-    exps = exponent_vector(params, g, state)
-    sub = exps[list(clique.vertices)]
-    w = np.exp(sub - sub.max())
-    return w / w.sum()
+    return probs_from_exponents(exponent_vector(params, g, state)[list(clique.vertices)])
 
 
 def _chain_log_coefficients(m: int, a, lam: float) -> np.ndarray:
@@ -313,8 +304,7 @@ def _z_probs_rows(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
     logits = np.empty((len(z), len(log_a) + 1))
     logits[:, :-1] = log_a - lam * z
     logits[:, -1] = 0.0
-    w = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
+    return probs_from_exponents(logits)
 
 
 def _drift_rows(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:

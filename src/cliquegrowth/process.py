@@ -15,7 +15,6 @@ bit, so the output depends only on (seed, stream), never on the kernel.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +29,6 @@ __all__ = [
     "State",
     "Trajectory",
     "make_rng",
-    "rate_exponent",
     "exponent_vector",
     "transition_probs",
     "run",
@@ -58,53 +56,43 @@ EXP_MEMO_MAX = 1 << 15
 class RateParams:
     """Interaction parameters of the allocation process.
 
-    Uniform mode uses one own-count weight `alpha` and one neighbour-count
-    weight `beta` for every vertex.  General mode carries per-vertex weights
-    `alpha_v` and per-ordered-pair weights `beta_vu` (the weight of u's count
-    inside v's exponent), supported on adjacent pairs only.  `base_offset_v`
-    adds a constant to each exponent, i.e. a multiplicative prefactor on the
-    rate; it defaults to zero.
+    `alpha` weighs a vertex's own count in its exponent: one float, or one
+    weight per vertex.  `beta` weighs a neighbour's count: one float, or
+    sorted `(v, u, b)` triples, b the weight of u's count inside v's exponent
+    for adjacent v, u.  `offset` (default zero) adds a constant to each
+    exponent, a prefactor on the rate.  Uniform means both rates are floats.
     """
 
-    mode: str
-    alpha: float | None = None
-    beta: float | None = None
-    alpha_v: tuple[float, ...] | None = None
-    beta_vu: tuple[tuple[int, int, float], ...] | None = None
-    base_offset_v: tuple[float, ...] | None = None
+    alpha: float | tuple[float, ...]
+    beta: float | tuple[tuple[int, int, float], ...]
+    offset: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        values = [self.alpha, self.beta, *(self.alpha_v or ()),
-                  *(b for _, _, b in self.beta_vu or ()), *(self.base_offset_v or ())]
-        if not all(math.isfinite(x) for x in values if x is not None):
+        # the vertex indices in the beta triples are finite too
+        if not all(np.isfinite(np.asarray(f, dtype=np.float64)).all()
+                   for f in (self.alpha, self.beta, self.offset or ())):
             raise ValueError("rate parameters must be finite")
 
     @staticmethod
     def uniform(alpha: float, beta: float,
                 base_offset_v: tuple[float, ...] | None = None) -> "RateParams":
-        return RateParams(mode="uniform", alpha=float(alpha), beta=float(beta),
-                          base_offset_v=None if base_offset_v is None
-                          else tuple(float(c) for c in base_offset_v))
+        return RateParams(float(alpha), float(beta), _offset_tuple(base_offset_v))
 
     @staticmethod
     def general(alpha_v, beta_vu: Mapping[tuple[int, int], float],
                 base_offset_v=None) -> "RateParams":
         return RateParams(
-            mode="general",
-            alpha_v=tuple(float(a) for a in alpha_v),
-            beta_vu=tuple(sorted((v, u, float(b)) for (v, u), b in beta_vu.items())),
-            base_offset_v=None if base_offset_v is None
-            else tuple(float(c) for c in base_offset_v),
+            tuple(float(a) for a in alpha_v),
+            tuple(sorted((v, u, float(b)) for (v, u), b in beta_vu.items())),
+            _offset_tuple(base_offset_v),
         )
 
     @property
     def regime(self) -> str:
         """Parameter regime: single_vertex (beta<alpha), critical (alpha=beta),
         clique (alpha<beta) for positive uniform parameters, else other."""
-        if self.mode != "uniform":
-            return REGIME_OTHER
         a, b = self.alpha, self.beta
-        if not (a > 0 and b > 0):
+        if isinstance(a, tuple) or isinstance(b, tuple) or not (a > 0 and b > 0):
             return REGIME_OTHER
         if b < a:
             return REGIME_SINGLE_VERTEX
@@ -127,7 +115,7 @@ class RateParams:
         """Materialize (alpha_vec, beta_mat, offset_vec) for graph g.
 
         beta_mat[v, u] is the weight of u's count in v's exponent; zero off
-        the adjacency.  Raises if general-mode arrays do not fit g.
+        the adjacency.  Raises if per-vertex or per-pair rates do not fit g.
         """
         return _materialized_arrays(self, g)
 
@@ -138,35 +126,32 @@ class RateParams:
         return beta_mat + np.diag(alpha_vec)
 
 
+def _offset_tuple(offset) -> tuple[float, ...] | None:
+    return None if offset is None else tuple(float(c) for c in offset)
+
+
 @lru_cache(maxsize=64)
 def _materialized_arrays(p: RateParams, g: Graph):
     n = g.n
-    if p.mode == "uniform":
-        alpha_vec = np.full(n, p.alpha, dtype=np.float64)
+    adj = g.adjacency_matrix
+    alpha_vec = np.asarray(p.alpha, dtype=np.float64)
+    if alpha_vec.ndim == 0:
+        alpha_vec = np.full(n, alpha_vec)
+    elif len(alpha_vec) != n:
+        raise ValueError(f"alpha_v has length {len(alpha_vec)}, graph has {n} vertices")
+    if isinstance(p.beta, tuple):
         beta_mat = np.zeros((n, n), dtype=np.float64)
-        for v in range(n):
-            for u in g.adjacency[v]:
-                beta_mat[v, u] = p.beta
-    elif p.mode == "general":
-        if len(p.alpha_v) != n:
-            raise ValueError(f"alpha_v has length {len(p.alpha_v)}, graph has {n} vertices")
-        alpha_vec = np.asarray(p.alpha_v, dtype=np.float64)
-        beta_mat = np.zeros((n, n), dtype=np.float64)
-        for v, u, b in p.beta_vu:
-            if not (0 <= v < n and 0 <= u < n) or u not in g.adjacency[v]:
+        for v, u, b in p.beta:
+            if not (0 <= v < n and 0 <= u < n and adj[v, u]):
                 raise ValueError(f"beta_vu defined for non-adjacent pair ({v}, {u})")
             beta_mat[v, u] = b
     else:
-        raise ValueError(f"unknown mode {p.mode!r}")
-    if p.base_offset_v is None:
-        offset = np.zeros(n, dtype=np.float64)
-    else:
-        if len(p.base_offset_v) != n:
-            raise ValueError("base_offset_v length does not match the graph")
-        offset = np.asarray(p.base_offset_v, dtype=np.float64)
-    alpha_vec.setflags(write=False)
-    beta_mat.setflags(write=False)
-    offset.setflags(write=False)
+        beta_mat = np.where(adj, p.beta, 0.0)
+    offset = np.zeros(n) if p.offset is None else np.asarray(p.offset, dtype=np.float64)
+    if len(offset) != n:
+        raise ValueError("base_offset_v length does not match the graph")
+    for a in (alpha_vec, beta_mat, offset):
+        a.setflags(write=False)
     return alpha_vec, beta_mat, offset
 
 
@@ -210,12 +195,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
         raise ValueError("seed and stream must be non-negative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
 
-
-def rate_exponent(params: RateParams, g: Graph, state: State, v: int) -> float:
-    """L_v = offset_v + alpha_v x_v + sum over neighbours u of beta_vu x_u."""
-    alpha_vec, beta_mat, offset = params.arrays(g)
-    x = state.counts
-    return float(offset[v] + alpha_vec[v] * x[v] + beta_mat[v] @ x)
 
 def exponent_vector(params: RateParams, g: Graph, state: State) -> np.ndarray:
     """All rate exponents, computed from scratch."""
@@ -342,10 +321,7 @@ class Trajectory:
         return len(self.allocations)
 
     def final_counts(self) -> np.ndarray:
-        counts = self.initial.counts.copy()
-        if len(self.allocations):
-            np.add.at(counts, self.allocations, 1)
-        return counts
+        return self.counts_at(self.n_steps)
 
     def final_state(self) -> State:
         return State(self.final_counts())

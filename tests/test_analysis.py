@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquegrowth import (
     RateParams,
@@ -27,6 +29,51 @@ from cliquegrowth.analysis import onset_step
 from cliquegrowth.graphs import Graph
 
 from conftest import idx, labs
+
+
+def reference_c_matrix(g, lam, state, clique):
+    """The original O(m^2 n) loop: for each pair i < j, lam times the signed
+    count outside {v, u} adjacent to one of them only; the lower triangle is
+    the negation of the upper one (so -0.0 below a zero)."""
+    verts = list(clique)
+    x = state.counts
+    m = len(verts)
+    out = np.zeros((m, m), dtype=np.float64)
+    for i in range(m):
+        for j in range(i + 1, m):
+            v, u = verts[i], verts[j]
+            total = 0
+            for w in range(g.n):
+                if w == v or w == u:
+                    continue
+                wv = w in g.adjacency[v]
+                wu = w in g.adjacency[u]
+                if wv and not wu:
+                    total += int(x[w])
+                elif wu and not wv:
+                    total -= int(x[w])
+            out[i, j] = lam * total
+            out[j, i] = -out[i, j]
+    return out
+
+
+@st.composite
+def c_matrix_cases(draw):
+    """A connected graph (random spanning tree plus random extra edges), an
+    ordered clique of size >= 2 in it, counts and a rate."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n * 3))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    g = Graph.from_edge_labels(sorted(edges))
+    maximal = draw(st.sampled_from(enumerate_maximal_cliques(g)))
+    order = draw(st.permutations(maximal))
+    clique = order[:draw(st.integers(2, len(order)))]
+    counts = draw(st.lists(st.integers(0, 60), min_size=g.n, max_size=g.n))
+    lam = draw(st.sampled_from([0.7, 1.3, 1.0, 0.1, 2.9, -0.7])
+               | st.floats(1e-3, 10.0))
+    return g, lam, State(np.array(counts)), clique
 
 
 def make_traj(g, alloc, x0=None, seed=0):
@@ -133,6 +180,13 @@ class TestCMatrix:
     def test_requires_adjacent_members(self, fig1):
         with pytest.raises(ValueError):
             c_matrix(fig1, 1.0, State.zeros(fig1.n), idx(fig1, 1, 3))
+
+    @given(c_matrix_cases())
+    def test_matches_reference_loop_bytes(self, case):
+        # bytes, not values: the signs of the zeros must match too
+        g, lam, state, clique = case
+        want = reference_c_matrix(g, lam, state, clique)
+        assert c_matrix(g, lam, state, clique).tobytes() == want.tobytes()
 
 
 class TestRatioLimitCheck:
@@ -348,3 +402,18 @@ class TestOnsetAndOutcome:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "n,v,u,ratio"
         assert any(line.startswith("2,4,5,") for line in lines)
+
+    def test_ratio_trace_rows_are_plain_floats(self, fig1):
+        verts = idx(fig1, 4, 5, 6)
+        t = run(fig1, RateParams.uniform(1.0, 1.0),
+                State.from_label_counts(fig1, {4: 1}), 60, seed=3)
+        buf = io.StringIO()
+        write_ratio_trace_csv(buf, t, fig1, verts)
+        paths = t.count_paths(verts)
+        pos = {fig1.labels[v]: i for i, v in enumerate(verts)}
+        rows = buf.getvalue().splitlines()[1:]
+        assert rows
+        for row in rows:
+            n, v, u, ratio = row.split(",")
+            i, j = pos[int(v)], pos[int(u)]
+            assert float(ratio) == paths[int(n), i] / paths[int(n), j]

@@ -1,8 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquegrowth.cli import main
 
@@ -236,6 +241,58 @@ class TestBadInput:
                             "--beta", "1", "--steps", "20", "--replicas", "2",
                             "--seed", "1", "--jobs", "0")
 
+    def test_drift_shell_without_colon(self, capsys):
+        err = self.check_rejected(capsys, "drift", "--m", "3", "--alpha", "1",
+                                  "--beta", "2", "--shell", "5")
+        assert err == "error: bad shell '5', expected C0:C1\n"
+
+    def test_drift_m_zero(self, capsys):
+        err = self.check_rejected(capsys, "drift", "--m", "0", "--alpha", "1",
+                                  "--beta", "2", "--shell", "0:3")
+        assert "m >= 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["drift", "--m", "3", "--alpha", "1", "--beta", "2", "--shell", "-1:3"],
+        ["drift", "--m", "3", "--alpha", "1", "--beta", "2"],
+        ["simulate", "GRAPH", "--alpha", "1", "--beta", "1", "--steps", "x",
+         "--seed", "1"],
+        ["simulate", "GRAPH", "--alpha", "1", "--beta", "1", "--steps", "5",
+         "--seed", "1", "--bogus"],
+        ["bogus"],
+        [],
+    ])
+    def test_usage_errors(self, capsys, fig1_file, argv):
+        # argparse's own errors: exit 1 and one line, no usage block
+        self.check_rejected(capsys, *(fig1_file if a == "GRAPH" else a
+                                      for a in argv))
+
+    def test_out_into_missing_directory(self, capsys, fig1_file, tmp_path):
+        self.check_rejected(capsys, "cliques", fig1_file, "--out",
+                            str(tmp_path / "missing" / "out.txt"))
+
+    def test_count_out_of_range(self, capsys, fig1_file):
+        self.check_rejected(capsys, "final-clique", fig1_file, "--alpha", "1",
+                            "--beta", "1", "--counts", "4:99999999999999999999")
+
+    @pytest.mark.parametrize("rates", [["--alpha", "1e-300"], ["--alpha", "1e-8"],
+                                       ["--alpha", "1", "--beta", "0.99999999999"]])
+    def test_bounds_tiny_rates_give_zero(self, capsys, rates):
+        # the product then needs ~1/rate factors: it once hung or divided
+        # by zero; it is 0.0 in floats
+        code, out, _ = run_main(capsys, "bounds", "--vertices", "3", "--m", "2",
+                                *rates)
+        doc = json.loads(out)
+        assert code == 0
+        assert 0.0 in (doc["value"], doc["single_vertex"])
+
+    def test_bounds_huge_horizon(self, capsys):
+        code, out, _ = run_main(capsys, "bounds", "--vertices", "3", "--alpha",
+                                "1", "--m", "2", "--horizon", "10000000000000")
+        assert code == 0
+        assert json.loads(out)["epsilon_n"] == pytest.approx(0.073, abs=1e-3)
+        self.check_rejected(capsys, "bounds", "--vertices", "3", "--alpha",
+                            "1e-5", "--m", "2", "--horizon", "10000000000000")
+
     def test_bounds_zero_vertices(self, capsys):
         self.check_rejected(capsys, "bounds", "--vertices", "0", "--alpha", "1",
                             "--m", "2")
@@ -244,7 +301,167 @@ class TestBadInput:
                                        ["--alpha", "1", "--tol", "0"],
                                        ["--alpha", "1", "--tol", "nan"],
                                        ["--alpha", "2", "--beta", "nan"],
-                                       ["--alpha", "2", "--beta=-inf"]])
+                                       ["--alpha", "2", "--beta=-inf"],
+                                       ["--alpha", "1", "--tol", "inf"]])
     def test_bounds_nan_inf_or_zero_tolerance(self, capsys, extra):
         self.check_rejected(capsys, "bounds", "--vertices", "3", "--m", "2",
                             *extra)
+
+
+# Argument vectors for the CLI fuzz test: every subcommand, each option
+# mostly good but now and then bad (nan, inf, negatives, empty strings,
+# garbage, malformed label:count and C0:C1 lists, integers past int64,
+# unusable graph and --out paths) or left out.  Work sizes stay small: steps <= 200, replicas <= 3, good
+# horizons <= 5, shells within 0:8; a huge step or replica count asks for a
+# long job, which is not bad input.
+BAD_SIZES = ["0", "-1", "", "x", "1.5", "nan"]
+
+
+def ints(*good):
+    return list(good), BAD_SIZES + ["99999999999999999999"]
+
+
+RATES = (["1", "0.7", "1.3", "2", "0.5"],
+         ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "", "x"])
+LABELS = st.sampled_from([str(v) for v in range(1, 9)] + ["9", "0", "-1", "x", ""])
+COUNTS = (["4:1", "5:3,6:2", "2:1,3:2,8:1"], st.lists(st.one_of(
+    st.builds("{}:{}".format, LABELS,
+              st.sampled_from(["0", "3", "-1", "", "x", "1.5",
+                               "99999999999999999999"])),
+    LABELS, st.builds(":{}".format, LABELS)), max_size=4).map(",".join))
+CLIQUES = (["1,2", "2,1", "4,5,6", "6,5,4", "2,3,4,5", "5,4,3,2", "7,8", "1,2,3"],
+           st.lists(LABELS, max_size=4).map(",".join))
+SHELLS = (st.builds("{}:{}".format, st.integers(0, 8), st.integers(0, 8)),
+          ["5", "", ":", "a:b", "1:2:3", "-1:3", "nan:1", "0:"])
+STEPS = (["1", "50", "200"], BAD_SIZES)
+SEEDS = ints("7", "12345")
+
+# subcommand -> (takes a graph file, {option: ((good, bad) values, required)});
+# None marks a flag without a value
+SUBCOMMANDS = {
+    "cliques": (True, {"--json": (None, False)}),
+    "dsets": (True, {"--clique": (CLIQUES, True)}),
+    "final-clique": (True, {
+        "--alpha": (RATES, True), "--beta": (RATES, True),
+        "--counts": (COUNTS, False),
+        "--tie": ((["lex", "rand:5"], ["rand:", "rand:x", "rand:-1", "bogus", ""]),
+                  False)}),
+    "simulate": (True, {
+        "--alpha": (RATES, True), "--beta": (RATES, True),
+        "--steps": (STEPS, True), "--seed": (SEEDS, True),
+        "--x0": (COUNTS, False)}),
+    "localize": (True, {
+        "--alpha": (RATES, True), "--beta": (RATES, True),
+        "--steps": (STEPS, True), "--replicas": ((["1", "2", "3"], BAD_SIZES), True),
+        "--seed": (SEEDS, True),
+        "--tail": ((["0.5", "1", "0.1"], ["0", "1.5", "nan", ""]), False),
+        "--jobs": ((["1"], ["0", "-1", "x"]), False)}),
+    "exact": (True, {
+        "--alpha": (RATES, True), "--beta": (RATES, True),
+        "--clique": (CLIQUES, True), "--horizon": (ints("1", "3", "5"), True),
+        "--mode": ((["q", "confine"], ["bogus"]), False),
+        "--budget": ((["1000000", "10"], ["0", "-1", "x"]), False)}),
+    "bounds": (False, {
+        "--vertices": (ints("1", "8", "300"), True),
+        "--alpha": (RATES, True), "--beta": (RATES, False),
+        "--m": (ints("1", "2", "3"), True),
+        "--tol": ((["1e-12", "1e-6"], ["0", "-1", "nan", "inf", ""]), False),
+        "--horizon": (ints("1", "3", "5"), False)}),
+    "zchain": (False, {
+        "--m": (ints("2", "3", "4"), True),
+        "--alpha": (RATES, True), "--beta": (RATES, True),
+        "--steps": (STEPS, True), "--seed": (SEEDS, True)}),
+    "drift": (False, {
+        "--m": (ints("2", "3", "4"), True),
+        "--alpha": (RATES, True), "--beta": (RATES, True),
+        "--shell": (SHELLS, True)}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """(good, bad) graph paths: fig1 and a triangle; a self-loop, a
+    disconnected graph, a directory and a missing file.  And (good, bad)
+    --out paths: a new file; a directory and a file in a missing one."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {"fig1": FIG1_EDGES, "k3": "1 2\n2 3\n1 3\n", "loop": "1 2\n2 2\n",
+             "split": "1 2\n3 4\n"}
+    for name, text in texts.items():
+        (root / f"{name}.edges").write_text(text)
+    paths = [str(root / f"{name}.edges") for name in texts]
+    graphs = paths[:2], paths[2:] + [str(root), str(root / "missing.edges")]
+    outs = [str(root / "out.txt")], [str(root), str(root / "missing" / "out.txt")]
+    return graphs, outs
+
+
+def one_in(draw, n):
+    return draw(st.integers(1, n)) == 1
+
+
+def pick(draw, values):
+    """A draw from the good values, or one time in eight from the bad ones."""
+    values = values[one_in(draw, 8)]
+    return draw(st.sampled_from(values) if isinstance(values, list) else values)
+
+
+@st.composite
+def argv_vectors(draw, fuzz_files):
+    graphs, outs = fuzz_files
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    takes_graph, options = SUBCOMMANDS[command]
+    argv = [command]
+    if takes_graph and not one_in(draw, 20):
+        argv.append(pick(draw, graphs))
+    for flag, (values, required) in {**options, "--out": (outs, False)}.items():
+        if one_in(draw, 20) if required else draw(st.booleans()):
+            continue
+        if values is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={pick(draw, values)}")
+        else:
+            argv += [flag, pick(draw, values)]
+    if one_in(draw, 20):
+        argv.append("--bogus")
+    return argv
+
+
+def check_output(command, out):
+    """Exit 0: strict JSON (no NaN or Infinity) for the JSON subcommands,
+    the step,vertex CSV for simulate, lines of labels otherwise."""
+    if command == "simulate":
+        header, *rows = out.splitlines()
+        assert header == "step,vertex"
+        for i, row in enumerate(rows, start=1):
+            step, vertex = row.split(",")
+            assert int(step) == i and int(vertex) >= 0
+    elif command == "final-clique" or (command == "cliques" and out[:1] != "{"):
+        lines = out.splitlines()
+        assert lines and all(int(v) >= 0 for line in lines for v in line.split())
+        assert command == "cliques" or len(lines) == 1
+    else:
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert json.loads(out, parse_constant=reject)["operation"] == command
+
+
+@given(st.data())
+def test_fuzz_argv(fuzz_files, data):
+    argv = data.draw(argv_vectors(fuzz_files))
+    target = Path(fuzz_files[1][0][0])
+    target.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        if target.exists():
+            assert out == ""
+            out = target.read_text()
+        check_output(argv[0], out)
+    else:
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cliquegrowth import (
-    CliquePathSpace,
     Graph,
     OrderedClique,
     RateParams,
@@ -53,10 +52,11 @@ def brute_force_confinement(g, params, x0, verts, horizon):
 
 class TestPathSpace:
     def test_size_and_membership(self, fig1):
+        # the keys of the path measure are the clique path space
         c = OrderedClique(idx(fig1, 4, 5, 6))
-        space = CliquePathSpace(c, 4)
-        paths = list(space)
-        assert space.size == 3 ** 4 == len(paths)
+        paths = list(q_measure(fig1, RateParams.uniform(1.0, 1.0),
+                               State.zeros(fig1.n), c, 4))
+        assert 3 ** 4 == len(paths)
         assert all(all(0 <= k < 3 for k in p) for p in paths)
 
 

@@ -4,6 +4,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquegrowth import (
     RateParams,
@@ -11,7 +13,6 @@ from cliquegrowth import (
     complete_graph,
     exponent_vector,
     make_rng,
-    rate_exponent,
     run,
     transition_probs,
     write_state_csv,
@@ -21,6 +22,7 @@ from cliquegrowth.graphs import Graph
 from cliquegrowth.process import (
     _allocate,
     _columns,
+    _materialized_arrays,
     _scalar_kernel,
     probs_from_exponents,
 )
@@ -43,6 +45,68 @@ def uniforms_selecting(params, g, x0, vertices):
     return out
 
 
+def reference_arrays(g, mode, alpha=None, beta=None, alpha_v=None,
+                     beta_vu=None, base_offset_v=None):
+    """The original materialization from the six fields of the original
+    RateParams (beta_vu as sorted (v, u, b) triples): Python loops over the
+    adjacency, the same checks in the same order."""
+    n = g.n
+    if mode == "uniform":
+        alpha_vec = np.full(n, alpha, dtype=np.float64)
+        beta_mat = np.zeros((n, n), dtype=np.float64)
+        for v in range(n):
+            for u in g.adjacency[v]:
+                beta_mat[v, u] = beta
+    else:
+        if len(alpha_v) != n:
+            raise ValueError(f"alpha_v has length {len(alpha_v)}, graph has {n} vertices")
+        alpha_vec = np.asarray(alpha_v, dtype=np.float64)
+        beta_mat = np.zeros((n, n), dtype=np.float64)
+        for v, u, b in beta_vu:
+            if not (0 <= v < n and 0 <= u < n) or u not in g.adjacency[v]:
+                raise ValueError(f"beta_vu defined for non-adjacent pair ({v}, {u})")
+            beta_mat[v, u] = b
+    if base_offset_v is None:
+        offset = np.zeros(n, dtype=np.float64)
+    else:
+        if len(base_offset_v) != n:
+            raise ValueError("base_offset_v length does not match the graph")
+        offset = np.asarray(base_offset_v, dtype=np.float64)
+    return alpha_vec, beta_mat, offset
+
+
+def reference_error(g, **fields):
+    with pytest.raises(ValueError) as err:
+        reference_arrays(g, **fields)
+    return str(err.value)
+
+
+@st.composite
+def rate_cases(draw):
+    """A connected graph and uniform or general parameters on it, with and
+    without offsets; values include -0.0 and non-dyadic rates."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n * 2))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    g = Graph.from_edge_labels(sorted(edges))
+    rate = st.sampled_from([0.7, 1.3, -0.0, 0.0, 1.0, -2.5]) | st.floats(-5.0, 5.0)
+    offset = draw(st.none() | st.lists(rate, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        fields = dict(mode="uniform", alpha=draw(rate), beta=draw(rate))
+        params = RateParams.uniform(fields["alpha"], fields["beta"], offset)
+    else:
+        alpha_v = draw(st.lists(rate, min_size=n, max_size=n))
+        pairs = [(v, u) for v in range(n) for u in sorted(g.adjacency[v])]
+        beta_vu = {vu: draw(rate) for vu in draw(st.lists(st.sampled_from(pairs),
+                                                           unique=True))}
+        fields = dict(mode="general", alpha_v=alpha_v,
+                      beta_vu=sorted((v, u, b) for (v, u), b in beta_vu.items()))
+        params = RateParams.general(alpha_v, beta_vu, offset)
+    return g, params, dict(fields, base_offset_v=offset)
+
+
 class TestRateParams:
     def test_regimes(self):
         assert RateParams.uniform(2.0, 1.0).regime == "single_vertex"
@@ -61,12 +125,55 @@ class TestRateParams:
         with pytest.raises(ValueError):
             p.arrays(fig1)
 
+    def test_three_fields(self):
+        p = RateParams.uniform(0.7, 1.3)
+        assert (p.alpha, p.beta, p.offset) == (0.7, 1.3, None)
+        q = RateParams.general([0.5, 0.25], {(1, 0): 2.0, (0, 1): 3.0}, [1, 2])
+        assert (q.alpha, q.beta, q.offset) == ((0.5, 0.25),
+                                               ((0, 1, 3.0), (1, 0, 2.0)),
+                                               (1.0, 2.0))
+        assert q.regime == "other"
+
+    @given(rate_cases())
+    def test_arrays_match_reference_bytes(self, case):
+        g, params, fields = case
+        # the cache is keyed by value, and -0.0 == 0.0: start it empty
+        _materialized_arrays.cache_clear()
+        want = reference_arrays(g, **fields)
+        got = params.arrays(g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        K = want[1] + np.diag(want[0])
+        assert params.interaction_matrix(g).tobytes() == K.tobytes()
+
+    @pytest.mark.parametrize("fields", [
+        dict(mode="general", alpha_v=[1.0] * 7, beta_vu=[]),
+        dict(mode="general", alpha_v=[1.0] * 9, beta_vu=[]),
+        dict(mode="general", alpha_v=[1.0] * 8, beta_vu=[(0, 2, 1.0)]),
+        dict(mode="general", alpha_v=[1.0] * 8, beta_vu=[(0, 1, 1.0), (2, 0, 0.5)]),
+        dict(mode="general", alpha_v=[1.0] * 8, beta_vu=[(0, 8, 1.0)]),
+        dict(mode="general", alpha_v=[1.0] * 8, beta_vu=[(-1, 0, 1.0)]),
+        dict(mode="general", alpha_v=[1.0] * 8, beta_vu=[],
+             base_offset_v=[0.0] * 7),
+        dict(mode="uniform", alpha=1.0, beta=1.0, base_offset_v=[0.0] * 9),
+    ])
+    def test_arrays_raise_reference_errors(self, fig1, fields):
+        if fields["mode"] == "uniform":
+            p = RateParams.uniform(fields["alpha"], fields["beta"],
+                                   fields["base_offset_v"])
+        else:
+            p = RateParams.general(fields["alpha_v"],
+                                   {(v, u): b for v, u, b in fields["beta_vu"]},
+                                   fields.get("base_offset_v"))
+        with pytest.raises(ValueError) as err:
+            p.arrays(fig1)
+        assert str(err.value) == reference_error(fig1, **fields)
+
 
 class TestExponents:
     def test_zero_state_is_zero(self, fig1):
         p = RateParams.uniform(1.3, 0.7)
         s = State.zeros(fig1.n)
-        assert all(rate_exponent(p, fig1, s, v) == 0.0 for v in range(fig1.n))
+        assert all(L == 0.0 for L in exponent_vector(p, fig1, s))
 
     def test_one_particle_at_4(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
