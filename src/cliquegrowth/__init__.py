@@ -20,10 +20,7 @@ from .analysis import (
     lln_deviation,
     localisation_set,
     monte_carlo_report,
-    ratio_limit_check,
-    renewal_times,
     replica_outcome,
-    write_ratio_trace_csv,
     z_chain,
 )
 from .detection import check_final_properties, final_maximal_clique
@@ -43,7 +40,6 @@ from .graphs import (
     validate_partition,
 )
 from .oracle import (
-    clique_probs,
     confinement_prob,
     drift_shell_max,
     epsilon_lower_bound,
@@ -63,7 +59,6 @@ from .process import (
     make_rng,
     run,
     transition_probs,
-    write_state_csv,
     write_trajectory_csv,
 )
 

@@ -1,5 +1,6 @@
-"""Trajectory post-processing: localisation detection, ratio limits,
-count-difference chains, renewal times, and Monte Carlo aggregation.
+"""Trajectory post-processing: localisation detection, critical-regime
+log-ratio matrices, the law-of-large-numbers deviation, count-difference
+chains, and Monte Carlo aggregation.
 
 The localisation statements are asymptotic; every finite-horizon detector
 here is an explicit proxy (tail support over the last fraction of a run) and
@@ -10,13 +11,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .detection import final_maximal_clique
 from .graphs import Graph, enumerate_maximal_cliques, is_clique, is_maximal_clique
-from .process import RateParams, State, Trajectory, run
+from .process import MAX_STEPS, RateParams, State, Trajectory, run
 
 __all__ = [
     "Classification",
@@ -26,14 +26,15 @@ __all__ = [
     "localisation_set",
     "classify_outcome",
     "c_matrix",
-    "ratio_limit_check",
     "lln_deviation",
     "z_chain",
-    "renewal_times",
     "monte_carlo_report",
     "replica_outcome",
-    "write_ratio_trace_csv",
+    "MAX_REPLICAS",
 ]
+
+# Most replicas one report runs: the report holds one entry per replica.
+MAX_REPLICAS = 10**6
 
 KIND_SINGLE_VERTEX = "single_vertex"
 KIND_CLIQUE = "clique"
@@ -139,45 +140,17 @@ def c_matrix(g: Graph, lam: float, state: State, clique: Sequence[int]) -> np.nd
     return out
 
 
-def ratio_limit_check(t: Trajectory, clique: Sequence[int],
-                      target: np.ndarray, tol: float) -> tuple[bool, float]:
-    """Compare terminal count ratios against a target matrix.
-
-    Returns (within tolerance, max relative deviation) over ordered pairs.
-    Raises if the set has fewer than two vertices or a zero terminal count.
-    """
-    verts = list(clique)
-    if len(verts) < 2:
-        raise ValueError("ratio check needs at least two vertices")
-    target = np.asarray(target, dtype=np.float64)
-    counts = t.final_counts()[verts].astype(np.float64)
-    if (counts == 0).any():
-        raise ValueError("zero terminal count at a clique vertex")
-    worst = 0.0
-    for i in range(len(verts)):
-        for j in range(len(verts)):
-            if i == j:
-                continue
-            dev = abs(counts[i] / counts[j] - target[i, j]) / target[i, j]
-            worst = max(worst, dev)
-    return worst <= tol, worst
-
-
-def lln_deviation(t: Trajectory, clique: Sequence[int],
-                  probs=None, n0: int = 1) -> float:
-    """sup over n >= n0 of (1/n) sum_i |X_i(n) - p_i n| along the trajectory.
-
-    `probs` defaults to the uniform distribution over the clique.
-    """
+def lln_deviation(t: Trajectory, clique: Sequence[int], n0: int = 1) -> float:
+    """sup over n >= n0 of (1/n) sum_i |X_i(n) - n/m| along the trajectory,
+    for the m vertices of `clique`: the distance of the occupation
+    frequencies from uniform over the whole path, not at one time."""
     verts = list(clique)
     n = t.n_steps
     if not 0 < n0 <= n:
         raise ValueError("need 0 < n0 <= horizon")
-    p = (np.full(len(verts), 1.0 / len(verts)) if probs is None
-         else np.asarray(probs, dtype=np.float64))
     paths = t.count_paths(verts).astype(np.float64)  # (n+1, m)
     ns = np.arange(n0, n + 1, dtype=np.float64)
-    dev = np.abs(paths[n0:] - ns[:, None] * p[None, :]).sum(axis=1) / ns
+    dev = np.abs(paths[n0:] - ns[:, None] / len(verts)).sum(axis=1) / ns
     return float(dev.max())
 
 
@@ -203,34 +176,6 @@ def z_chain(t: Trajectory, g: Graph) -> ZChainPath:
     at_origin = np.flatnonzero((z == 0).all(axis=1))
     returns = at_origin[at_origin >= 1]
     return ZChainPath(z_path=z, return_times=np.concatenate(([0], returns)))
-
-
-def renewal_times(t: Trajectory, g: Graph, params: RateParams) -> list[int]:
-    """Successive first times an allocation leaves the current final clique.
-
-    Starts at time 0; each subsequent entry is the first allocation outside
-    the final maximal clique (lexicographic ties) of the state at the
-    previous entry.  Stops at the horizon.
-    """
-    times = [0]
-    counts = t.initial.counts.copy()
-    alloc = t.allocations
-    pos = 0
-    n = len(alloc)
-    while True:
-        clique = final_maximal_clique(g, params, State(counts.copy()), "lex")
-        cset = clique.as_set()
-        found = None
-        while pos < n:
-            v = int(alloc[pos])
-            pos += 1
-            counts[v] += 1
-            if v not in cset:
-                found = pos  # 1-based time of the escaping allocation
-                break
-        if found is None:
-            return times
-        times.append(found)
 
 
 def onset_step(t: Trajectory, s: Sequence[int]) -> int:
@@ -274,8 +219,10 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
     Replica i uses the RNG stream (seed, i); results are folded in replica
     order, so the report is identical for any `jobs`.
     """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    if not 1 <= replicas <= MAX_REPLICAS:
+        raise ValueError(f"replicas must be in [1, {MAX_REPLICAS}]")
+    if not 0 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in [0, {MAX_STEPS}]")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     args = [(g, params, x0, steps, seed, i, tail_fraction) for i in range(replicas)]
@@ -303,21 +250,3 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
         single_vertex_frequency=single / replicas,
         undecided_frequency=undecided / replicas,
     )
-
-
-def write_ratio_trace_csv(fh: IO[str], t: Trajectory, g: Graph,
-                          clique: Sequence[int]) -> None:
-    """Write `n,v,u,ratio` rows for every ordered clique pair over time.
-
-    Rows start at the first n where both counts are positive.
-    """
-    verts = list(clique)
-    rows = t.count_paths(verts).tolist()
-    fh.write("n,v,u,ratio\n")
-    for i, v in enumerate(verts):
-        for j, u in enumerate(verts):
-            if i == j:
-                continue
-            for n, row in enumerate(rows):
-                if row[i] > 0 and row[j] > 0:
-                    fh.write(f"{n},{g.labels[v]},{g.labels[u]},{row[i] / row[j]!r}\n")

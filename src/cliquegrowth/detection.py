@@ -56,8 +56,7 @@ def final_maximal_clique(g: Graph, params: RateParams, state: State,
 
 
 def check_final_properties(g: Graph, params: RateParams, state: State,
-                           clique: OrderedClique,
-                           rel_tol: float = TIE_REL_TOL) -> bool:
+                           clique: OrderedClique) -> bool:
     """True iff `clique` could have been produced by the greedy detector.
 
     Checks, on the exponents of `state`: the first vertex attains the global
@@ -71,7 +70,7 @@ def check_final_properties(g: Graph, params: RateParams, state: State,
     exps = exponent_vector(params, g, state)
 
     def tol_at(x: float) -> float:
-        return rel_tol * max(1.0, abs(x))
+        return TIE_REL_TOL * max(1.0, abs(x))
 
     if exps[verts[0]] < exps.max() - tol_at(exps.max()):
         return False

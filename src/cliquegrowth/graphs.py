@@ -237,9 +237,6 @@ class OrderedClique:
     def __iter__(self) -> Iterator[int]:
         return iter(self.vertices)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
 
 @dataclass(frozen=True)
 class DPartition:

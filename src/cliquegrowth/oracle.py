@@ -26,7 +26,6 @@ __all__ = [
     "epsilon_n",
     "epsilon_lower_bound",
     "single_vertex_bound",
-    "clique_probs",
     "z_transition_probs",
     "z_drift",
     "drift_shell_max",
@@ -266,18 +265,6 @@ def single_vertex_bound(n_vertices: int, alpha: float, beta: float,
     if beta >= alpha:
         raise ValueError("single-vertex bound needs beta < alpha")
     return math.exp(-_log_product_tail(n_vertices, alpha - beta, 0, tail_tol))
-
-
-def clique_probs(params: RateParams, g: Graph, state: State,
-                 clique: OrderedClique) -> np.ndarray:
-    """In-clique allocation distribution at `state` in the critical regime.
-
-    With alpha = beta every in-clique allocation shifts all in-clique
-    exponents equally, so this distribution is invariant along confined runs.
-    """
-    if params.regime != "critical":
-        raise ValueError("clique_probs requires the critical regime (alpha = beta > 0)")
-    return probs_from_exponents(exponent_vector(params, g, state)[list(clique.vertices)])
 
 
 def _chain_log_coefficients(m: int, a, lam: float) -> np.ndarray:

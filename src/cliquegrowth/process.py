@@ -33,7 +33,7 @@ __all__ = [
     "transition_probs",
     "run",
     "write_trajectory_csv",
-    "write_state_csv",
+    "MAX_STEPS",
 ]
 
 REGIME_SINGLE_VERTEX = "single_vertex"
@@ -50,6 +50,8 @@ UNIFORM_BLOCK = 4096
 EXP_UNDERFLOW = -746.0
 # Most np.exp weights the scalar kernel memoizes in one run.
 EXP_MEMO_MAX = 1 << 15
+# Most steps one run takes: its int64 allocations array is then 800 MB.
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,6 @@ class State:
             counts[g.index(lab)] = c
         return State(counts)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def copy(self) -> "State":
         return State(self.counts.copy())
 
@@ -307,14 +305,11 @@ def _uniforms(rng: np.random.Generator, steps: int):
 class Trajectory:
     """A realized run: initial state plus the ordered allocation vertices.
 
-    Replaying `allocations` from `initial` reproduces the final state; the
-    run is fully determined by (seed, stream).
+    Replaying `allocations` from `initial` reproduces the final state.
     """
 
     initial: State
     allocations: np.ndarray
-    seed: int
-    stream: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -352,8 +347,8 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
     connectivity) and runs whose exponents leave the finite floats.
     Deterministic given (seed, stream).
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    if not 0 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in [0, {MAX_STEPS}]")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     if len(x0.counts) != g.n:
@@ -364,7 +359,7 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
     if not np.isfinite(exponents).all():
         raise ValueError("rate exponents overflowed to a non-finite value; "
                          "use smaller rates or fewer steps")
-    return Trajectory(initial=x0.copy(), allocations=alloc, seed=seed, stream=stream)
+    return Trajectory(initial=x0.copy(), allocations=alloc)
 
 
 def write_trajectory_csv(fh: IO[str], t: Trajectory, g: Graph) -> None:
@@ -373,10 +368,3 @@ def write_trajectory_csv(fh: IO[str], t: Trajectory, g: Graph) -> None:
     labels = g.labels
     for i, v in enumerate(t.allocations, start=1):
         fh.write(f"{i},{labels[v]}\n")
-
-
-def write_state_csv(fh: IO[str], state: State, g: Graph) -> None:
-    """Write a `vertex,count` snapshot (vertex labels, index order)."""
-    fh.write("vertex,count\n")
-    for v in range(g.n):
-        fh.write(f"{g.labels[v]},{int(state.counts[v])}\n")

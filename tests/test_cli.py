@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cliquegrowth.analysis import MAX_REPLICAS
 from cliquegrowth.cli import main
+from cliquegrowth.process import MAX_STEPS
 
 from conftest import FIG1_EDGES
 
@@ -252,6 +254,25 @@ class TestBadInput:
         assert "m >= 2" in err
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "GRAPH", "--alpha", "1", "--beta", "1", "--seed", "1"],
+        ["zchain", "--m", "3", "--alpha", "1", "--beta", "2", "--seed", "1"],
+        ["localize", "GRAPH", "--alpha", "1", "--beta", "1", "--replicas", "2",
+         "--seed", "1"],
+    ])
+    def test_steps_over_limit(self, capsys, fig1_file, argv):
+        # refused before the allocations array is built
+        err = self.check_rejected(capsys, *(fig1_file if a == "GRAPH" else a
+                                            for a in argv),
+                                  "--steps", str(MAX_STEPS + 1))
+        assert str(MAX_STEPS) in err
+
+    def test_replicas_over_limit(self, capsys, fig1_file):
+        err = self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",
+                                  "--beta", "1", "--steps", "20", "--seed", "1",
+                                  "--replicas", str(MAX_REPLICAS + 1))
+        assert str(MAX_REPLICAS) in err
+
+    @pytest.mark.parametrize("argv", [
         ["drift", "--m", "3", "--alpha", "1", "--beta", "2", "--shell", "-1:3"],
         ["drift", "--m", "3", "--alpha", "1", "--beta", "2"],
         ["simulate", "GRAPH", "--alpha", "1", "--beta", "1", "--steps", "x",
@@ -311,10 +332,12 @@ class TestBadInput:
 # Argument vectors for the CLI fuzz test: every subcommand, each option
 # mostly good but now and then bad (nan, inf, negatives, empty strings,
 # garbage, malformed label:count and C0:C1 lists, integers past int64,
-# unusable graph and --out paths) or left out.  Work sizes stay small: steps <= 200, replicas <= 3, good
-# horizons <= 5, shells within 0:8; a huge step or replica count asks for a
-# long job, which is not bad input.
+# step and replica counts past their limits, unusable graph and --out paths)
+# or left out.  Good work sizes stay small: steps <= 200, replicas <= 3,
+# horizons <= 5, shells within 0:8.
 BAD_SIZES = ["0", "-1", "", "x", "1.5", "nan"]
+# past MAX_STEPS and MAX_REPLICAS, refused before anything is allocated
+OVER_LIMIT = ["100000000001", "99999999999999999999"]
 
 
 def ints(*good):
@@ -333,7 +356,7 @@ CLIQUES = (["1,2", "2,1", "4,5,6", "6,5,4", "2,3,4,5", "5,4,3,2", "7,8", "1,2,3"
            st.lists(LABELS, max_size=4).map(",".join))
 SHELLS = (st.builds("{}:{}".format, st.integers(0, 8), st.integers(0, 8)),
           ["5", "", ":", "a:b", "1:2:3", "-1:3", "nan:1", "0:"])
-STEPS = (["1", "50", "200"], BAD_SIZES)
+STEPS = (["1", "50", "200"], BAD_SIZES + OVER_LIMIT)
 SEEDS = ints("7", "12345")
 
 # subcommand -> (takes a graph file, {option: ((good, bad) values, required)});
@@ -352,7 +375,8 @@ SUBCOMMANDS = {
         "--x0": (COUNTS, False)}),
     "localize": (True, {
         "--alpha": (RATES, True), "--beta": (RATES, True),
-        "--steps": (STEPS, True), "--replicas": ((["1", "2", "3"], BAD_SIZES), True),
+        "--steps": (STEPS, True),
+        "--replicas": ((["1", "2", "3"], BAD_SIZES + OVER_LIMIT), True),
         "--seed": (SEEDS, True),
         "--tail": ((["0.5", "1", "0.1"], ["0", "1.5", "nan", ""]), False),
         "--jobs": ((["1"], ["0", "-1", "x"]), False)}),

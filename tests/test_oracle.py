@@ -11,7 +11,6 @@ from cliquegrowth import (
     OrderedClique,
     RateParams,
     State,
-    clique_probs,
     complete_graph,
     confinement_prob,
     d_sets,
@@ -210,39 +209,6 @@ class TestSingleVertexBound:
     def test_requires_beta_below_alpha(self):
         with pytest.raises(ValueError):
             single_vertex_bound(8, 1.0, 1.0)
-
-
-class TestCliqueProbs:
-    def test_zero_state_uniform(self):
-        g = complete_graph(3)
-        p = RateParams.uniform(1.0, 1.0)
-        probs = clique_probs(p, g, State.zeros(3), OrderedClique((0, 1, 2)))
-        assert np.allclose(probs, 1 / 3)
-
-    def test_ratio_identity(self, fig1):
-        p = RateParams.uniform(1.0, 1.0)
-        s = State.from_label_counts(fig1, {3: 2, 7: 1})
-        c = OrderedClique(idx(fig1, 2, 3, 4, 5))
-        probs = clique_probs(p, fig1, s, c)
-        L = exponent_vector(p, fig1, s)
-        for i, v in enumerate(c.vertices):
-            for j, u in enumerate(c.vertices):
-                assert probs[i] / probs[j] == pytest.approx(
-                    math.exp(L[v] - L[u]), rel=1e-12)
-
-    def test_invariant_under_in_clique_allocation(self, fig1):
-        p = RateParams.uniform(1.0, 1.0)
-        c = OrderedClique(idx(fig1, 4, 5, 6))
-        s = State.from_label_counts(fig1, {2: 1})
-        before = clique_probs(p, fig1, s, c)
-        s.counts[fig1.index(5)] += 1
-        after = clique_probs(p, fig1, s, c)
-        assert np.allclose(before, after, atol=1e-12)
-
-    def test_regime_guard(self, fig1):
-        with pytest.raises(ValueError):
-            clique_probs(RateParams.uniform(1.0, 2.0), fig1,
-                         State.zeros(fig1.n), OrderedClique(idx(fig1, 1, 2)))
 
 
 class TestZTransitionProbs:

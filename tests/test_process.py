@@ -15,7 +15,6 @@ from cliquegrowth import (
     make_rng,
     run,
     transition_probs,
-    write_state_csv,
     write_trajectory_csv,
 )
 from cliquegrowth.graphs import Graph
@@ -313,7 +312,7 @@ class TestRun:
         p = RateParams.uniform(1.0, 0.5)
         x0 = State.from_label_counts(fig1, {2: 3})
         t = run(fig1, p, x0, 5000, seed=4)
-        assert t.final_counts().sum() == x0.total + 5000
+        assert t.final_counts().sum() == x0.counts.sum() + 5000
         paths = t.count_paths(range(fig1.n))
         assert (np.diff(paths, axis=0) >= 0).all()
 
@@ -368,13 +367,6 @@ class TestCsv:
         assert lines[0] == "step,vertex"
         assert len(lines) == 4
         assert lines[1].startswith("1,")
-
-    def test_state_csv(self, fig1):
-        buf = io.StringIO()
-        write_state_csv(buf, State.from_label_counts(fig1, {4: 2}), fig1)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "vertex,count"
-        assert "4,2" in lines
 
 
 class TestNonFinite:
