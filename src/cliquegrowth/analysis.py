@@ -9,6 +9,7 @@ replicas that have not settled are reported as undecided, never force-fitted.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -217,7 +218,8 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
     """Run independent replicas and aggregate their localisation outcomes.
 
     Replica i uses the RNG stream (seed, i); results are folded in replica
-    order, so the report is identical for any `jobs`.
+    order, so the report is identical for any `jobs`.  At most
+    min(jobs, replicas, CPUs) worker processes run; with one, none is started.
     """
     if not 1 <= replicas <= MAX_REPLICAS:
         raise ValueError(f"replicas must be in [1, {MAX_REPLICAS}]")
@@ -226,8 +228,9 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     args = [(g, params, x0, steps, seed, i, tail_fraction) for i in range(replicas)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, replicas, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replica_outcome_job, args, chunksize=8))
     else:
         outcomes = [_replica_outcome_job(a) for a in args]

@@ -89,10 +89,10 @@ def cmd_dsets(args) -> str:
 
 def _tie_args(text: str):
     if text == "lex":
-        return "lex", None
+        return None
     kind, _, seed = text.partition(":")
     if kind == "rand" and seed:
-        return "random", process.make_rng(int(seed))
+        return process.make_rng(int(seed))
     raise ValueError(f"bad tie-break {text!r}, expected lex or rand:SEED")
 
 
@@ -100,8 +100,7 @@ def cmd_final_clique(args) -> str:
     g = _load_graph(args.graph)
     params = RateParams.uniform(args.alpha, args.beta)
     x0 = _parse_counts(args.counts, g)
-    tie_break, rng = _tie_args(args.tie)
-    clique = detection.final_maximal_clique(g, params, x0, tie_break, rng)
+    clique = detection.final_maximal_clique(g, params, x0, _tie_args(args.tie))
     return " ".join(str(x) for x in _labels(g, clique.vertices)) + "\n"
 
 

@@ -3,13 +3,14 @@
 Starting from a vertex of maximal rate, the clique is grown one vertex at a
 time, always taking a maximal-rate common neighbour of what has been built,
 until no common neighbour remains.  The result is a maximal clique whose
-rate exponents are non-increasing along the build order.
+rate exponents are non-increasing along the build order.  A tie goes to the
+smallest vertex index, or to a uniform draw when an rng is given.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, OrderedClique, is_maximal_clique
+from .graphs import Graph, OrderedClique
 from .process import RateParams, State, exponent_vector
 
 __all__ = ["final_maximal_clique", "check_final_properties", "TIE_REL_TOL"]
@@ -20,70 +21,42 @@ __all__ = ["final_maximal_clique", "check_final_properties", "TIE_REL_TOL"]
 TIE_REL_TOL = 1e-12
 
 
-def _tied_argmax(exps: np.ndarray, candidates: list[int],
-                 tie_break: str, rng) -> int:
+def _tied(exps: np.ndarray, candidates: list[int]) -> list[int]:
+    """The candidates within TIE_REL_TOL of their maximum exponent, in order."""
     best = max(exps[v] for v in candidates)
     tol = TIE_REL_TOL * max(1.0, abs(best))
-    tied = [v for v in candidates if exps[v] >= best - tol]
-    if tie_break == "lex" or len(tied) == 1:
-        return tied[0]
-    if tie_break == "random":
-        if rng is None:
-            raise ValueError("random tie-break needs an rng")
-        return tied[int(rng.integers(len(tied)))]
-    raise ValueError(f"unknown tie_break {tie_break!r}")
+    return [v for v in candidates if exps[v] >= best - tol]
 
 
 def final_maximal_clique(g: Graph, params: RateParams, state: State,
-                         tie_break: str = "lex",
                          rng: np.random.Generator | None = None) -> OrderedClique:
     """Detect the final maximal clique of `state` by greedy max-rate growth.
 
-    tie_break selects among equal-exponent candidates: "lex" takes the
-    smallest vertex index (making the result a pure function of the inputs),
-    "random" draws uniformly from the tied set using `rng`.
+    Without `rng` a tie goes to the smallest vertex index, making the result
+    a pure function of the inputs; with `rng` it is drawn uniformly.
     """
     if g.n < 2:
         raise ValueError("graph needs at least two vertices")
     exps = exponent_vector(params, g, state)
-    chosen = [_tied_argmax(exps, list(range(g.n)), tie_break, rng)]
-    common = set(g.adjacency[chosen[0]])
-    while common:
-        nxt = _tied_argmax(exps, sorted(common), tie_break, rng)
-        chosen.append(nxt)
-        common &= g.adjacency[nxt]
+    chosen = []
+    candidates = list(range(g.n))
+    while candidates:
+        tied = _tied(exps, candidates)
+        v = tied[0] if rng is None or len(tied) == 1 else tied[int(rng.integers(len(tied)))]
+        chosen.append(v)
+        candidates = [u for u in candidates if u in g.adjacency[v]]
     return OrderedClique(tuple(chosen))
 
 
 def check_final_properties(g: Graph, params: RateParams, state: State,
                            clique: OrderedClique) -> bool:
-    """True iff `clique` could have been produced by the greedy detector.
-
-    Checks, on the exponents of `state`: the first vertex attains the global
-    maximum; exponents are non-increasing along the order; each vertex attains
-    the maximum among the common neighbours of its predecessors; and the
-    result is a maximal clique.
-    """
-    verts = clique.vertices
-    if not verts or not is_maximal_clique(g, verts):
-        return False
+    """True iff the greedy detector can build `clique`: replayed along its
+    order, each vertex is among the tied maxima of the candidates that its
+    predecessors leave, and no candidate is left at the end."""
     exps = exponent_vector(params, g, state)
-
-    def tol_at(x: float) -> float:
-        return TIE_REL_TOL * max(1.0, abs(x))
-
-    if exps[verts[0]] < exps.max() - tol_at(exps.max()):
-        return False
-    for a, b in zip(verts, verts[1:]):
-        if exps[b] > exps[a] + tol_at(exps[a]):
+    candidates = list(range(g.n))
+    for v in clique.vertices:
+        if v not in candidates or v not in _tied(exps, candidates):
             return False
-    common = set(g.adjacency[verts[0]])
-    for k in range(1, len(verts)):
-        vk = verts[k]
-        if vk not in common:
-            return False
-        best = max(exps[v] for v in common)
-        if exps[vk] < best - tol_at(best):
-            return False
-        common &= g.adjacency[vk]
-    return True
+        candidates = [u for u in candidates if u in g.adjacency[v]]
+    return not candidates

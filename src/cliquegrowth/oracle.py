@@ -20,6 +20,7 @@ from .process import (EXP_UNDERFLOW, RateParams, State, exponent_vector,
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
+    "MAX_CELLS",
     "q_measure",
     "confinement_prob",
     "p11_bound",
@@ -36,6 +37,9 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 # Array cells (rows times columns) the exact tools evaluate at once: levels
 # and shells are scored in row blocks of this many floats per scratch array.
 BLOCK_CELLS = 1 << 14
+# Most cells (rows times columns) of one enumeration array: a level of count
+# vectors, a drift shell or its size table.  As int64 that is 800 MB.
+MAX_CELLS = 10**8
 
 
 def _start_exponents(params: RateParams, g: Graph, x0: State,
@@ -43,7 +47,11 @@ def _start_exponents(params: RateParams, g: Graph, x0: State,
     """The exponents at x0, and as row i the increment of one allocation at
     vertices[i] (column vertices[i] of the interaction matrix K).  Refuses
     rates at which an exponent within `horizon` allocations, or the
-    difference of two, would overflow a float."""
+    difference of two, would overflow a float, and horizons whose last level
+    of count vectors over `vertices` would exceed MAX_CELLS cells."""
+    m = len(vertices)
+    if math.comb(horizon + m - 1, m - 1) * m > MAX_CELLS:
+        raise ValueError(f"the horizon-{horizon} level has more than {MAX_CELLS} array cells")
     exps0 = exponent_vector(params, g, x0)
     deltas = params.interaction_matrix(g).T[list(vertices)]
     reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
@@ -381,16 +389,21 @@ def _l1_sphere(dim: int, radius: int) -> np.ndarray:
 
 def _check_scan(log_a: np.ndarray, lam: float, c0: int, c1: int) -> int:
     """Number of states with c0 <= l1 norm <= c1, counted before any is
-    built; refuses scans over DEFAULT_ENUM_BUDGET states, and rates at which
-    the logits of the outer shell would overflow."""
+    built; refuses scans over DEFAULT_ENUM_BUDGET states, a shell or size
+    table of `_l1_sphere` over MAX_CELLS cells, and rates at which the
+    logits of the outer shell would overflow."""
     _check_logits(log_a, lam, c1)
+    dim = len(log_a)
+    if (dim + 1) * (c1 + 1) > MAX_CELLS:
+        raise ValueError(f"the shell {c0}:{c1} needs a size table of over {MAX_CELLS} cells")
     count = 0
     for radius in range(c0, c1 + 1):
-        count += _sphere_size(len(log_a), radius)
-        if count > DEFAULT_ENUM_BUDGET:
+        size = _sphere_size(dim, radius)
+        count += size
+        if count > DEFAULT_ENUM_BUDGET or size * dim > MAX_CELLS:
             raise ValueError(
-                f"the shell {c0}:{c1} in {len(log_a)} dimensions has more "
-                f"than {DEFAULT_ENUM_BUDGET} states")
+                f"the shell {c0}:{c1} in {dim} dimensions has more than "
+                f"{DEFAULT_ENUM_BUDGET} states or {MAX_CELLS} array cells")
     return count
 
 

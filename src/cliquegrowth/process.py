@@ -113,19 +113,15 @@ class RateParams:
             return self.beta - self.alpha
         raise ValueError(f"lambda is undefined in regime {r!r}")
 
-    def arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize (alpha_vec, beta_mat, offset_vec) for graph g.
-
-        beta_mat[v, u] is the weight of u's count in v's exponent; zero off
-        the adjacency.  Raises if per-vertex or per-pair rates do not fit g.
-        """
+    def arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+        """(K, offset) for graph g, materialized once and read-only.  Raises
+        if per-vertex or per-pair rates do not fit g."""
         return _materialized_arrays(self, g)
 
     def interaction_matrix(self, g: Graph) -> np.ndarray:
         """K = diag(alpha) + beta for graph g: the exponents are
         L = offset + K x, and one allocation at v adds column K[:, v]."""
-        alpha_vec, beta_mat, _ = self.arrays(g)
-        return beta_mat + np.diag(alpha_vec)
+        return _materialized_arrays(self, g)[0]
 
 
 def _offset_tuple(offset) -> tuple[float, ...] | None:
@@ -152,9 +148,11 @@ def _materialized_arrays(p: RateParams, g: Graph):
     offset = np.zeros(n) if p.offset is None else np.asarray(p.offset, dtype=np.float64)
     if len(offset) != n:
         raise ValueError("base_offset_v length does not match the graph")
-    for a in (alpha_vec, beta_mat, offset):
+    # beta_mat[v, u] is the weight of u's count in v's exponent
+    K = beta_mat + np.diag(alpha_vec)
+    for a in (K, offset):
         a.setflags(write=False)
-    return alpha_vec, beta_mat, offset
+    return K, offset
 
 
 @dataclass
@@ -196,9 +194,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def exponent_vector(params: RateParams, g: Graph, state: State) -> np.ndarray:
     """All rate exponents, computed from scratch."""
-    alpha_vec, beta_mat, offset = params.arrays(g)
-    x = state.counts.astype(np.float64)
-    return offset + alpha_vec * x + beta_mat @ x
+    K, offset = params.arrays(g)
+    return offset + K @ state.counts.astype(np.float64)
 
 
 def transition_probs(params: RateParams, g: Graph, state: State) -> np.ndarray:

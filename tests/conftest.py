@@ -31,6 +31,26 @@ def idx(g: Graph, *labels: int) -> tuple[int, ...]:
     return tuple(g.index(lab) for lab in labels)
 
 
+def serial_pool(started: list):
+    """A stand-in for ProcessPoolExecutor that starts no process: it records
+    each `max_workers` in `started` and maps in this process."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    return SerialPool
+
+
 def labs(g: Graph, verts) -> tuple[int, ...]:
     """Map internal indices back to labels, sorted."""
     return tuple(sorted(g.labels[v] for v in verts))

@@ -20,10 +20,11 @@ from cliquegrowth import (
     run,
     z_chain,
 )
+from cliquegrowth import analysis
 from cliquegrowth.analysis import onset_step
 from cliquegrowth.graphs import Graph
 
-from conftest import idx, labs
+from conftest import idx, labs, serial_pool
 
 
 def reference_c_matrix(g, lam, state, clique):
@@ -270,6 +271,19 @@ class TestMonteCarloReport:
         a = monte_carlo_report(fig1, p, State.zeros(fig1.n), 500, 12, seed=9, jobs=1)
         b = monte_carlo_report(fig1, p, State.zeros(fig1.n), 500, 12, seed=9, jobs=4)
         assert a == b
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 8])
+    def test_workers_capped_by_replicas_and_cpus(self, fig1, monkeypatch, cpus):
+        # never more workers than replicas or CPUs, and none for one
+        started = []
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", serial_pool(started))
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        p = RateParams.uniform(1.0, 1.0)
+        args = (fig1, p, State.zeros(fig1.n), 200, 3)
+        assert (monte_carlo_report(*args, seed=9, jobs=10**6)
+                == monte_carlo_report(*args, seed=9, jobs=1))
+        want = min(3, cpus or 1)
+        assert started == ([want] if want > 1 else [])
 
     def test_jsonable_schema(self, fig1):
         p = RateParams.uniform(1.0, 1.0)

@@ -1,19 +1,22 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cliquegrowth import analysis
 from cliquegrowth.analysis import MAX_REPLICAS
 from cliquegrowth.cli import main
 from cliquegrowth.process import MAX_STEPS
 
-from conftest import FIG1_EDGES
+from conftest import FIG1_EDGES, serial_pool
 
 
 @pytest.fixture
@@ -227,6 +230,15 @@ class TestBadInput:
                                   "--shell", "0:3")
         assert "finite" in err
 
+    @pytest.mark.parametrize("m, shell", [("2", "999999999:1000000000"),
+                                          ("500000", "0:1")])
+    def test_drift_over_cell_limit(self, capsys, m, shell):
+        # within the state budget, but the size table or the shell would
+        # take gigabytes: refused before either is built
+        err = self.check_rejected(capsys, "drift", "--m", m, "--alpha", "1",
+                                  "--beta", "2", "--shell", shell)
+        assert "cells" in err
+
     def test_drift_shell_over_budget(self, capsys):
         # 4 * 250001 states, just over the enumeration budget
         self.check_rejected(capsys, "drift", "--m", "3", "--alpha", "1",
@@ -334,7 +346,8 @@ class TestBadInput:
 # garbage, malformed label:count and C0:C1 lists, integers past int64,
 # step and replica counts past their limits, unusable graph and --out paths)
 # or left out.  Good work sizes stay small: steps <= 200, replicas <= 3,
-# horizons <= 5, shells within 0:8.
+# horizons <= 5, shells within 0:8; --jobs 1000000 runs under a serial
+# stand-in for the process pool, and --m 500000 meets the cell bound.
 BAD_SIZES = ["0", "-1", "", "x", "1.5", "nan"]
 # past MAX_STEPS and MAX_REPLICAS, refused before anything is allocated
 OVER_LIMIT = ["100000000001", "99999999999999999999"]
@@ -358,6 +371,7 @@ SHELLS = (st.builds("{}:{}".format, st.integers(0, 8), st.integers(0, 8)),
           ["5", "", ":", "a:b", "1:2:3", "-1:3", "nan:1", "0:"])
 STEPS = (["1", "50", "200"], BAD_SIZES + OVER_LIMIT)
 SEEDS = ints("7", "12345")
+MS = ints("2", "3", "4", "500000")
 
 # subcommand -> (takes a graph file, {option: ((good, bad) values, required)});
 # None marks a flag without a value
@@ -379,7 +393,7 @@ SUBCOMMANDS = {
         "--replicas": ((["1", "2", "3"], BAD_SIZES + OVER_LIMIT), True),
         "--seed": (SEEDS, True),
         "--tail": ((["0.5", "1", "0.1"], ["0", "1.5", "nan", ""]), False),
-        "--jobs": ((["1"], ["0", "-1", "x"]), False)}),
+        "--jobs": ((["1", "1000000"], ["0", "-1", "x"]), False)}),
     "exact": (True, {
         "--alpha": (RATES, True), "--beta": (RATES, True),
         "--clique": (CLIQUES, True), "--horizon": (ints("1", "3", "5"), True),
@@ -388,15 +402,15 @@ SUBCOMMANDS = {
     "bounds": (False, {
         "--vertices": (ints("1", "8", "300"), True),
         "--alpha": (RATES, True), "--beta": (RATES, False),
-        "--m": (ints("1", "2", "3"), True),
+        "--m": (ints("1", "2", "3", "500000"), True),
         "--tol": ((["1e-12", "1e-6"], ["0", "-1", "nan", "inf", ""]), False),
         "--horizon": (ints("1", "3", "5"), False)}),
     "zchain": (False, {
-        "--m": (ints("2", "3", "4"), True),
+        "--m": (MS, True),
         "--alpha": (RATES, True), "--beta": (RATES, True),
         "--steps": (STEPS, True), "--seed": (SEEDS, True)}),
     "drift": (False, {
-        "--m": (ints("2", "3", "4"), True),
+        "--m": (MS, True),
         "--alpha": (RATES, True), "--beta": (RATES, True),
         "--shell": (SHELLS, True)}),
 }
@@ -476,9 +490,13 @@ def test_fuzz_argv(fuzz_files, data):
     target = Path(fuzz_files[1][0][0])
     target.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    started = []
+    with (patch.object(analysis, "ProcessPoolExecutor", serial_pool(started)),
+          redirect_stdout(out), redirect_stderr(err)):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
+    # at most one worker per replica (<= 3) and per CPU
+    assert all(w <= min(3, os.cpu_count() or 1) for w in started)
     if code == 0:
         assert err == ""
         if target.exists():

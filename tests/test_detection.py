@@ -1,7 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquegrowth import (
+    Graph,
     OrderedClique,
     RateParams,
     State,
@@ -11,6 +16,8 @@ from cliquegrowth import (
     final_maximal_clique,
     make_rng,
 )
+from cliquegrowth.detection import TIE_REL_TOL
+from cliquegrowth.graphs import is_maximal_clique
 
 from conftest import idx, labs
 
@@ -75,14 +82,78 @@ def test_seeded_random_tie_break(fig1, params):
     s = State.zeros(fig1.n)
     seen = set()
     for k in range(40):
-        fc = final_maximal_clique(fig1, params, s, tie_break="random",
-                                  rng=make_rng(100, k))
+        fc = final_maximal_clique(fig1, params, s, rng=make_rng(100, k))
         assert check_final_properties(fig1, params, s, fc)
         seen.add(fc.vertices)
     assert len(seen) > 1  # the arbitrariness is actually explored
 
-    with pytest.raises(ValueError):
-        final_maximal_clique(fig1, params, s, tie_break="random")
+
+def ref_check_final_properties(g, params, state, clique):
+    """The checker as first written, property by property: the first vertex
+    attains the global maximum, exponents are non-increasing along the
+    order, each vertex attains the maximum among the common neighbours of
+    its predecessors, and the result is a maximal clique."""
+    verts = clique.vertices
+    if not verts or not is_maximal_clique(g, verts):
+        return False
+    exps = exponent_vector(params, g, state)
+
+    def tol_at(x):
+        return TIE_REL_TOL * max(1.0, abs(x))
+
+    if exps[verts[0]] < exps.max() - tol_at(exps.max()):
+        return False
+    for a, b in zip(verts, verts[1:]):
+        if exps[b] > exps[a] + tol_at(exps[a]):
+            return False
+    common = set(g.adjacency[verts[0]])
+    for k in range(1, len(verts)):
+        vk = verts[k]
+        if vk not in common:
+            return False
+        best = max(exps[v] for v in common)
+        if exps[vk] < best - tol_at(best):
+            return False
+        common &= g.adjacency[vk]
+    return True
+
+
+@st.composite
+def detection_cases(draw):
+    """A connected graph, uniform or general rates (integer-valued, so ties
+    are exact and frequent, or real), a state, and vertex orders to check:
+    every ordering of every maximal clique and random distinct sequences."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    g = Graph.from_edge_labels(sorted(edges))
+    rate = st.integers(-2, 2).map(float) if draw(st.booleans()) else st.floats(-2, 2)
+    if draw(st.booleans()):
+        params = RateParams.uniform(draw(rate), draw(rate))
+    else:
+        pairs = [(v, u) for v in range(n) for u in sorted(g.adjacency[v])]
+        params = RateParams.general(draw(st.lists(rate, min_size=n, max_size=n)),
+                                    {vu: draw(rate) for vu in pairs})
+    state = State(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    orders = [p for c in enumerate_maximal_cliques(g) for p in permutations(c)]
+    orders += draw(st.lists(st.lists(st.integers(0, n - 1), unique=True, max_size=n),
+                            max_size=8))
+    return g, params, state, orders, draw(st.integers(0, 2**32))
+
+
+@given(detection_cases())
+def test_replay_matches_reference_checker(case):
+    g, params, state, orders, seed = case
+    for order in orders:
+        clique = OrderedClique(tuple(order))
+        assert (check_final_properties(g, params, state, clique)
+                == ref_check_final_properties(g, params, state, clique)), order
+    for k in range(3):
+        rng = None if k == 0 else make_rng(seed, k)
+        fc = final_maximal_clique(g, params, state, rng)
+        assert check_final_properties(g, params, state, fc)
 
 
 class TestCheckProperties:

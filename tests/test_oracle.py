@@ -152,6 +152,15 @@ class TestConfinement:
             confinement_prob(fig1, p, State.zeros(fig1.n),
                              OrderedClique(idx(fig1, 2, 3, 4, 5)), 400, budget=100)
 
+    @pytest.mark.parametrize("measure", [confinement_prob, q_measure])
+    def test_levels_over_cell_limit_refused(self, measure):
+        # within the budget, but the last level is C(601, 599) = 180300
+        # count vectors of 600 counts: 1.08e8 cells
+        g = complete_graph(600)
+        with pytest.raises(ValueError, match="cells"):
+            measure(g, RateParams.uniform(1.0, 1.0), State.zeros(g.n),
+                    OrderedClique(tuple(range(g.n))), 2)
+
 
 class TestP11Bound:
     def test_plug_in(self):
@@ -284,11 +293,18 @@ class TestZDrift:
 # or lattice point at a time.  The level-at-a-time versions must match them.
 
 def ref_increments(params, g, vertices):
-    alpha_vec, beta_mat, _ = params.arrays(g)
-    deltas = np.zeros((len(vertices), g.n), dtype=np.float64)
+    """Row i: what one allocation at vertices[i] adds to each exponent,
+    read off the RateParams fields one entry at a time."""
+    n = g.n
+    alpha = params.alpha if isinstance(params.alpha, tuple) else (params.alpha,) * n
+    if isinstance(params.beta, tuple):
+        beta = {(v, u): b for v, u, b in params.beta}
+    else:
+        beta = {(v, u): params.beta for v in range(n) for u in g.adjacency[v]}
+    deltas = np.zeros((len(vertices), n), dtype=np.float64)
     for i, v in enumerate(vertices):
-        deltas[i] = beta_mat[:, v]
-        deltas[i, v] = alpha_vec[v]
+        for u in range(n):
+            deltas[i, u] = alpha[v] if u == v else beta.get((u, v), 0.0)
     return deltas
 
 
