@@ -147,11 +147,11 @@ def cmd_exact(args) -> str:
         doc = {"operation": "exact", "inputs": inputs,
                "value": value, "certified_bound": False, "tail_tol": None}
     else:
-        measure = oracle.q_measure(g, params, x0, clique, args.horizon,
+        weights = oracle.q_measure(g, params, x0, clique, args.horizon,
                                    budget=args.budget)
         doc = {"operation": "exact", "inputs": inputs,
-               "value": float(sum(measure.values())),
-               "n_paths": len(measure),
+               "value": float(sum(weights.tolist())),
+               "n_paths": len(weights),
                "certified_bound": False, "tail_tol": None}
     return _dump(doc)
 

@@ -7,7 +7,6 @@ lower bound, never a point estimate).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -48,10 +47,11 @@ def _start_exponents(params: RateParams, g: Graph, x0: State,
     vertices[i] (column vertices[i] of the interaction matrix K).  Refuses
     rates at which an exponent within `horizon` allocations, or the
     difference of two, would overflow a float, and horizons whose last level
-    of count vectors over `vertices` would exceed MAX_CELLS cells."""
+    of count vectors over `vertices`, or the (horizon + 2) x m binomial table
+    of `_composition_levels`, would exceed MAX_CELLS cells."""
     m = len(vertices)
-    if math.comb(horizon + m - 1, m - 1) * m > MAX_CELLS:
-        raise ValueError(f"the horizon-{horizon} level has more than {MAX_CELLS} array cells")
+    if max(math.comb(horizon + m - 1, m - 1), horizon + 2) * m > MAX_CELLS:
+        raise ValueError(f"the horizon-{horizon} levels need more than {MAX_CELLS} array cells")
     exps0 = exponent_vector(params, g, x0)
     deltas = params.interaction_matrix(g).T[list(vertices)]
     reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
@@ -111,7 +111,7 @@ def _level_weights(exps0: np.ndarray, deltas: np.ndarray,
 
 
 def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
-              horizon: int, budget: int = DEFAULT_ENUM_BUDGET) -> dict[tuple[int, ...], float]:
+              horizon: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """Block-product measure over the clique path space.
 
     Each path (k(1),...,k(n)) gets the product over j of the one-step
@@ -119,20 +119,29 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
     state reached by allocating along the path.  The blocks come from the
     D-set partition of `clique`, so the measure always has total mass 1.
 
+    Returns the m^horizon path weights as one float64 array in
+    `itertools.product(range(m), repeat=horizon)` order: entry i is the
+    path whose blocks are the base-m digits of i, most significant first.
+
     The block masses depend on a path prefix only through its count vector,
     so they are computed once per count vector at each depth; the path
-    weights are extended a depth at a time, in `itertools.product` order.
+    weights are extended a depth at a time.
 
-    `clique` must be a final maximal clique for x0; the path count m^horizon
-    must not exceed `budget`.
+    `clique` must be a final maximal clique for x0; neither the path count
+    m^horizon nor the horizon (the number of levels) may exceed `budget`,
+    and m^horizon may not exceed MAX_CELLS.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     m = len(clique)
-    # the same test without a huge power: m >= 2 gives m^(bits + 1) > budget
-    if m ** min(horizon, budget.bit_length() + 1) > budget:
+    # the same test without a huge power: m >= 2 gives m^(bits + 1) > budget;
+    # m = 1 has one path but still one level per step
+    if horizon > budget or m ** min(horizon, budget.bit_length() + 1) > budget:
         raise ValueError(
-            f"{m}^{horizon} paths exceed the enumeration budget {budget}")
+            f"{m}^{horizon} paths or {horizon} levels exceed the enumeration budget {budget}")
+    # the weights and the gather of their block masses hold m^horizon cells
+    if m ** horizon > MAX_CELLS:
+        raise ValueError(f"{m}^{horizon} paths exceed {MAX_CELLS} array cells")
     if not check_final_properties(g, params, x0, clique):
         raise ValueError(f"{clique.vertices} is not a final maximal clique for this state")
     part = d_sets(g, clique)
@@ -151,10 +160,7 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
                 masses[rows, k] = w.take(b, axis=1).sum(axis=1) / total[:, 0]
         weights = (weights[:, None] * masses[comp]).ravel()
         comp = up[comp].ravel()
-    # the dict is the largest object here: drop the arrays before building it
-    values = weights.tolist()
-    del comps, up, masses, comp, weights
-    return dict(zip(itertools.product(range(m), repeat=horizon), values))
+    return weights
 
 
 def confinement_prob(g: Graph, params: RateParams, x0: State,
@@ -178,9 +184,10 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     m = len(verts)
-    if math.comb(horizon + m - 1, m - 1) > budget:
+    # a singleton clique has one state per level: count the levels too
+    if max(horizon, math.comb(horizon + m - 1, m - 1)) > budget:
         raise ValueError(
-            f"C({horizon}+{m}-1,{m}-1) states exceed the DP budget {budget}")
+            f"C({horizon}+{m}-1,{m}-1) states or {horizon} levels exceed the DP budget {budget}")
     if horizon == 0:
         return 1.0
     exps0, deltas = _start_exponents(params, g, x0, verts, horizon)

@@ -266,9 +266,10 @@ def _numpy_kernel(L: np.ndarray, columns, uniforms):
     w = np.empty_like(L)
     cum = np.empty_like(L)
     for u in uniforms:
-        np.subtract(L, L.max(), out=w)
+        # the ufuncs behind L.max() and np.cumsum, without their Python wrappers
+        np.subtract(L, np.maximum.reduce(L), out=w)
         np.exp(w, out=w)
-        np.cumsum(w, out=cum)
+        np.add.accumulate(w, out=cum)
         v = int(cum.searchsorted(u * cum[-1], side="right"))
         if v > last:
             v = last

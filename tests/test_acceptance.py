@@ -120,7 +120,7 @@ def test_criterion_02_path_measure_mass(fig1):
         for labels in ((1, 2), (4, 5, 6)):
             c = OrderedClique(idx(fig1, *labels))
             for n in range(1, 7):
-                mass = sum(q_measure(fig1, p, ZERO(fig1), c, n).values())
+                mass = sum(q_measure(fig1, p, ZERO(fig1), c, n).tolist())
                 worst = max(worst, abs(mass - 1.0))
     _report(2, "path measure mass", worst <= 1e-9, f"max |mass-1| = {worst:.2e}")
 

@@ -250,6 +250,17 @@ class TestBadInput:
                             "--beta", "1e308", "--clique", "4,5,6",
                             "--horizon", "3", "--mode", mode)
 
+    @pytest.mark.parametrize("work", [
+        ["--clique", "1", "--horizon", "1000000000000"],
+        ["--clique", "4,5,6", "--horizon", "22", "--mode", "q",
+         "--budget", "100000000000"]])
+    def test_exact_work_over_limits(self, capsys, fig1_file, work):
+        # a singleton clique has one state per level but 10^12 levels; 3^22
+        # paths are within the budget but over MAX_CELLS: both are refused
+        # before any level is built
+        self.check_rejected(capsys, "exact", fig1_file, "--alpha", "1",
+                            "--beta", "1", *work)
+
     def test_localize_jobs_zero(self, capsys, fig1_file):
         self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",
                             "--beta", "1", "--steps", "20", "--replicas", "2",
@@ -371,6 +382,10 @@ SHELLS = (st.builds("{}:{}".format, st.integers(0, 8), st.integers(0, 8)),
           ["5", "", ":", "a:b", "1:2:3", "-1:3", "nan:1", "0:"])
 STEPS = (["1", "50", "200"], BAD_SIZES + OVER_LIMIT)
 SEEDS = ints("7", "12345")
+# 2^30 paths are within a 10^11 budget but over MAX_CELLS; 10^12 levels are
+# over every budget drawn
+HORIZONS = (["1", "3", "5"], BAD_SIZES + ["30", "1000000000000",
+                                          "99999999999999999999"])
 MS = ints("2", "3", "4", "500000")
 
 # subcommand -> (takes a graph file, {option: ((good, bad) values, required)});
@@ -396,9 +411,9 @@ SUBCOMMANDS = {
         "--jobs": ((["1", "1000000"], ["0", "-1", "x"]), False)}),
     "exact": (True, {
         "--alpha": (RATES, True), "--beta": (RATES, True),
-        "--clique": (CLIQUES, True), "--horizon": (ints("1", "3", "5"), True),
+        "--clique": (CLIQUES, True), "--horizon": (HORIZONS, True),
         "--mode": ((["q", "confine"], ["bogus"]), False),
-        "--budget": ((["1000000", "10"], ["0", "-1", "x"]), False)}),
+        "--budget": ((["1000000", "10", "100000000000"], ["0", "-1", "x"]), False)}),
     "bounds": (False, {
         "--vertices": (ints("1", "8", "300"), True),
         "--alpha": (RATES, True), "--beta": (RATES, False),

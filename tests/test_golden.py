@@ -3,7 +3,8 @@
 The determinism tests elsewhere compare a run with itself; these compare it
 with bytes recorded from the original one-draw-per-step numpy sampler, so an
 engine that consumed the random stream differently, or broke ties another
-way, fails here.  The pins cover both sampling kernels: `data/fig1.edges`
+way, fails here.  The `exact` pins hold the q path measure's total and the
+confinement DP to the bytes of the per-path dict and level-array oracles.  The pins cover both sampling kernels: `data/fig1.edges`
 (8 vertices) runs on the scalar kernel, and a seeded connected G(200, 0.05)
 above the kernel crossover runs on the numpy kernel.
 """
@@ -43,6 +44,18 @@ CLI_PINS = [
      ["localize", SPARSE, "--alpha", "1", "--beta", "1", "--steps", "800",
       "--replicas", "2", "--seed", "5"],
      "be6d3032518331fa061dfe8c626da6512dd8c597699df0580f61aaa5fdf29344"),
+    ("exact-q-fig1",
+     ["exact", FIG1, "--alpha", "0.7", "--beta", "0.7", "--clique", "4,5,6",
+      "--horizon", "7", "--mode", "q"],
+     "893f2dcc03bbea453773d2e6c862c0706f0b1beb8ee1b3181095755843384535"),
+    ("exact-q-fig1-h10",
+     ["exact", FIG1, "--alpha", "1", "--beta", "1", "--clique", "4,5,6",
+      "--horizon", "10", "--mode", "q"],
+     "b145761ce534a6994976ab3c8fdcb17fd19f26f99173bacfa36be97fb0444b74"),
+    ("exact-confine-fig1",
+     ["exact", FIG1, "--alpha", "0.7", "--beta", "1.3", "--clique", "2,3,4,5",
+      "--horizon", "25", "--mode", "confine"],
+     "1b8d8ec6bba1bc691cd73a3c52f4157f269784d4eab9ab2d1d5356321274196c"),
 ]
 
 GENERAL_PIN = "8294a115a76848990c4becce95e22b8bd20c78daca9f36dd0952a1171ed0e015"

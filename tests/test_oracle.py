@@ -51,11 +51,14 @@ def brute_force_confinement(g, params, x0, verts, horizon):
 
 class TestPathSpace:
     def test_size_and_membership(self, fig1):
-        # the keys of the path measure are the clique path space
+        # one weight per path of the clique path space, entry i for the path
+        # of the base-3 digits of i, in itertools.product order
         c = OrderedClique(idx(fig1, 4, 5, 6))
-        paths = list(q_measure(fig1, RateParams.uniform(1.0, 1.0),
-                               State.zeros(fig1.n), c, 4))
-        assert 3 ** 4 == len(paths)
+        weights = q_measure(fig1, RateParams.uniform(1.0, 1.0),
+                            State.zeros(fig1.n), c, 4)
+        paths = list(itertools.product(range(3), repeat=4))
+        assert weights.dtype == np.float64 and weights.shape == (3 ** 4,)
+        assert [np.unravel_index(i, (3,) * 4) for i in range(len(weights))] == paths
         assert all(all(0 <= k < 3 for k in p) for p in paths)
 
 
@@ -63,14 +66,14 @@ class TestQMeasure:
     def test_mass_one_horizon_one(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
         q = q_measure(fig1, p, State.zeros(fig1.n), OrderedClique(idx(fig1, 1, 2)), 1)
-        assert sum(q.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(q.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_one_both_cliques(self, fig1):
         for a, b in ((1.0, 1.0), (1.0, 2.0)):
             p = RateParams.uniform(a, b)
             for verts in (idx(fig1, 1, 2), idx(fig1, 4, 5, 6)):
                 q = q_measure(fig1, p, State.zeros(fig1.n), OrderedClique(verts), 5)
-                assert sum(q.values()) == pytest.approx(1.0, abs=1e-9)
+                assert sum(q.tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_k2_blocks_are_singletons(self):
         # on a complete graph all D-sets are empty, so the measure is the
@@ -79,7 +82,8 @@ class TestQMeasure:
         p = RateParams.uniform(1.0, 2.0)
         x0 = State.zeros(2)
         q = q_measure(g, p, x0, OrderedClique((0, 1)), 2)
-        for path, mass in q.items():
+        assert len(q) == 2 ** 2
+        for path, mass in zip(itertools.product(range(2), repeat=2), q.tolist()):
             counts = x0.counts.copy()
             pr = 1.0
             for k in path:
@@ -92,6 +96,27 @@ class TestQMeasure:
         with pytest.raises(ValueError, match="budget"):
             q_measure(fig1, p, State.zeros(fig1.n),
                       OrderedClique(idx(fig1, 4, 5, 6)), 20, budget=1000)
+
+    def test_singleton_levels_count_against_budget(self):
+        # one path at every horizon, but one level per step
+        g = Graph((1,), (frozenset(),))
+        p = RateParams.uniform(1.0, 1.0)
+        assert q_measure(g, p, State.zeros(1), OrderedClique((0,)), 10,
+                         budget=10).tolist() == [1.0]
+        with pytest.raises(ValueError, match="budget"):
+            q_measure(g, p, State.zeros(1), OrderedClique((0,)), 11, budget=10)
+
+    def test_paths_over_cell_limit_refused(self, fig1, monkeypatch):
+        # 3^17 paths are within the budget but over MAX_CELLS: refused
+        # before the first level; at a lowered limit 3^4 still runs
+        p = RateParams.uniform(1.0, 1.0)
+        c = OrderedClique(idx(fig1, 4, 5, 6))
+        with pytest.raises(ValueError, match="cells"):
+            q_measure(fig1, p, State.zeros(fig1.n), c, 17, budget=10**11)
+        monkeypatch.setattr(oracle, "MAX_CELLS", 3 ** 4)
+        assert len(q_measure(fig1, p, State.zeros(fig1.n), c, 4)) == 3 ** 4
+        with pytest.raises(ValueError, match="cells"):
+            q_measure(fig1, p, State.zeros(fig1.n), c, 5)
 
     def test_non_final_clique_rejected(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
@@ -151,6 +176,17 @@ class TestConfinement:
         with pytest.raises(ValueError, match="budget"):
             confinement_prob(fig1, p, State.zeros(fig1.n),
                              OrderedClique(idx(fig1, 2, 3, 4, 5)), 400, budget=100)
+
+    def test_singleton_levels_bounded(self, fig1):
+        # one count vector per level: the levels count against the budget,
+        # and the (horizon + 2) x 1 binomial table against MAX_CELLS
+        p = RateParams.uniform(1.0, 1.0)
+        c = OrderedClique(idx(fig1, 1))
+        with pytest.raises(ValueError, match="budget"):
+            confinement_prob(fig1, p, State.zeros(fig1.n), c, 11, budget=10)
+        with pytest.raises(ValueError, match="cells"):
+            confinement_prob(fig1, p, State.zeros(fig1.n), c, 10**12, budget=10**20)
+        assert confinement_prob(fig1, p, State.zeros(fig1.n), c, 10, budget=10) > 0
 
     @pytest.mark.parametrize("measure", [confinement_prob, q_measure])
     def test_levels_over_cell_limit_refused(self, measure):
@@ -457,9 +493,10 @@ def test_level_oracles_match_reference(case):
         hq -= 1
     got = q_measure(g, params, x0, final, hq)
     want = ref_q_measure(g, params, x0, final, hq)
-    assert list(got) == list(want)
-    for path, mass in want.items():
-        assert_same(got[path], mass, integral)
+    assert list(want) == list(itertools.product(range(len(final)), repeat=hq))
+    assert len(got) == len(want)
+    for mass_got, mass in zip(got.tolist(), want.values()):
+        assert_same(mass_got, mass, integral)
 
 
 @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(0, 5),
@@ -497,7 +534,7 @@ def test_row_blocks_do_not_change_results(fig1, monkeypatch):
 
     def results():
         return (confinement_prob(fig1, p, x0, c, 8),
-                q_measure(fig1, p, x0, final_maximal_clique(fig1, p, x0), 6),
+                q_measure(fig1, p, x0, final_maximal_clique(fig1, p, x0), 6).tolist(),
                 drift_shell_max(4, np.ones(3), 0.8, 4, 6))
 
     whole = results()
