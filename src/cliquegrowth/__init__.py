@@ -10,56 +10,12 @@ probabilities and certified lower bounds, and aggregates Monte Carlo evidence
 for the localisation behaviour.
 """
 
-from .analysis import (
-    Classification,
-    LocalisationReport,
-    ReplicaOutcome,
-    ZChainPath,
-    c_matrix,
-    classify_outcome,
-    lln_deviation,
-    localisation_set,
-    monte_carlo_report,
-    replica_outcome,
-    z_chain,
-)
-from .detection import check_final_properties, final_maximal_clique
-from .graphs import (
-    DPartition,
-    Graph,
-    GraphParseError,
-    OrderedClique,
-    complete_graph,
-    d_sets,
-    enumerate_maximal_cliques,
-    is_clique,
-    is_connected,
-    is_maximal_clique,
-    parse_graph,
-    path_graph,
-    validate_partition,
-)
-from .oracle import (
-    confinement_prob,
-    drift_shell_max,
-    epsilon_lower_bound,
-    epsilon_n,
-    negative_drift_radius,
-    p11_bound,
-    q_measure,
-    single_vertex_bound,
-    z_drift,
-    z_transition_probs,
-)
-from .process import (
-    RateParams,
-    State,
-    Trajectory,
-    exponent_vector,
-    make_rng,
-    run,
-    transition_probs,
-    write_trajectory_csv,
-)
+# Each module's __all__ is the one list of its public names; the package
+# republishes them all.
+from .analysis import *
+from .detection import *
+from .graphs import *
+from .oracle import *
+from .process import *
 
 __version__ = "0.1.0"

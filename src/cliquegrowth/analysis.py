@@ -227,6 +227,8 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
         raise ValueError(f"steps must be in [0, {MAX_STEPS}]")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    # enumerated first, so a graph with too many cliques runs no replica
+    cliques = enumerate_maximal_cliques(g)
     args = [(g, params, x0, steps, seed, i, tail_fraction) for i in range(replicas)]
     workers = min(jobs, replicas, os.cpu_count() or 1)
     if workers > 1:
@@ -235,7 +237,7 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
     else:
         outcomes = [_replica_outcome_job(a) for a in args]
 
-    freq: dict[tuple[int, ...], float] = {c: 0.0 for c in enumerate_maximal_cliques(g)}
+    freq: dict[tuple[int, ...], float] = {c: 0.0 for c in cliques}
     single = 0
     undecided = 0
     for out in outcomes:

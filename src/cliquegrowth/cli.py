@@ -150,7 +150,7 @@ def cmd_exact(args) -> str:
         weights = oracle.q_measure(g, params, x0, clique, args.horizon,
                                    budget=args.budget)
         doc = {"operation": "exact", "inputs": inputs,
-               "value": float(sum(weights.tolist())),
+               "value": float(np.add.accumulate(weights)[-1]),
                "n_paths": len(weights),
                "certified_bound": False, "tail_tol": None}
     return _dump(doc)
@@ -179,6 +179,10 @@ def cmd_bounds(args) -> str:
 def cmd_zchain(args) -> str:
     if args.m * (args.m - 1) // 2 > oracle.DEFAULT_ENUM_BUDGET:
         raise ValueError(f"K_{args.m} has more than {oracle.DEFAULT_ENUM_BUDGET} edges")
+    # the count paths hold (steps + 1) x m integers, the chain nearly as many
+    if (args.steps + 1) * args.m > oracle.MAX_CELLS:
+        raise ValueError(f"{args.steps} steps on K_{args.m} need more than "
+                         f"{oracle.MAX_CELLS} array cells")
     g = complete_graph(args.m)
     params = RateParams.uniform(args.alpha, args.beta)
     t = process.run(g, params, State.zeros(g.n), args.steps, args.seed)
@@ -236,92 +240,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cliquegrowth",
         description="Simulate and verify the clique-localising growth process.")
     sub = parser.add_subparsers(dest="command", required=True)
+    required_int = {"type": int, "required": True}
+    required_float = {"type": float, "required": True}
+    # the arguments several subcommands share, each defined once
+    shared = {"graph": {}, "--alpha": required_float, "--beta": required_float,
+              "--steps": required_int, "--seed": required_int, "--m": required_int}
 
-    def add_out(p):
+    def command(name, func, summary, *arguments):
+        """A subcommand with `arguments` in order, each a shared name or a
+        (flag, options) pair, then --out."""
+        p = sub.add_parser(name, help=summary)
+        for arg in arguments:
+            flag, options = (arg, shared[arg]) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
         p.add_argument("--out", help="write output to this file instead of stdout")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("cliques", help="list maximal cliques of a graph")
-    p.add_argument("graph")
-    p.add_argument("--json", action="store_true")
-    add_out(p)
-    p.set_defaults(func=cmd_cliques)
-
-    p = sub.add_parser("dsets", help="D-sets and partition check for an ordered clique")
-    p.add_argument("graph")
-    p.add_argument("--clique", required=True, help="ordered labels, e.g. 2,1")
-    add_out(p)
-    p.set_defaults(func=cmd_dsets)
-
-    p = sub.add_parser("final-clique", help="greedy final maximal clique of a state")
-    p.add_argument("graph")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--counts", help="initial counts as label:count,...")
-    p.add_argument("--tie", default="lex", help="lex or rand:SEED")
-    add_out(p)
-    p.set_defaults(func=cmd_final_clique)
-
-    p = sub.add_parser("simulate", help="run one trajectory, emit step,vertex CSV")
-    p.add_argument("graph")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--x0", help="initial counts as label:count,...")
-    add_out(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("localize", help="Monte Carlo localisation report (JSON)")
-    p.add_argument("graph")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tail", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
-    add_out(p)
-    p.set_defaults(func=cmd_localize)
-
-    p = sub.add_parser("exact", help="exact path-measure mass or confinement probability")
-    p.add_argument("graph")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--clique", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--mode", choices=["q", "confine"], default="confine")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET)
-    add_out(p)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("bounds", help="certified confinement lower bounds")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--horizon", type=int,
-                   help="also report the finite-horizon product")
-    add_out(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("zchain", help="count-difference chain statistics on a complete graph")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_zchain)
-
-    p = sub.add_parser("drift", help="exact max drift over an l1 shell")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--shell", required=True, help="C0:C1")
-    add_out(p)
-    p.set_defaults(func=cmd_drift)
-
+    command("cliques", cmd_cliques, "list maximal cliques of a graph",
+            "graph", ("--json", {"action": "store_true"}))
+    command("dsets", cmd_dsets, "D-sets and partition check for an ordered clique",
+            "graph", ("--clique", {"required": True, "help": "ordered labels, e.g. 2,1"}))
+    command("final-clique", cmd_final_clique, "greedy final maximal clique of a state",
+            "graph", "--alpha", "--beta",
+            ("--counts", {"help": "initial counts as label:count,..."}),
+            ("--tie", {"default": "lex", "help": "lex or rand:SEED"}))
+    command("simulate", cmd_simulate, "run one trajectory, emit step,vertex CSV",
+            "graph", "--alpha", "--beta", "--steps", "--seed",
+            ("--x0", {"help": "initial counts as label:count,..."}))
+    command("localize", cmd_localize, "Monte Carlo localisation report (JSON)",
+            "graph", "--alpha", "--beta", "--steps", ("--replicas", required_int),
+            "--seed", ("--tail", {"type": float, "default": 0.5}),
+            ("--jobs", {"type": int, "default": 1}))
+    command("exact", cmd_exact, "exact path-measure mass or confinement probability",
+            "graph", "--alpha", "--beta", ("--clique", {"required": True}),
+            ("--horizon", required_int),
+            ("--mode", {"choices": ["q", "confine"], "default": "confine"}),
+            ("--budget", {"type": int, "default": oracle.DEFAULT_ENUM_BUDGET}))
+    command("bounds", cmd_bounds, "certified confinement lower bounds",
+            ("--vertices", required_int), "--alpha", ("--beta", {"type": float}), "--m",
+            ("--tol", {"type": float, "default": 1e-12}),
+            ("--horizon", {"type": int, "help": "also report the finite-horizon product"}))
+    command("zchain", cmd_zchain, "count-difference chain statistics on a complete graph",
+            "--m", "--alpha", "--beta", "--steps", "--seed")
+    command("drift", cmd_drift, "exact max drift over an l1 shell",
+            "--m", "--alpha", "--beta", ("--shell", {"required": True, "help": "C0:C1"}))
     return parser
 
 

@@ -22,7 +22,11 @@ __all__ = [
     "enumerate_maximal_cliques",
     "d_sets",
     "validate_partition",
+    "MAX_CLIQUES",
 ]
+
+# Most maximal cliques one enumeration lists; the count can grow as 3^(n/3).
+MAX_CLIQUES = 10**6
 
 
 class GraphParseError(ValueError):
@@ -200,7 +204,8 @@ def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques, each a sorted index tuple, list sorted.
 
     Bron-Kerbosch with pivoting; exact, output-exponential in the worst case,
-    fine for the few-hundred-vertex graphs this package targets.
+    fine for the few-hundred-vertex graphs this package targets.  Refuses a
+    graph with more than MAX_CLIQUES maximal cliques.
     """
     adj = g.adjacency
     out: list[tuple[int, ...]] = []
@@ -208,6 +213,8 @@ def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     def expand(r: list[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             out.append(tuple(sorted(r)))
+            if len(out) > MAX_CLIQUES:
+                raise ValueError(f"the graph has more than {MAX_CLIQUES} maximal cliques")
             return
         pivot = max(p | x, key=lambda u: len(p & adj[u]))
         for v in sorted(p - adj[pivot]):

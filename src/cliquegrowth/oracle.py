@@ -151,15 +151,20 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
     # weights[p]: weight of path prefix p; comp[p]: its count vector's row
     weights = np.ones(1)
     comp = np.zeros(1, dtype=np.int64)
-    for comps, up in _composition_levels(m, horizon):
+    for depth, (comps, up) in enumerate(_composition_levels(m, horizon), 1):
         masses = np.empty((len(comps), m))
         for rows, w, total in _level_weights(exps0, deltas, comps):
             for k, b in enumerate(block_idx):
                 # take() keeps the rows C-contiguous, so each row sums in
                 # the order of a 1-D sum (w[:, b] would be column-major)
                 masses[rows, k] = w.take(b, axis=1).sum(axis=1) / total[:, 0]
-        weights = (weights[:, None] * masses[comp]).ravel()
-        comp = up[comp].ravel()
+        # scale the gathered block masses in place: the same products as
+        # weights[:, None] * masses[comp] without a second m^depth array
+        gathered = masses[comp]
+        gathered *= weights[:, None]
+        weights = gathered.ravel()
+        if depth < horizon:  # nothing reads the last level's rows
+            comp = up[comp].ravel()
     return weights
 
 
@@ -176,7 +181,8 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
     Each level is one array of count vectors.  A vector's mass is the sum of
     its predecessors' contributions, added in the order of the predecessors
     in the level (allocation at position m-1 first), and the last level is
-    summed in its order.
+    summed left to right.  Once a level's mass is all zero it stays zero, so
+    the result 0.0 is returned there.
     """
     verts = clique.vertices
     if not verts or not is_clique(g, verts):
@@ -202,7 +208,9 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
         for i in range(m - 1, -1, -1):
             nxt[up[:, i]] += mass * p_in[:, i]
         mass = nxt
-    return float(sum(mass.tolist()))
+        if not mass.any():
+            return 0.0
+    return float(np.add.accumulate(mass)[-1])
 
 
 def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
@@ -245,8 +253,9 @@ def epsilon_n(n_vertices: int, alpha: float, m: int, horizon: int) -> float:
     if stop > DEFAULT_ENUM_BUDGET:
         raise ValueError(f"the product has more than {DEFAULT_ENUM_BUDGET} "
                          "factors below 1; use a larger alpha or a shorter horizon")
-    s = sum(math.log1p(n_vertices * math.exp(-alpha * r))
-            for r in range(1, math.ceil(stop)))
+    s = 0.0
+    for r in range(1, math.ceil(stop)):
+        s += math.log1p(n_vertices * math.exp(-alpha * r))
     return math.exp(-m * s)
 
 

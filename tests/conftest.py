@@ -21,6 +21,12 @@ FIG1_EDGES = """\
 """
 
 
+# Complete tripartite K_{2,2,2} on parts {1,2}, {3,4}, {5,6}: 2^3 = 8
+# maximal cliques, one vertex from each part.
+K222_EDGES = "".join(f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)
+                     if (u + 1) // 2 != (v + 1) // 2)
+
+
 @pytest.fixture(scope="session")
 def fig1() -> Graph:
     return parse_graph(FIG1_EDGES)

@@ -17,14 +17,15 @@ from cliquegrowth import (
     lln_deviation,
     localisation_set,
     monte_carlo_report,
+    parse_graph,
     run,
     z_chain,
 )
-from cliquegrowth import analysis
+from cliquegrowth import analysis, graphs
 from cliquegrowth.analysis import onset_step
 from cliquegrowth.graphs import Graph
 
-from conftest import idx, labs, serial_pool
+from conftest import K222_EDGES, idx, labs, serial_pool
 
 
 def reference_c_matrix(g, lam, state, clique):
@@ -230,6 +231,17 @@ class TestMonteCarloReport:
         with pytest.raises(ValueError):
             monte_carlo_report(fig1, RateParams.uniform(1.0, 1.0),
                                State.zeros(fig1.n), 100, 0, seed=1)
+
+    def test_clique_limit_refused_before_replicas(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replica ran before the cliques were enumerated")
+
+        g = parse_graph(K222_EDGES)
+        monkeypatch.setattr(analysis, "run", no_run)
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 7)
+        with pytest.raises(ValueError, match="maximal cliques"):
+            monte_carlo_report(g, RateParams.uniform(1.0, 1.0), State.zeros(g.n),
+                               10, 3, seed=1)
 
     def test_frequencies_sum_to_one(self, fig1):
         p = RateParams.uniform(1.0, 1.0)

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliquegrowth import analysis
+from cliquegrowth import analysis, graphs, oracle
 from cliquegrowth.analysis import MAX_REPLICAS
 from cliquegrowth.cli import main
 from cliquegrowth.process import MAX_STEPS
 
-from conftest import FIG1_EDGES, serial_pool
+from conftest import FIG1_EDGES, K222_EDGES, serial_pool
 
 
 @pytest.fixture
@@ -260,6 +260,25 @@ class TestBadInput:
         # before any level is built
         self.check_rejected(capsys, "exact", fig1_file, "--alpha", "1",
                             "--beta", "1", *work)
+
+    def test_zchain_over_cell_limit(self, capsys, monkeypatch):
+        # (10^6 + 1) x 400 counts: refused before the run, not after it
+        err = self.check_rejected(capsys, "zchain", "--m", "400", "--alpha", "1",
+                                  "--beta", "2", "--steps", "1000000", "--seed", "1")
+        assert str(oracle.MAX_CELLS) in err
+        monkeypatch.setattr(oracle, "MAX_CELLS", 30)
+        argv = ["zchain", "--m", "3", "--alpha", "1", "--beta", "2", "--seed", "1"]
+        assert run_main(capsys, *argv, "--steps", "9")[0] == 0
+        self.check_rejected(capsys, *argv, "--steps", "10")
+
+    def test_cliques_over_limit(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "k222.edges"
+        path.write_text(K222_EDGES)
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 8)
+        assert run_main(capsys, "cliques", str(path))[1].count("\n") == 8
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 7)
+        err = self.check_rejected(capsys, "cliques", str(path))
+        assert "more than 7 maximal cliques" in err
 
     def test_localize_jobs_zero(self, capsys, fig1_file):
         self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",

@@ -4,7 +4,8 @@ The determinism tests elsewhere compare a run with itself; these compare it
 with bytes recorded from the original one-draw-per-step numpy sampler, so an
 engine that consumed the random stream differently, or broke ties another
 way, fails here.  The `exact` pins hold the q path measure's total and the
-confinement DP to the bytes of the per-path dict and level-array oracles.  The pins cover both sampling kernels: `data/fig1.edges`
+confinement DP to the bytes of the per-path dict and level-array oracles,
+and the `bounds` pin holds `epsilon_n` to the bytes of its earlier sum.  The pins cover both sampling kernels: `data/fig1.edges`
 (8 vertices) runs on the scalar kernel, and a seeded connected G(200, 0.05)
 above the kernel crossover runs on the numpy kernel.
 """
@@ -56,6 +57,16 @@ CLI_PINS = [
      ["exact", FIG1, "--alpha", "0.7", "--beta", "1.3", "--clique", "2,3,4,5",
       "--horizon", "25", "--mode", "confine"],
      "1b8d8ec6bba1bc691cd73a3c52f4157f269784d4eab9ab2d1d5356321274196c"),
+    # the one-vertex DP's mass is 0.0 from level 1071 on
+    ("exact-confine-fig1-singleton",
+     ["exact", FIG1, "--alpha", "1", "--beta", "1", "--clique", "1",
+      "--horizon", "100000"],
+     "bd5d12abbfc27e24ed7f4b03573ad8c36e4a82efde5411625bdf179ae1e5512e"),
+    # epsilon_n adds 999 log factors
+    ("bounds-epsilon-n",
+     ["bounds", "--vertices", "8", "--alpha", "0.05", "--beta", "0.02",
+      "--m", "2", "--horizon", "1000"],
+     "a49405a9208bdb911ffc37923afb3e1aa9c6bd4a697519c449a42337ba8d074c"),
 ]
 
 GENERAL_PIN = "8294a115a76848990c4becce95e22b8bd20c78daca9f36dd0952a1171ed0e015"

@@ -17,7 +17,9 @@ from cliquegrowth import (
 )
 from cliquegrowth.graphs import DPartition, Graph
 
-from conftest import idx, labs
+from cliquegrowth import graphs
+
+from conftest import K222_EDGES, idx, labs
 
 
 def random_connected_graph(rng, max_n=10):
@@ -104,6 +106,14 @@ class TestMaximalCliques:
         g = path_graph(3)
         got = {labs(g, c) for c in enumerate_maximal_cliques(g)}
         assert got == {(1, 2), (2, 3)}
+
+    def test_clique_limit(self, monkeypatch):
+        g = parse_graph(K222_EDGES)
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 8)
+        assert len(enumerate_maximal_cliques(g)) == 8
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 7)
+        with pytest.raises(ValueError, match="more than 7 maximal cliques"):
+            enumerate_maximal_cliques(g)
 
     def test_is_maximal_examples(self, fig1):
         assert not is_maximal_clique(fig1, idx(fig1, 4, 5))      # 6 extends it

@@ -188,6 +188,27 @@ class TestConfinement:
             confinement_prob(fig1, p, State.zeros(fig1.n), c, 10**12, budget=10**20)
         assert confinement_prob(fig1, p, State.zeros(fig1.n), c, 10, budget=10) > 0
 
+    def test_underflowed_mass_stops(self, fig1, monkeypatch):
+        # a one-vertex clique's mass is exactly 0.0 long before level 5000:
+        # the DP returns there instead of scoring the remaining levels
+        levels = []
+        compositions = oracle._composition_levels
+
+        def counted(m, horizon):
+            for level in compositions(m, horizon):
+                levels.append(level)
+                yield level
+
+        monkeypatch.setattr(oracle, "_composition_levels", counted)
+        c = OrderedClique(idx(fig1, 1))
+        p = RateParams.uniform(1.0, 1.0)
+        assert confinement_prob(fig1, p, State.zeros(fig1.n), c, 5000) == 0.0
+        stop = len(levels)
+        assert stop < 2500
+        levels.clear()
+        assert confinement_prob(fig1, p, State.zeros(fig1.n), c, stop - 1) > 0.0
+        assert len(levels) == stop - 1
+
     @pytest.mark.parametrize("measure", [confinement_prob, q_measure])
     def test_levels_over_cell_limit_refused(self, measure):
         # within the budget, but the last level is C(601, 599) = 180300
