@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph, enumerate_maximal_cliques, is_clique, is_maximal_clique
-from .process import MAX_STEPS, RateParams, State, Trajectory, run
+from .process import (MAX_STEPS, REGIME_CLIQUE, REGIME_CRITICAL, RateParams,
+                      State, Trajectory, run)
 
 __all__ = [
-    "Classification",
     "ReplicaOutcome",
     "LocalisationReport",
     "ZChainPath",
@@ -43,17 +45,11 @@ KIND_UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
-class Classification:
-    kind: str
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ReplicaOutcome:
-    """Summary of one replica at its horizon."""
+    """One replica at its horizon; the field names are its JSON report keys."""
 
     localisation_set: tuple[int, ...]
-    classification: Classification
+    classification: str
     onset: int
     ratio_matrix: tuple[tuple[float, ...], ...] | None
     c_matrix: tuple[tuple[float, ...], ...] | None
@@ -61,7 +57,6 @@ class ReplicaOutcome:
 
 @dataclass(frozen=True)
 class LocalisationReport:
-    replicas: int
     per_replica: tuple[ReplicaOutcome, ...]
     clique_frequencies: dict[tuple[int, ...], float]
     single_vertex_frequency: float
@@ -73,20 +68,11 @@ class LocalisationReport:
         def lab(vs):
             return [int(g.labels[v]) for v in vs]
 
-        per = []
-        for r in self.per_replica:
-            per.append({
-                "localisation_set": lab(r.localisation_set),
-                "classification": r.classification.kind,
-                "onset": r.onset,
-                "ratio_matrix": None if r.ratio_matrix is None
-                else [list(row) for row in r.ratio_matrix],
-                "c_matrix": None if r.c_matrix is None
-                else [list(row) for row in r.c_matrix],
-            })
+        # json writes the matrix tuples as arrays
         return {
-            "replicas": self.replicas,
-            "per_replica": per,
+            "replicas": len(self.per_replica),
+            "per_replica": [{**vars(r), "localisation_set": lab(r.localisation_set)}
+                            for r in self.per_replica],
             "aggregate": {
                 "clique_frequencies": {
                     ",".join(str(x) for x in lab(c)): f
@@ -109,14 +95,14 @@ def localisation_set(t: Trajectory, tail_fraction: float) -> tuple[int, ...]:
     return tuple(sorted(int(v) for v in np.unique(tail)))
 
 
-def classify_outcome(g: Graph, s: Sequence[int]) -> Classification:
-    """single_vertex for singletons, clique for maximal cliques, else undecided."""
-    members = tuple(sorted(set(s)))
-    if len(members) == 1:
-        return Classification(KIND_SINGLE_VERTEX, members)
-    if is_maximal_clique(g, members):
-        return Classification(KIND_CLIQUE, members)
-    return Classification(KIND_UNDECIDED, members)
+def classify_outcome(g: Graph, s: Sequence[int]) -> str:
+    """The kind of vertex set `s`: single_vertex for a singleton, clique for a
+    maximal clique, else undecided."""
+    if len(set(s)) == 1:
+        return KIND_SINGLE_VERTEX
+    if is_maximal_clique(g, s):
+        return KIND_CLIQUE
+    return KIND_UNDECIDED
 
 
 def c_matrix(g: Graph, lam: float, state: State, clique: Sequence[int]) -> np.ndarray:
@@ -190,24 +176,22 @@ def replica_outcome(g: Graph, params: RateParams, t: Trajectory,
                     tail_fraction: float) -> ReplicaOutcome:
     """Classify one trajectory and collect its terminal matrices."""
     s = localisation_set(t, tail_fraction)
-    cls = classify_outcome(g, s)
-    onset = onset_step(t, s)
-    ratios = None
-    cmat = None
-    if cls.kind == KIND_CLIQUE:
-        counts = t.final_counts()[list(s)].astype(np.float64)
+    kind = classify_outcome(g, s)
+    ratios = cmat = None
+    if kind == KIND_CLIQUE:
+        final = t.final_state()
+        counts = final.counts[list(s)].astype(np.float64)
         ratios = tuple(map(tuple, (counts[:, None] / counts).tolist()))
-        if params.regime == "critical":
-            cmat = tuple(map(tuple, c_matrix(g, params.lam, t.final_state(), s).tolist()))
-        elif params.regime == "clique":
+        if params.regime == REGIME_CRITICAL:
+            cmat = tuple(map(tuple, c_matrix(g, params.lam, final, s).tolist()))
+        elif params.regime == REGIME_CLIQUE:
             # the log-ratio limits vanish here: ratios converge to 1
             cmat = tuple((0.0,) * len(s) for _ in s)
-    return ReplicaOutcome(s, cls, onset, ratios, cmat)
+    return ReplicaOutcome(s, kind, onset_step(t, s), ratios, cmat)
 
 
-def _replica_outcome_job(args) -> ReplicaOutcome:
+def _replica_outcome_job(g, params, x0, steps, seed, tail_fraction, stream) -> ReplicaOutcome:
     # module-level so ProcessPoolExecutor can pickle it
-    g, params, x0, steps, seed, stream, tail_fraction = args
     t = run(g, params, x0, steps, seed, stream=stream)
     return replica_outcome(g, params, t, tail_fraction)
 
@@ -229,29 +213,19 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
         raise ValueError("jobs must be >= 1")
     # enumerated first, so a graph with too many cliques runs no replica
     cliques = enumerate_maximal_cliques(g)
-    args = [(g, params, x0, steps, seed, i, tail_fraction) for i in range(replicas)]
+    job = partial(_replica_outcome_job, g, params, x0, steps, seed, tail_fraction)
     workers = min(jobs, replicas, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replica_outcome_job, args, chunksize=8))
+            outcomes = tuple(pool.map(job, range(replicas), chunksize=8))
     else:
-        outcomes = [_replica_outcome_job(a) for a in args]
-
-    freq: dict[tuple[int, ...], float] = {c: 0.0 for c in cliques}
-    single = 0
-    undecided = 0
-    for out in outcomes:
-        kind = out.classification.kind
-        if kind == KIND_CLIQUE:
-            freq[out.classification.members] += 1.0
-        elif kind == KIND_SINGLE_VERTEX:
-            single += 1
-        else:
-            undecided += 1
+        outcomes = tuple(map(job, range(replicas)))
+    kinds = Counter(out.classification for out in outcomes)
+    hits = Counter(out.localisation_set for out in outcomes
+                   if out.classification == KIND_CLIQUE)
     return LocalisationReport(
-        replicas=replicas,
-        per_replica=tuple(outcomes),
-        clique_frequencies={c: f / replicas for c, f in freq.items()},
-        single_vertex_frequency=single / replicas,
-        undecided_frequency=undecided / replicas,
+        per_replica=outcomes,
+        clique_frequencies={c: hits[c] / replicas for c in cliques},
+        single_vertex_frequency=kinds[KIND_SINGLE_VERTEX] / replicas,
+        undecided_frequency=kinds[KIND_UNDECIDED] / replicas,
     )

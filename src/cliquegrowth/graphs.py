@@ -203,28 +203,35 @@ def is_maximal_clique(g: Graph, vertices: Iterable[int]) -> bool:
 def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques, each a sorted index tuple, list sorted.
 
-    Bron-Kerbosch with pivoting; exact, output-exponential in the worst case,
-    fine for the few-hundred-vertex graphs this package targets.  Refuses a
-    graph with more than MAX_CLIQUES maximal cliques.
+    Bron-Kerbosch with pivoting on an explicit stack, so a clique of any
+    size fits; exact, output-exponential in the worst case, fine for the
+    few-hundred-vertex graphs this package targets.  Refuses a graph with
+    more than MAX_CLIQUES maximal cliques.
     """
     adj = g.adjacency
     out: list[tuple[int, ...]] = []
 
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
+    def frame(r: tuple[int, ...], p: set[int], x: set[int]):
+        pivot = max(p | x, key=lambda u: len(p & adj[u]))
+        return r, p, x, iter(sorted(p - adj[pivot]))
+
+    # one frame per vertex of the clique r being grown, plus the root
+    stack = [frame((), set(range(g.n)), set())]
+    while stack:
+        r, p, x, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        rv, pv, xv = r + (v,), p & adj[v], x & adj[v]
+        p.remove(v)
+        x.add(v)
+        if pv:
+            stack.append(frame(rv, pv, xv))
+        elif not xv:
+            out.append(tuple(sorted(rv)))
             if len(out) > MAX_CLIQUES:
                 raise ValueError(f"the graph has more than {MAX_CLIQUES} maximal cliques")
-            return
-        pivot = max(p | x, key=lambda u: len(p & adj[u]))
-        for v in sorted(p - adj[pivot]):
-            r.append(v)
-            expand(r, p & adj[v], x & adj[v])
-            r.pop()
-            p.remove(v)
-            x.add(v)
-
-    expand([], set(range(g.n)), set())
     return sorted(out)
 
 

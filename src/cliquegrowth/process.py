@@ -193,9 +193,15 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def exponent_vector(params: RateParams, g: Graph, state: State) -> np.ndarray:
-    """All rate exponents, computed from scratch."""
+    """All rate exponents, computed from scratch.  Raises if one is not a
+    finite float."""
     K, offset = params.arrays(g)
-    return offset + K @ state.counts.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exps = offset + K @ state.counts.astype(np.float64)
+    if not np.isfinite(exps).all():
+        raise ValueError("rate exponents are not finite at the given counts; "
+                         "use smaller rates or counts")
+    return exps
 
 
 def transition_probs(params: RateParams, g: Graph, state: State) -> np.ndarray:

@@ -240,10 +240,10 @@ def test_criterion_06_critical_regime_localisation(fig1, critical_runs):
     for t in runs:
         s = localisation_set(t, 0.5)
         cls = classify_outcome(fig1, s)
-        if cls.kind == "undecided":
+        if cls == "undecided":
             continue
         decided += 1
-        if cls.kind != "clique" or cls.members not in maximal:
+        if cls != "clique" or s not in maximal:
             all_maximal = False
             continue
         onset = onset_step(t, s)
@@ -278,7 +278,7 @@ def _post_onset_chi2(g, p, runs, scale=1.0):
     stat, dof, replicas, min_expected = 0.0, 0, 0, math.inf
     for t in runs:
         s = localisation_set(t, 0.5)
-        if classify_outcome(g, s).kind != "clique":
+        if classify_outcome(g, s) != "clique":
             continue
         onset = onset_step(t, s)
         counts = (t.final_counts() - t.counts_at(onset))[list(s)].astype(float)
@@ -328,7 +328,7 @@ def test_criterion_06_companion_exact_ratio_form(fig1, critical_runs):
     worst = 0.0
     for t in runs:
         s = localisation_set(t, 0.5)
-        if classify_outcome(fig1, s).kind != "clique":
+        if classify_outcome(fig1, s) != "clique":
             continue
         C = c_matrix(fig1, p.lam, t.final_state(), s)
         L = exponent_vector(p, fig1, t.final_state())
@@ -351,10 +351,10 @@ def test_criterion_07_clique_regime(fig1, clique_regime_runs):
     for t in runs:
         s = localisation_set(t, 0.5)
         cls = classify_outcome(fig1, s)
-        if cls.kind == "undecided":
+        if cls == "undecided":
             continue
         decided += 1
-        if not (cls.kind == "clique" and cls.members in maximal):
+        if not (cls == "clique" and s in maximal):
             all_maximal = False
 
     worst = 0.0
@@ -362,7 +362,7 @@ def test_criterion_07_clique_regime(fig1, clique_regime_runs):
     for i in range(32):
         t = run(fig1, p, ZERO(fig1), 100_000, seed=7, stream=1000 + i)
         s = localisation_set(t, 0.5)
-        if classify_outcome(fig1, s).kind != "clique":
+        if classify_outcome(fig1, s) != "clique":
             continue
         localized_long += 1
         counts = t.final_counts()[list(s)].astype(float)

@@ -25,7 +25,7 @@ from cliquegrowth import analysis, graphs
 from cliquegrowth.analysis import onset_step
 from cliquegrowth.graphs import Graph
 
-from conftest import K222_EDGES, idx, labs, serial_pool
+from conftest import K222_EDGES, idx, serial_pool
 
 
 def reference_c_matrix(g, lam, state, clique):
@@ -106,15 +106,13 @@ class TestLocalisationSet:
 
 class TestClassify:
     def test_maximal_clique(self, fig1):
-        cls = classify_outcome(fig1, idx(fig1, 2, 3, 4, 5))
-        assert cls.kind == "clique"
-        assert labs(fig1, cls.members) == (2, 3, 4, 5)
+        assert classify_outcome(fig1, idx(fig1, 2, 3, 4, 5)) == "clique"
 
     def test_non_maximal_clique_undecided(self, fig1):
-        assert classify_outcome(fig1, idx(fig1, 4, 5)).kind == "undecided"
+        assert classify_outcome(fig1, idx(fig1, 4, 5)) == "undecided"
 
     def test_singleton(self, fig1):
-        assert classify_outcome(fig1, idx(fig1, 7)).kind == "single_vertex"
+        assert classify_outcome(fig1, idx(fig1, 7)) == "single_vertex"
 
     def test_clique_kind_matches_enumeration(self):
         # members of size >= 2 classify as a clique exactly when they are one
@@ -134,7 +132,7 @@ class TestClassify:
             candidates += [tuple(sorted(rng.choice(g.n, size=k, replace=False).tolist()))
                            for k in rng.integers(2, g.n + 1, size=6)]
             for members in candidates:
-                kind = classify_outcome(g, members).kind
+                kind = classify_outcome(g, members)
                 assert (kind == "clique") == (members in cliques)
                 checked += 1
         assert checked > 1000
@@ -249,14 +247,14 @@ class TestMonteCarloReport:
         total = (sum(rep.clique_frequencies.values())
                  + rep.single_vertex_frequency + rep.undecided_frequency)
         assert total == pytest.approx(1.0, abs=1e-12)
-        assert rep.replicas == 40 == len(rep.per_replica)
+        assert len(rep.per_replica) == 40
 
     def test_classified_sets_obey_invariants(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
         maximal = set(enumerate_maximal_cliques(fig1))
         rep = monte_carlo_report(fig1, p, State.zeros(fig1.n), 800, 40, seed=6)
         for out in rep.per_replica:
-            kind = out.classification.kind
+            kind = out.classification
             if kind == "single_vertex":
                 assert len(out.localisation_set) == 1
             elif kind == "clique":
@@ -273,7 +271,7 @@ class TestMonteCarloReport:
     def test_clique_regime_c_matrix_is_zero(self, fig1):
         p = RateParams.uniform(1.0, 2.0)
         rep = monte_carlo_report(fig1, p, State.zeros(fig1.n), 1000, 20, seed=8)
-        cliques = [r for r in rep.per_replica if r.classification.kind == "clique"]
+        cliques = [r for r in rep.per_replica if r.classification == "clique"]
         assert cliques
         for r in cliques:
             assert all(x == 0.0 for row in r.c_matrix for x in row)
@@ -325,7 +323,7 @@ class TestOnsetAndOutcome:
         for i in range(10):
             t = run(fig1, p, State.zeros(fig1.n), 2000, seed=15, stream=i)
             s = localisation_set(t, 0.5)
-            if classify_outcome(fig1, s).kind != "clique":
+            if classify_outcome(fig1, s) != "clique":
                 continue
             onset = onset_step(t, s)
             L1 = exponent_vector(p, fig1, State(t.counts_at(onset)))

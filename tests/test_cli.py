@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliquegrowth import analysis, graphs, oracle
+from cliquegrowth import analysis, graphs, oracle, process
 from cliquegrowth.analysis import MAX_REPLICAS
 from cliquegrowth.cli import main
 from cliquegrowth.process import MAX_STEPS
@@ -217,6 +217,30 @@ class TestBadInput:
         self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1e308",
                             "--beta", "1e308", "--steps", "20",
                             "--replicas", "2", "--seed", "1")
+
+    def test_final_clique_non_finite_start_exponents(self, capsys, fig1_file):
+        # 3 * 1e308 overflows: no exponent to break ties on
+        self.check_rejected(capsys, "final-clique", fig1_file, "--alpha", "1e308",
+                            "--beta", "1", "--counts", "5:3")
+
+    def test_simulate_non_finite_start_exponents(self, capsys, fig1_file,
+                                                 monkeypatch):
+        # refused before the kernel draws its first uniform
+        drawn = []
+        allocate = process._allocate
+
+        def counting(params, g, x0, uniforms, steps, scalar):
+            def tally():
+                for u in uniforms:
+                    drawn.append(u)
+                    yield u
+            return allocate(params, g, x0, tally(), steps, scalar)
+
+        monkeypatch.setattr(process, "_allocate", counting)
+        self.check_rejected(capsys, "simulate", fig1_file, "--alpha", "1e308",
+                            "--beta", "1", "--x0", "5:3", "--steps", "1000000",
+                            "--seed", "1")
+        assert drawn == []
 
     def test_drift_m_below_two(self, capsys):
         self.check_rejected(capsys, "drift", "--m", "1", "--alpha", "1",

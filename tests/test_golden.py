@@ -37,6 +37,16 @@ CLI_PINS = [
      ["localize", FIG1, "--alpha", "1", "--beta", "1", "--steps", "1500",
       "--replicas", "6", "--seed", "11"],
      "a9ef7deeb71436c2f7729387f66f4b7fba2c0ef3486113149db7145e99ef7d14"),
+    # clique regime: every clique replica has a zero c_matrix
+    ("localize-fig1-clique-regime",
+     ["localize", FIG1, "--alpha", "1", "--beta", "2", "--steps", "1500",
+      "--replicas", "6", "--seed", "11"],
+     "9d5ab770a14cd35a61f22e362002048330295d0244bbf02fbc6f18473532d356"),
+    # 3 clique, 5 single-vertex and 4 undecided replicas, c_matrix null
+    ("localize-fig1-mixed-kinds",
+     ["localize", FIG1, "--alpha", "1", "--beta", "0.7", "--steps", "40",
+      "--replicas", "12", "--seed", "3"],
+     "c93dc449ad5dcef7252ed508c69d7bd241372b4c2c69fab4777cb45bd9eb2d11"),
     ("simulate-sparse",
      ["simulate", SPARSE, "--alpha", "1", "--beta", "1", "--steps", "3000",
       "--seed", "3"],

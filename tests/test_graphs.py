@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ class TestMaximalCliques:
         monkeypatch.setattr(graphs, "MAX_CLIQUES", 7)
         with pytest.raises(ValueError, match="more than 7 maximal cliques"):
             enumerate_maximal_cliques(g)
+
+    def test_no_recursion_depth_limit(self):
+        # one search level per clique vertex: K_200 goes 200 levels deep
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            got = enumerate_maximal_cliques(complete_graph(200))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == [tuple(range(200))]
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(2, 10))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < rng.uniform(0.2, 0.9)]
+            if not pairs:
+                continue
+            g = Graph.from_edge_labels(pairs)
+            want = [s for r in range(1, g.n + 1)
+                    for s in itertools.combinations(range(g.n), r)
+                    if is_maximal_clique(g, s)]
+            assert enumerate_maximal_cliques(g) == sorted(want)
 
     def test_is_maximal_examples(self, fig1):
         assert not is_maximal_clique(fig1, idx(fig1, 4, 5))      # 6 extends it
