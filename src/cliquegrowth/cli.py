@@ -26,19 +26,17 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_counts(text: str | None, g: Graph) -> State:
-    state = State.zeros(g.n)
-    if text:
-        for item in text.split(","):
-            lab, _, cnt = item.partition(":")
-            try:
-                v = g.index(int(lab))
-                c = int(cnt)
-            except ValueError as exc:
-                raise ValueError(f"bad counts item {item!r}: {exc}") from None
-            if c < 0:
-                raise ValueError(f"negative count in {item!r}")
-            state.counts[v] = c
-    return state
+    label_counts = {}
+    for item in text.split(",") if text else ():
+        lab, _, cnt = item.partition(":")
+        try:
+            lab, c = int(lab), int(cnt)
+        except ValueError as exc:
+            raise ValueError(f"bad counts item {item!r}: {exc}") from None
+        if c < 0:
+            raise ValueError(f"negative count in {item!r}")
+        label_counts[lab] = c
+    return State.from_label_counts(g, label_counts)
 
 
 def _parse_clique(text: str, g: Graph) -> OrderedClique:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .detection import check_final_properties
 from .graphs import Graph, OrderedClique, d_sets, is_clique
-from .process import (EXP_UNDERFLOW, RateParams, State, exponent_vector,
-                      probs_from_exponents)
+from .process import (EXP_UNDERFLOW, RateParams, State, check_reach,
+                      exponent_vector, probs_from_exponents)
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -44,20 +44,16 @@ MAX_CELLS = 10**8
 def _start_exponents(params: RateParams, g: Graph, x0: State,
                      vertices: Sequence[int], horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The exponents at x0, and as row i the increment of one allocation at
-    vertices[i] (column vertices[i] of the interaction matrix K).  Refuses
-    rates at which an exponent within `horizon` allocations, or the
-    difference of two, would overflow a float, and horizons whose last level
-    of count vectors over `vertices`, or the (horizon + 2) x m binomial table
-    of `_composition_levels`, would exceed MAX_CELLS cells."""
+    vertices[i] (column vertices[i] of K), once `check_reach` passes.  Refuses
+    horizons whose last level of count vectors over `vertices`, or the
+    (horizon + 2) x m binomial table of `_composition_levels`, would exceed
+    MAX_CELLS cells."""
     m = len(vertices)
     if max(math.comb(horizon + m - 1, m - 1), horizon + 2) * m > MAX_CELLS:
         raise ValueError(f"the horizon-{horizon} levels need more than {MAX_CELLS} array cells")
     exps0 = exponent_vector(params, g, x0)
     deltas = params.interaction_matrix(g).T[list(vertices)]
-    reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
-    if not math.isfinite(2.0 * reach):
-        raise ValueError("rate exponents overflow a float within the horizon; "
-                         "use smaller rates or a shorter horizon")
+    check_reach(exps0, deltas, horizon)
     return exps0, deltas
 
 

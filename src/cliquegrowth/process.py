@@ -2,9 +2,9 @@
 
 One particle is allocated per step; vertex v is chosen with probability
 proportional to exp(L_v) where L_v is a linear function of the current counts
-in the closed neighbourhood of v.  All probability work happens on the
-exponents L_v with max-subtraction, never on the raw rates, so runs of 10^6+
-steps stay finite in 64-bit floats.
+in the closed neighbourhood of v.  A run that could overflow the exponents on
+some path of its length is refused before its first step (`check_reach`),
+even if the sampled path would not: the exact oracles' rule for a horizon.
 
 `run` keeps the exponents L = offset + K x, with K = diag(alpha) + beta, and
 adds the support of column K[:, v] after each allocation at v.  It draws one
@@ -216,6 +216,14 @@ def probs_from_exponents(exponents: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def check_reach(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> None:
+    """Refuse `horizon` steps adding entries of `deltas` to the exponents exps0
+    unless 2 (|exps0|max + horizon |deltas|max), a bound on |L_i - L_j|, is finite."""
+    reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
+    if not np.isfinite(2.0 * reach):
+        raise ValueError(f"rate exponents could turn non-finite within {horizon} steps")
+
+
 def _columns(params: RateParams, g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per vertex v, the support (indices, values) of column v of the
     interaction matrix K = diag(alpha) + beta: what one allocation at v adds
@@ -285,17 +293,17 @@ def _numpy_kernel(L: np.ndarray, columns, uniforms):
 
 
 def _allocate(params: RateParams, g: Graph, x0: State, uniforms, steps: int,
-              scalar: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Allocations for the first `steps` uniforms from x0, and the exponents
-    after them, by the scalar or the numpy kernel (the two agree bit for
-    bit).  Uniform 0 selects the first vertex with positive weight."""
+              scalar: bool) -> np.ndarray:
+    """Allocations for the first `steps` uniforms from x0, by the scalar or
+    the numpy kernel (the two agree bit for bit), once `check_reach` passes.
+    Uniform 0 selects the first vertex with positive weight."""
     L = exponent_vector(params, g, x0)
+    check_reach(L, params.interaction_matrix(g), steps)
     kernel = _numpy_kernel
     if scalar:
         L, kernel = L.tolist(), _scalar_kernel
-    alloc = np.fromiter(kernel(L, _columns(params, g), uniforms),
-                        dtype=np.int64, count=steps)
-    return alloc, np.asarray(L, dtype=np.float64)
+    return np.fromiter(kernel(L, _columns(params, g), uniforms),
+                       dtype=np.int64, count=steps)
 
 
 def _uniforms(rng: np.random.Generator, steps: int):
@@ -348,7 +356,8 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
     """Run the allocation process for `steps` steps from x0.
 
     Rejects disconnected graphs (the localisation statements assume
-    connectivity) and runs whose exponents leave the finite floats.
+    connectivity) and, before the first step, runs that could overflow on
+    some path of `steps` allocations (`check_reach`), even if not on this one.
     Deterministic given (seed, stream).
     """
     if not 0 <= steps <= MAX_STEPS:
@@ -357,12 +366,8 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
         raise ValueError("graph must be connected")
     if len(x0.counts) != g.n:
         raise ValueError("initial state size does not match the graph")
-    rng = make_rng(seed, stream)
-    alloc, exponents = _allocate(params, g, x0, _uniforms(rng, steps), steps,
-                                 scalar=g.n <= SCALAR_KERNEL_MAX_N)
-    if not np.isfinite(exponents).all():
-        raise ValueError("rate exponents overflowed to a non-finite value; "
-                         "use smaller rates or fewer steps")
+    alloc = _allocate(params, g, x0, _uniforms(make_rng(seed, stream), steps), steps,
+                      scalar=g.n <= SCALAR_KERNEL_MAX_N)
     return Trajectory(initial=x0.copy(), allocations=alloc)
 
 

@@ -225,7 +225,9 @@ class TestBadInput:
 
     def test_simulate_non_finite_start_exponents(self, capsys, fig1_file,
                                                  monkeypatch):
-        # refused before the kernel draws its first uniform
+        # refused before the kernel draws its first uniform: exponents that
+        # are not finite at the start, and finite ones (zero) that a second
+        # allocation would overflow
         drawn = []
         allocate = process._allocate
 
@@ -237,10 +239,34 @@ class TestBadInput:
             return allocate(params, g, x0, tally(), steps, scalar)
 
         monkeypatch.setattr(process, "_allocate", counting)
-        self.check_rejected(capsys, "simulate", fig1_file, "--alpha", "1e308",
-                            "--beta", "1", "--x0", "5:3", "--steps", "1000000",
-                            "--seed", "1")
-        assert drawn == []
+        for rates in (["--alpha", "1e308", "--beta", "1", "--x0", "5:3"],
+                      ["--alpha", "1e308", "--beta", "1e308"]):
+            self.check_rejected(capsys, "simulate", fig1_file, *rates,
+                                "--steps", "1000000", "--seed", "1")
+            assert drawn == []
+
+    def test_simulate_overflow_on_numpy_kernel(self, capsys, tmp_path):
+        # 100 vertices run on the numpy kernel, which warned about overflow
+        # and NaN weights when the run was checked only after sampling
+        path = tmp_path / "cycle100.edges"
+        path.write_text("".join(f"{v} {(v + 1) % 100}\n" for v in range(100)))
+        assert 100 > process.SCALAR_KERNEL_MAX_N
+        self.check_rejected(capsys, "simulate", str(path), "--alpha", "1e308",
+                            "--beta", "1e308", "--steps", "2000", "--seed", "1")
+
+    def test_sampler_and_oracles_share_the_overflow_rule(self, capsys, fig1_file):
+        # from zero counts the exponents grow by at most 1e307 a step:
+        # 2 * 8e307 is a finite float and 2 * 9e307 is not
+        rates = ["--alpha", "1e307", "--beta", "1e307"]
+        for n, ok in [("8", True), ("9", False)]:
+            for argv in (["simulate", fig1_file, *rates, "--steps", n, "--seed", "1"],
+                         ["exact", fig1_file, *rates, "--clique", "4,5,6",
+                          "--horizon", n]):
+                if ok:
+                    code, out, err = run_main(capsys, *argv)
+                    assert (code, err) == (0, "") and out
+                else:
+                    self.check_rejected(capsys, *argv)
 
     def test_drift_m_below_two(self, capsys):
         self.check_rejected(capsys, "drift", "--m", "1", "--alpha", "1",

@@ -19,16 +19,13 @@ from cliquegrowth import (
 )
 from cliquegrowth.graphs import Graph
 from cliquegrowth.process import (
-    _allocate,
     _columns,
     _materialized_arrays,
     _scalar_kernel,
     probs_from_exponents,
 )
 
-from conftest import idx
-
-KERNELS = (True, False)  # the `scalar` argument of _allocate
+from conftest import KERNELS, drive_kernel, idx
 
 
 def uniforms_selecting(params, g, x0, vertices):
@@ -230,8 +227,8 @@ class TestApplyAllocation:
     def test_k2_example(self):
         g = complete_graph(2)
         p = RateParams.uniform(2.0, 1.0)
-        for scalar in KERNELS:
-            alloc, L = _allocate(p, g, State.zeros(2), [0.0], 1, scalar)
+        for kernel in KERNELS:
+            alloc, L = drive_kernel(kernel, p, g, State.zeros(2), [0.0])
             assert alloc.tolist() == [0]
             assert L[0] == 2.0
             assert L[1] == 1.0
@@ -239,11 +236,11 @@ class TestApplyAllocation:
     def test_allocations_commute_on_state(self, fig1):
         p = RateParams.uniform(1.0, 2.0)
         x0 = State.zeros(fig1.n)
-        for scalar in KERNELS:
+        for kernel in KERNELS:
             ends = []
             for order in ([0, 3], [3, 0]):
                 us = uniforms_selecting(p, fig1, x0, order)
-                alloc, L = _allocate(p, fig1, x0, us, 2, scalar)
+                alloc, L = drive_kernel(kernel, p, fig1, x0, us)
                 assert alloc.tolist() == order
                 ends.append((x0.counts + np.bincount(alloc, minlength=fig1.n), L))
             (ca, La), (cb, Lb) = ends
@@ -254,8 +251,8 @@ class TestApplyAllocation:
         p = RateParams.uniform(0.9, 1.7)
         x0 = State.zeros(fig1.n)
         us = make_rng(42).random(10_000).tolist()
-        for scalar in KERNELS:
-            alloc, L = _allocate(p, fig1, x0, us, len(us), scalar)
+        for kernel in KERNELS:
+            alloc, L = drive_kernel(kernel, p, fig1, x0, us)
             final = x0.counts + np.bincount(alloc, minlength=fig1.n)
             fresh = exponent_vector(p, fig1, State(final))
             assert np.abs(L - fresh).max() <= 1e-9
@@ -265,15 +262,15 @@ class TestSampling:
     def test_zero_draw_takes_first_positive_mass(self):
         g = complete_graph(3)
 
-        def first(offsets, scalar):
+        def first(offsets, kernel):
             p = RateParams.general([0.0] * 3, {}, base_offset_v=offsets)
-            alloc, _ = _allocate(p, g, State.zeros(3), [0.0], 1, scalar)
+            alloc, _ = drive_kernel(kernel, p, g, State.zeros(3), [0.0])
             return int(alloc[0])
 
-        for scalar in KERNELS:
-            assert first((0.0, 5.0, 1.0), scalar) == 0
+        for kernel in KERNELS:
+            assert first((0.0, 5.0, 1.0), kernel) == 0
             # first entry carries no mass once it underflows
-            assert first((-800.0, 5.0, 1.0), scalar) == 1
+            assert first((-800.0, 5.0, 1.0), kernel) == 1
 
     def test_identical_seeds_identical_sequences(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
@@ -349,8 +346,8 @@ def test_critical_clique_invariance(fig1):
     x0 = State.zeros(fig1.n)
     base = exponent_vector(p, fig1, x0)[clique]
     us = make_rng(8).random(100_000).tolist()
-    for scalar in KERNELS:
-        alloc, L = _allocate(p, fig1, x0, us, len(us), scalar)
+    for kernel in KERNELS:
+        alloc, L = drive_kernel(kernel, p, fig1, x0, us)
         assert set(alloc.tolist()) == set(clique)
         now = L[clique]
         drift = np.abs((now - now[0]) - (base - base[0])).max()

@@ -11,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cliquegrowth import Graph, RateParams, State, exponent_vector
-from cliquegrowth.process import _allocate
+from cliquegrowth.process import _numpy_kernel, _scalar_kernel
+
+from conftest import drive_kernel
 
 
 def reference_allocations(params, g, x0, uniforms):
@@ -57,8 +59,8 @@ def cases(draw):
 def test_kernels_match_reference_bit_for_bit(case):
     g, params, x0, uniforms = case
     want = reference_allocations(params, g, x0, uniforms)
-    scalar, L_scalar = _allocate(params, g, x0, uniforms, len(uniforms), True)
-    vector, L_vector = _allocate(params, g, x0, uniforms, len(uniforms), False)
+    scalar, L_scalar = drive_kernel(_scalar_kernel, params, g, x0, uniforms)
+    vector, L_vector = drive_kernel(_numpy_kernel, params, g, x0, uniforms)
     assert scalar.tolist() == want.tolist()
     assert vector.tolist() == want.tolist()
     assert L_scalar.tobytes() == L_vector.tobytes()
