@@ -207,8 +207,10 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
     """
     if not 1 <= replicas <= MAX_REPLICAS:
         raise ValueError(f"replicas must be in [1, {MAX_REPLICAS}]")
-    if not 0 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must be in [0, {MAX_STEPS}]")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in [1, {MAX_STEPS}]")
+    if not 0 < tail_fraction <= 1:
+        raise ValueError("tail_fraction must be in (0, 1]")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     # enumerated first, so a graph with too many cliques runs no replica

@@ -7,6 +7,7 @@ lower bound, never a point estimate).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -218,41 +219,39 @@ def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
 
 
 def _log_product_tail(n_vertices: int, rate: float, start: int,
-                      tail_tol: float) -> float:
-    """Certified upper bound on sum_{r>=start} log(1 + |V| e^(-rate r)),
-    or inf once the partial sum reaches -EXP_UNDERFLOW or 1 - e^(-rate) is
-    0.0 (sum > 10^14): every bound exp(-m sum), m >= 1, is then 0.0."""
-    if not 0 < rate < math.inf:
-        raise ValueError("rate must be positive and finite for the product "
-                         "to converge")
-    if not 0 < tail_tol < math.inf:
+                      tail_tol: float | None = None, stop: int | float = math.inf) -> float:
+    """sum_{start <= r < stop} log(1 + |V| e^(-rate r)) in order of r, up to
+    the first factor |V| e^(-rate r) of 0.0; inf from -EXP_UNDERFLOW on, where
+    exp(-m sum) is 0.0.  For stop = inf a certified upper bound: the geometric
+    tail bound is added once below tail_tol; inf if 1 - e^(-rate) is 0.0."""
+    if n_vertices < 1 or not 0 < rate < math.inf:
+        raise ValueError("need n_vertices >= 1 and a positive finite rate")
+    infinite = stop == math.inf
+    if infinite and not 0 < tail_tol < math.inf:
         raise ValueError("tail tolerance must be positive and finite")
     gap = 1.0 - math.exp(-rate)
+    if infinite and gap == 0.0:
+        return math.inf
     total = 0.0
-    r = start
-    while gap > 0 and total < -EXP_UNDERFLOW:
+    for r in itertools.count(start) if infinite else range(start, stop):
+        x = n_vertices * math.exp(-rate * r)
         # log(1+x) <= x bounds the whole remaining tail geometrically
-        tail = n_vertices * math.exp(-rate * (r)) / gap
-        if tail < tail_tol:
-            return total + tail
-        total += math.log1p(n_vertices * math.exp(-rate * r))
-        r += 1
-    return math.inf
+        if infinite and x / gap < tail_tol:
+            return total + x / gap
+        if x == 0.0:
+            break
+        total += math.log1p(x)
+        if total >= -EXP_UNDERFLOW:
+            return math.inf
+    return total
 
 
 def epsilon_n(n_vertices: int, alpha: float, m: int, horizon: int) -> float:
-    """Finite product (prod_{r=1}^{horizon-1} 1/(1+|V| e^(-alpha r)))^m."""
-    if n_vertices < 1 or not alpha > 0 or m < 1 or horizon < 1:
-        raise ValueError("need n_vertices >= 1, alpha > 0, m >= 1, horizon >= 1")
-    # the factors at alpha r > -EXP_UNDERFLOW are exactly 1
-    stop = min(horizon, -EXP_UNDERFLOW / alpha + 1)
-    if stop > DEFAULT_ENUM_BUDGET:
-        raise ValueError(f"the product has more than {DEFAULT_ENUM_BUDGET} "
-                         "factors below 1; use a larger alpha or a shorter horizon")
-    s = 0.0
-    for r in range(1, math.ceil(stop)):
-        s += math.log1p(n_vertices * math.exp(-alpha * r))
-    return math.exp(-m * s)
+    """Finite product (prod_{r=1}^{horizon-1} 1/(1+|V| e^(-alpha r)))^m, exact
+    up to rounding (no tail, no tolerance) at any horizon."""
+    if m < 1 or horizon < 1:
+        raise ValueError("need m >= 1 and horizon >= 1")
+    return math.exp(-m * _log_product_tail(n_vertices, alpha, 1, stop=horizon))
 
 
 def epsilon_lower_bound(n_vertices: int, alpha: float, m: int,
@@ -270,8 +269,8 @@ def epsilon_lower_bound(n_vertices: int, alpha: float, m: int,
     each vertex's first allocation adds the r = 0 factor 1/(1+|V|), so the
     bound there is this value divided by (1+|V|)^m.
     """
-    if n_vertices < 1 or not alpha > 0 or m < 1:
-        raise ValueError("need n_vertices >= 1, alpha > 0 and m >= 1")
+    if m < 1:
+        raise ValueError("need m >= 1")
     return math.exp(-m * _log_product_tail(n_vertices, alpha, 1, tail_tol))
 
 
@@ -280,8 +279,6 @@ def single_vertex_bound(n_vertices: int, alpha: float, beta: float,
     """Certified lower bound on prod_{n>=0} 1/(1+|V| e^(-(alpha-beta) n)),
     the probability of confining all allocations to a maximal-rate vertex.
     Requires beta < alpha."""
-    if n_vertices < 1:
-        raise ValueError("need n_vertices >= 1")
     if beta >= alpha:
         raise ValueError("single-vertex bound needs beta < alpha")
     return math.exp(-_log_product_tail(n_vertices, alpha - beta, 0, tail_tol))

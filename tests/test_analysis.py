@@ -241,6 +241,23 @@ class TestMonteCarloReport:
             monte_carlo_report(g, RateParams.uniform(1.0, 1.0), State.zeros(g.n),
                                10, 3, seed=1)
 
+    @pytest.mark.parametrize("steps, tail, message", [
+        (0, 0.5, "steps must be in"), (10, 2.0, "tail_fraction"),
+        (10, 0.0, "tail_fraction"), (10, math.nan, "tail_fraction")])
+    def test_bad_steps_or_tail_refused_before_replicas(self, monkeypatch, fig1,
+                                                       steps, tail, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        started = []
+        monkeypatch.setattr(analysis, "run", no_work)
+        monkeypatch.setattr(analysis, "enumerate_maximal_cliques", no_work)
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", serial_pool(started))
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_report(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n),
+                               steps, 3, seed=1, tail_fraction=tail, jobs=2)
+        assert started == []
+
     def test_frequencies_sum_to_one(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
         rep = monte_carlo_report(fig1, p, State.zeros(fig1.n), 800, 40, seed=6)

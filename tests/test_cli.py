@@ -335,6 +335,23 @@ class TestBadInput:
                             "--beta", "1", "--steps", "20", "--replicas", "2",
                             "--seed", "1", "--jobs", "0")
 
+    @pytest.mark.parametrize("option, line", [
+        (["--steps", "1000000", "--tail", "2"], "error: tail_fraction must be in (0, 1]\n"),
+        (["--steps", "0"], f"error: steps must be in [1, {MAX_STEPS}]\n")])
+    def test_localize_bad_tail_or_steps_runs_nothing(self, capsys, monkeypatch,
+                                                     fig1_file, option, line):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replica ran before the arguments were checked")
+
+        started = []
+        monkeypatch.setattr(analysis, "run", no_run)
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", serial_pool(started))
+        err = self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",
+                                  "--beta", "1", "--replicas", "2", "--seed", "1",
+                                  "--jobs", "2", *option)
+        assert err == line
+        assert started == []
+
     def test_drift_shell_without_colon(self, capsys):
         err = self.check_rejected(capsys, "drift", "--m", "3", "--alpha", "1",
                                   "--beta", "2", "--shell", "5")
@@ -403,8 +420,12 @@ class TestBadInput:
                                 "1", "--m", "2", "--horizon", "10000000000000")
         assert code == 0
         assert json.loads(out)["epsilon_n"] == pytest.approx(0.073, abs=1e-3)
-        self.check_rejected(capsys, "bounds", "--vertices", "3", "--alpha",
-                            "1e-5", "--m", "2", "--horizon", "10000000000000")
+        # ~10^13 factors below 1: the log-sum passes -EXP_UNDERFLOW within
+        # a few thousand of them, so the product is exactly 0.0 in floats
+        code, out, _ = run_main(capsys, "bounds", "--vertices", "3", "--alpha",
+                                "1e-5", "--m", "2", "--horizon", "10000000000000")
+        assert code == 0
+        assert json.loads(out)["epsilon_n"] == 0.0
 
     def test_bounds_zero_vertices(self, capsys):
         self.check_rejected(capsys, "bounds", "--vertices", "0", "--alpha", "1",

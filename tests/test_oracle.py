@@ -563,6 +563,69 @@ def test_row_blocks_do_not_change_results(fig1, monkeypatch):
     assert results() == whole
 
 
+# Reference product series: the two loops that summed the factors
+# log(1 + |V| e^(-rate r)) before `_log_product_tail` became the only one.
+# The first refused products of more than 10^6 factors below 1.
+
+def ref_log_product_tail(n_vertices, rate, start, tail_tol):
+    gap = 1.0 - math.exp(-rate)
+    total = 0.0
+    r = start
+    while gap > 0 and total < 746.0:
+        tail = n_vertices * math.exp(-rate * (r)) / gap
+        if tail < tail_tol:
+            return total + tail
+        total += math.log1p(n_vertices * math.exp(-rate * r))
+        r += 1
+    return math.inf
+
+
+def ref_epsilon_n(n_vertices, alpha, m, horizon):
+    """None where the product had too many factors to sum."""
+    stop = min(horizon, 746.0 / alpha + 1)
+    if stop > 1_000_000:
+        return None
+    s = 0.0
+    for r in range(1, math.ceil(stop)):
+        s += math.log1p(n_vertices * math.exp(-alpha * r))
+    return math.exp(-m * s)
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@given(st.integers(1, 10**6), log_uniform(-17, 3), st.floats(0, 0.999),
+       st.integers(1, 20), log_uniform(0, 13), log_uniform(0, 13),
+       log_uniform(-15, 0))
+def test_product_series_matches_references(n_vertices, alpha, beta_frac, m,
+                                           h1, h2, tol):
+    """All three bounds give the reference bits where the reference answers
+    and epsilon_n is 0.0 where it refused; epsilon_n never rises with the
+    horizon; epsilon_lower_bound stays below epsilon_n at every horizon.
+    Rates below 1.1e-16 make 1 - e^(-rate) zero."""
+    beta = alpha * beta_frac
+    lower, upper = sorted((int(h1), int(h2)))
+    lb = epsilon_lower_bound(n_vertices, alpha, m, tol)
+    assert lb == math.exp(-m * ref_log_product_tail(n_vertices, alpha, 1, tol))
+    assert single_vertex_bound(n_vertices, alpha, beta, tol) == math.exp(
+        -ref_log_product_tail(n_vertices, alpha - beta, 0, tol))
+    eps = [epsilon_n(n_vertices, alpha, m, h) for h in (lower, upper)]
+    for h, got in zip((lower, upper), eps):
+        want = ref_epsilon_n(n_vertices, alpha, m, h)
+        assert got == (0.0 if want is None else want)
+    assert eps[1] <= eps[0]
+    # Past the bound's cut the horizon sum adds each factor on its own: k
+    # additions round by at most 2^-53 of the total each, and the terms
+    # (exp arguments below 746) by under 1000 x 2^-53 of the tail together.
+    # The slack covers that rounding, with k at most the factors below 1;
+    # the excess over 1e-14 was seen up to 1.7e-13.
+    if lb > 0.0:
+        rounding = (min(upper, 746.0 / alpha + 1) + 1000) * 2.0**-53 * -math.log(lb)
+        for got in eps:
+            assert lb <= got * (1 + 1e-14) * math.exp(rounding)
+
+
 class TestShellEnumeration:
     def test_rows_in_recursive_order(self):
         for dim in range(1, 6):
