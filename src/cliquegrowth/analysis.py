@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -218,6 +217,8 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
     job = partial(_replica_outcome_job, g, params, x0, steps, seed, tail_fraction)
     workers = min(jobs, replicas, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = tuple(pool.map(job, range(replicas), chunksize=8))
     else:

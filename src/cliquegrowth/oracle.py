@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -223,7 +224,8 @@ def _log_product_tail(n_vertices: int, rate: float, start: int,
     """sum_{start <= r < stop} log(1 + |V| e^(-rate r)) in order of r, up to
     the first factor |V| e^(-rate r) of 0.0; inf from -EXP_UNDERFLOW on, where
     exp(-m sum) is 0.0.  For stop = inf a certified upper bound: the geometric
-    tail bound is added once below tail_tol; inf if 1 - e^(-rate) is 0.0."""
+    tail bound is added once below tail_tol, and the sum is rounded up once
+    for every rounding before it; inf if 1 - e^(-rate) is 0.0."""
     if n_vertices < 1 or not 0 < rate < math.inf:
         raise ValueError("need n_vertices >= 1 and a positive finite rate")
     infinite = stop == math.inf
@@ -237,7 +239,10 @@ def _log_product_tail(n_vertices: int, rate: float, start: int,
         x = n_vertices * math.exp(-rate * r)
         # log(1+x) <= x bounds the whole remaining tail geometrically
         if infinite and x / gap < tail_tol:
-            return total + x / gap
+            # each addition rounds by 2^-53 of the sum; each term by rate r
+            # (the rounding of exp's argument) plus a few ulps, and the tail
+            # also by 1/gap ulps (the rounding of 1 - e^(-rate))
+            return (total + x / gap) * (1.0 + (r - start + rate * r + 1.0 / gap + 16) * 2.0**-52)
         if x == 0.0:
             break
         total += math.log1p(x)
@@ -259,8 +264,8 @@ def epsilon_lower_bound(n_vertices: int, alpha: float, m: int,
     """Certified lower bound on (prod_{r>=1} 1/(1+|V| e^(-alpha r)))^m.
 
     The infinite product is truncated once the remaining log-tail is below
-    tail_tol, and the tail bound is subtracted, so the returned value never
-    exceeds the true product.
+    tail_tol, the tail bound is subtracted, and every rounding is taken
+    downward, so the returned value never exceeds the true product.
 
     As a bound on the probability that every allocation stays in an m-clique
     (for any beta >= 0), it refers to the start state with one particle at
@@ -271,7 +276,7 @@ def epsilon_lower_bound(n_vertices: int, alpha: float, m: int,
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    return math.exp(-m * _log_product_tail(n_vertices, alpha, 1, tail_tol))
+    return _exp_lower(m * _log_product_tail(n_vertices, alpha, 1, tail_tol))
 
 
 def single_vertex_bound(n_vertices: int, alpha: float, beta: float,
@@ -281,7 +286,17 @@ def single_vertex_bound(n_vertices: int, alpha: float, beta: float,
     Requires beta < alpha."""
     if beta >= alpha:
         raise ValueError("single-vertex bound needs beta < alpha")
-    return math.exp(-_log_product_tail(n_vertices, alpha - beta, 0, tail_tol))
+    return _exp_lower(_log_product_tail(n_vertices, alpha - beta, 0, tail_tol))
+
+
+def _exp_lower(y: float) -> float:
+    """e^(-y) rounded down: below e^(-y') for every y' <= y (1 + 2^-53), so
+    below the true value whatever math.exp (under an ulp) and the one rounding
+    of y do; 0.0 for y = inf and below the normal range."""
+    if y == math.inf:
+        return 0.0
+    v = math.exp(-y) * (1.0 - (y + 4.0) * 2.0**-52)
+    return v if v >= sys.float_info.min else 0.0
 
 
 def _chain_log_coefficients(m: int, a, lam: float) -> np.ndarray:

@@ -12,10 +12,27 @@ uniform per step (in blocks) and inverts the cumulative weights
 exp(L - max L).  Small graphs use a pure-Python kernel with memoized `np.exp`
 weights, larger ones a numpy kernel; both give the same allocations bit for
 bit, so the output depends only on (seed, stream), never on the kernel.
+
+A run whose exponents stay exact (K and L0 multiples of one 2^-e with
+2 reach 2^e < 2^52) and whose K has a column peaking on its diagonal draws
+most of its steps in blocks.  On small graphs a block guesses every pick
+from the law at its start, computes the exponents along the guessed path
+and the kernels' pick from each of them, and keeps the picks up to the first
+wrong guess (`_verified_steps`); once the law barely moves, whole blocks
+verify, whatever the seed.  On large graphs the run is tested between
+kernel chunks for a frozen law: a set C holding all float weight but a tail
+below 2^-56 of its smallest weight, with safe vertices whose column is
+constant on C and no larger off it.  Draws on safe vertices leave the law
+bitwise unchanged, so they are made in one `searchsorted` over C's partial
+sums; the kernel takes back the step of a uniform that is 0.0, reaches the
+clamp or picks an unsafe vertex.  Either way, allocations, final exponents
+and the uniforms consumed are those of the kernels alone.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Mapping
@@ -46,6 +63,11 @@ REGIME_OTHER = "other"
 SCALAR_KERNEL_MAX_N = 64
 # Uniforms drawn per rng.random call.
 UNIFORM_BLOCK = 4096
+# Kernel steps between two tests for a frozen law, where a run can freeze.
+FREEZE_CHUNK = 64
+# A frozen law's tail weighs less than this share of its smallest weight: a
+# quarter of the 2^-54 below which adding it to any partial sum cannot round.
+FROZEN_TAIL = 2.0**-56
 # np.exp(d) is exactly 0.0 for every d below this.
 EXP_UNDERFLOW = -746.0
 # Most np.exp weights the scalar kernel memoizes in one run.
@@ -216,12 +238,14 @@ def probs_from_exponents(exponents: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def check_reach(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> None:
+def check_reach(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> float:
     """Refuse `horizon` steps adding entries of `deltas` to the exponents exps0
-    unless 2 (|exps0|max + horizon |deltas|max), a bound on |L_i - L_j|, is finite."""
+    unless 2 (|exps0|max + horizon |deltas|max), a bound on |L_i - L_j|, is
+    finite; return the reach |exps0|max + horizon |deltas|max, a bound on |L_i|."""
     reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
     if not np.isfinite(2.0 * reach):
         raise ValueError(f"rate exponents could turn non-finite within {horizon} steps")
+    return reach
 
 
 def _columns(params: RateParams, g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -292,25 +316,174 @@ def _numpy_kernel(L: np.ndarray, columns, uniforms):
         yield v
 
 
-def _allocate(params: RateParams, g: Graph, x0: State, uniforms, steps: int,
+def _peaked_columns(exps0: np.ndarray, K: np.ndarray, reach: float) -> np.ndarray | None:
+    """peaked[u, v]: K[u, v] equals K[v, v] and column v of K peaks there.
+    None unless this run may fast-forward a frozen law: some column peaks on
+    its diagonal, and the exponents stay exact, K and exps0 being multiples
+    of 2^-e with 2 reach 2^e < 2^52 (`check_reach`'s reach of the run), so
+    that every exponent, sum and difference on any path of the run is a float."""
+    diag = K.diagonal()
+    peaked = (K == diag) & (K.max(axis=0) <= diag)
+    if not peaked.any():
+        return None
+    e = min(51 - math.frexp(reach)[1], 64)
+    if e < 0:
+        return None
+    grid = np.concatenate((K.ravel(), exps0)) * 2.0**e
+    return peaked if (grid == np.rint(grid)).all() else None
+
+
+def _frozen_law(exps: np.ndarray, peaked: np.ndarray):
+    """(C, cum, safe) if the next steps' law is frozen at exponents exps, else
+    None.  C (ascending) carries all float weight exp(L - max L) but a tail
+    below FROZEN_TAIL of C's smallest weight; cum are C's weights summed in
+    index order; safe[i] says column K[:, C[i]] is constant on C and no
+    larger off it (`peaked` on C), and safe[len(C)] is False.
+
+    With exact exponents (`_peaked_columns`), an allocation at a safe vertex
+    adds one constant to C's exponents and no more to the others, so C's
+    weights stay bitwise the same and the tail only shrinks.  Each kernel
+    partial sum is then a partial sum of C, since adding the tail does not
+    round, and the tail stays below 2^-53 <= u * total for every u > 0: the
+    kernels draw C[cum.searchsorted(u * total, side="right")], until u is
+    0.0, u * total reaches total (the clamp) or the pick is unsafe.
+    """
+    top = exps.max()
+    # a vertex within 38 of the top weighs over 2^-56, so it is in C, and a
+    # safe vertex's column peaks on it: a cheap test that fails most laws
+    if not peaked[exps >= top - 38.0].all(axis=0).any():
+        return None
+    w = np.exp(exps - top)
+    order = w.argsort()
+    ws = w[order]
+    # negligible[k]: the k + 1 smallest weights are a tail of the rest
+    negligible = (ws.cumsum()[:-1] < FROZEN_TAIL * ws[1:]).nonzero()[0]
+    C = order[negligible[-1] + 1:] if len(negligible) else order
+    C.sort()
+    safe = peaked[np.ix_(C, C)].all(axis=0)
+    if not safe.any():
+        return None
+    return C, w[C].cumsum(), np.append(safe, False)
+
+
+def _fast_forward(us: np.ndarray, cum: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """Picks into C for the leading uniforms of us that the frozen law draws
+    on safe vertices, scanned in windows growing from FREEZE_CHUNK."""
+    picks = []
+    start, size = 0, FREEZE_CHUNK
+    while start < len(us):
+        u = us[start:start + size]
+        pick = cum.searchsorted(u * cum[-1], side="right")
+        ok = safe[pick] & (u > 0.0)
+        if not ok.all():
+            picks.append(pick[:ok.argmin()])
+            break
+        picks.append(pick)
+        start, size = start + size, 8 * size
+    return np.concatenate(picks)
+
+
+def _verified_steps(exps: np.ndarray, KT: np.ndarray, us: np.ndarray):
+    """(picks, exponents after them) for a leading run of the uniforms us
+    from exponents exps, with KT[v] the column K[:, v].
+
+    Every pick is first guessed from the law at exps.  Row j of S holds the
+    exponents after the first j guesses, the columns added in step order as
+    the kernels add them, and each row gives the kernels' pick for u_j by
+    their own arithmetic: np.exp of the row less its max, partial sums left
+    to right, the number of them at most u_j * total, clamped to the last
+    vertex.  A pick is the kernels' while every guess before it was right,
+    so the picks up to the first wrong guess are kept, at least one.
+    """
+    n = len(exps)
+    cum = np.add.accumulate(np.exp(exps - exps.max()))
+    guess = np.minimum(cum.searchsorted(us * cum[-1], side="right"), n - 1)
+    S = np.empty((len(us) + 1, n))
+    S[0] = exps
+    S[1:] = KT[guess]
+    np.add.accumulate(S, axis=0, out=S)
+    W = S[:-1] - S[:-1].max(axis=1, keepdims=True)
+    np.exp(W, out=W)
+    np.add.accumulate(W, axis=1, out=W)
+    picks = np.minimum((W <= (us * W[:, -1])[:, None]).sum(axis=1), n - 1)
+    wrong = picks != guess
+    k = int(wrong.argmax()) + 1 if wrong.any() else len(us)
+    return picks[:k], S[k - 1] + KT[picks[k - 1]]
+
+
+def _chained(chunks: deque):
+    """Yield the uniforms of each list put on `chunks`, in order."""
+    while True:
+        yield from chunks.popleft()
+
+
+def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
               scalar: bool) -> np.ndarray:
-    """Allocations for the first `steps` uniforms from x0, by the scalar or
-    the numpy kernel (the two agree bit for bit), once `check_reach` passes.
-    Uniform 0 selects the first vertex with positive weight."""
+    """Allocations for `steps` uniforms of rng.random from x0, by the scalar
+    or the numpy kernel (the two agree bit for bit), once `check_reach` passes.
+    Uniform 0 selects the first vertex with positive weight.
+
+    Where `_peaked_columns` allows, the scalar kernel's runs are drawn by
+    `_verified_steps` in blocks that double while they verify whole and
+    shrink to twice what they kept when not; a block keeping fewer than a
+    quarter of FREEZE_CHUNK steps, as while the run still picks its clique,
+    hands FREEZE_CHUNK steps to the kernel.  A block's time and memory grow
+    with its length times n, which only the scalar kernel's graphs keep
+    small, so the numpy kernel instead runs
+    FREEZE_CHUNK steps at a time, and between chunks a frozen law
+    (`_frozen_law`) draws its steps at once and adds their columns to the
+    kernel's exponents.  The kernel then takes the step of the uniform that
+    ended the law, alone if the law drew at least FREEZE_CHUNK steps and
+    else with a whole chunk, so that a law which ends early costs one test
+    per chunk.
+    """
     L = exponent_vector(params, g, x0)
-    check_reach(L, params.interaction_matrix(g), steps)
+    K = params.interaction_matrix(g)
+    peaked = _peaked_columns(L, K, check_reach(L, K, steps))
+    freezable = peaked is not None
+    verified, frozen = freezable and scalar, freezable and not scalar
+    KT = np.ascontiguousarray(K.T) if verified else None
     kernel = _numpy_kernel
     if scalar:
         L, kernel = L.tolist(), _scalar_kernel
-    return np.fromiter(kernel(L, _columns(params, g), uniforms),
-                       dtype=np.int64, count=steps)
-
-
-def _uniforms(rng: np.random.Generator, steps: int):
-    """`steps` uniforms drawn UNIFORM_BLOCK at a time; PCG64 gives the same
-    numbers as one `rng.random()` per step."""
-    for start in range(0, steps, UNIFORM_BLOCK):
-        yield from rng.random(min(UNIFORM_BLOCK, steps - start)).tolist()
+    chunks: deque = deque()
+    draw = kernel(L, _columns(params, g), _chained(chunks))
+    out = np.empty(steps, dtype=np.int64)
+    done, law, block = 0, None, FREEZE_CHUNK
+    while done < steps:
+        us = rng.random(min(UNIFORM_BLOCK, steps - done))
+        i = 0
+        while i < len(us):
+            k = FREEZE_CHUNK if freezable else len(us)
+            if verified:
+                m = min(block, len(us) - i)
+                picks, exps = _verified_steps(np.array(L), KT, us[i:i + m])
+                out[done:done + len(picks)] = picks
+                L[:] = exps.tolist()
+                done, i = done + len(picks), i + len(picks)
+                block = min(2 * block, UNIFORM_BLOCK) if len(picks) == m else \
+                    max(FREEZE_CHUNK, 2 * len(picks))
+                if len(picks) >= FREEZE_CHUNK // 4 or i == len(us):
+                    continue
+            if frozen and law is None:
+                law = _frozen_law(L, peaked)
+            if law:
+                C, cum, safe = law
+                picks = _fast_forward(us[i:], cum, safe)
+                out[done:done + len(picks)] = C[picks]
+                # the numpy kernel's own array
+                L += K[:, C] @ np.bincount(picks, minlength=len(C))
+                done, i = done + len(picks), i + len(picks)
+                if i == len(us):
+                    break  # no exit: the law holds into the next block
+                if len(picks) >= FREEZE_CHUNK:
+                    k = 1
+            law = None
+            k = min(k, len(us) - i)
+            chunks.append(us[i:i + k].tolist())
+            out[done:done + k] = np.fromiter(draw, dtype=np.int64, count=k)
+            done, i = done + k, i + k
+    return out
 
 
 @dataclass
@@ -366,7 +539,7 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
         raise ValueError("graph must be connected")
     if len(x0.counts) != g.n:
         raise ValueError("initial state size does not match the graph")
-    alloc = _allocate(params, g, x0, _uniforms(make_rng(seed, stream), steps), steps,
+    alloc = _allocate(params, g, x0, make_rng(seed, stream), steps,
                       scalar=g.n <= SCALAR_KERNEL_MAX_N)
     return Trajectory(initial=x0.copy(), allocations=alloc)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -252,7 +253,7 @@ class TestMonteCarloReport:
         started = []
         monkeypatch.setattr(analysis, "run", no_work)
         monkeypatch.setattr(analysis, "enumerate_maximal_cliques", no_work)
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", serial_pool(started))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
         with pytest.raises(ValueError, match=message):
             monte_carlo_report(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n),
                                steps, 3, seed=1, tail_fraction=tail, jobs=2)
@@ -303,7 +304,7 @@ class TestMonteCarloReport:
     def test_workers_capped_by_replicas_and_cpus(self, fig1, monkeypatch, cpus):
         # never more workers than replicas or CPUs, and none for one
         started = []
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", serial_pool(started))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
         p = RateParams.uniform(1.0, 1.0)
         args = (fig1, p, State.zeros(fig1.n), 200, 3)

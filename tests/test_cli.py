@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -231,12 +232,13 @@ class TestBadInput:
         drawn = []
         allocate = process._allocate
 
-        def counting(params, g, x0, uniforms, steps, scalar):
-            def tally():
-                for u in uniforms:
-                    drawn.append(u)
-                    yield u
-            return allocate(params, g, x0, tally(), steps, scalar)
+        def counting(params, g, x0, rng, steps, scalar):
+            class Tally:
+                def random(self, size):
+                    us = rng.random(size)
+                    drawn.extend(us)
+                    return us
+            return allocate(params, g, x0, Tally(), steps, scalar)
 
         monkeypatch.setattr(process, "_allocate", counting)
         for rates in (["--alpha", "1e308", "--beta", "1", "--x0", "5:3"],
@@ -345,7 +347,7 @@ class TestBadInput:
 
         started = []
         monkeypatch.setattr(analysis, "run", no_run)
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", serial_pool(started))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
         err = self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",
                                   "--beta", "1", "--replicas", "2", "--seed", "1",
                                   "--jobs", "2", *option)
@@ -596,7 +598,7 @@ def test_fuzz_argv(fuzz_files, data):
     target.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     started = []
-    with (patch.object(analysis, "ProcessPoolExecutor", serial_pool(started)),
+    with (patch.object(concurrent.futures, "ProcessPoolExecutor", serial_pool(started)),
           redirect_stdout(out), redirect_stderr(err)):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()

@@ -72,11 +72,25 @@ CLI_PINS = [
      ["exact", FIG1, "--alpha", "1", "--beta", "1", "--clique", "1",
       "--horizon", "100000"],
      "bd5d12abbfc27e24ed7f4b03573ad8c36e4a82efde5411625bdf179ae1e5512e"),
-    # epsilon_n adds 999 log factors
+    # mostly frozen runs, drawn in one search per block after a few hundred
+    # kernel steps: recorded before that fast path existed
+    ("simulate-fig1-frozen-clique",
+     ["simulate", FIG1, "--alpha", "2", "--beta", "2", "--steps", "20000",
+      "--seed", "4"],
+     "2f51a9b29569d7f8c923776d40e94ce363915b1cc0615200a9423574a73642d7"),
+    ("localize-fig1-frozen-vertex",
+     ["localize", FIG1, "--alpha", "1", "--beta", "0.5", "--steps", "3000",
+      "--replicas", "8", "--seed", "9"],
+     "e8802530ca3981bb8c94f9bbc0c5cb0f264ccd8fa0c193f26e3fe047f4a6f3a3"),
+    ("simulate-sparse-frozen",
+     ["simulate", SPARSE, "--alpha", "1", "--beta", "1", "--steps", "5000",
+      "--seed", "8"],
+     "f428820f6d78402c25e4502cc4153a5647d7af214a054c7600d41a3fc5b8ac3c"),
+    # epsilon_n adds 999 log factors; value and single_vertex are rounded down
     ("bounds-epsilon-n",
      ["bounds", "--vertices", "8", "--alpha", "0.05", "--beta", "0.02",
       "--m", "2", "--horizon", "1000"],
-     "a49405a9208bdb911ffc37923afb3e1aa9c6bd4a697519c449a42337ba8d074c"),
+     "0ed51b74c9ac1e5db9d4d7e4bca5717ed2780a322f99c33937e7e0a39b923d4f"),
 ]
 
 GENERAL_PIN = "8294a115a76848990c4becce95e22b8bd20c78daca9f36dd0952a1171ed0e015"

@@ -1,5 +1,8 @@
 import itertools
 import math
+import random
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -231,6 +234,21 @@ class TestP11Bound:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def decimal_product(n_vertices, rate, start, m=1):
+    """(prod_{r >= start} 1/(1 + |V| e^(-rate r)))^m to 40 digits, from
+    below: the log-sum stops once the geometric bound on the rest, which it
+    then adds, is below 1e-45."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rate, total = Decimal(rate), Decimal(0)
+        gap = 1 - (-rate).exp()
+        for r in itertools.count(start):
+            x = n_vertices * (-rate * r).exp()
+            if x / gap < Decimal("1e-45"):
+                return (-m * (total + x / gap + Decimal("1e-38"))).exp()
+            total += (1 + x).ln()
+
+
 class TestEpsilonBound:
     def test_frozen_value(self):
         # independently evaluated truncated product for |V|=2, alpha=1, m=2
@@ -242,8 +260,27 @@ class TestEpsilonBound:
         for v, a, m in ((2, 1.0, 2), (8, 0.5, 2), (8, 2.0, 3)):
             partial = math.exp(-m * sum(math.log1p(v * math.exp(-a * r))
                                         for r in range(1, 5000)))
-            assert epsilon_lower_bound(v, a, m) <= partial * (1 + 1e-14)
+            assert epsilon_lower_bound(v, a, m) <= partial
             assert epsilon_lower_bound(v, a, m) >= partial - 1e-9
+
+    def test_certified_below_exact_products(self):
+        # 40-digit decimal products; the first case was 9.7e-14 relative
+        # above the product before the sum was rounded up
+        rng = random.Random(13)
+        cases = [(8, 0.10875753012431669, 12, 2.266154681892146e-07)]
+        cases += [(rng.randint(1, 1000), 10 ** rng.uniform(-1.3, 0.7), rng.randint(1, 20),
+                   10 ** rng.uniform(-15, -3)) for _ in range(30)]
+        for v, a, m, tol in cases:
+            exact = decimal_product(v, a, 1, m)
+            got = epsilon_lower_bound(v, a, m, tol)
+            assert Decimal(got) <= exact
+            # short of it by the tail (below tol per factor) and the roundings;
+            # 0.0 below the normal range
+            assert got >= float(exact) * (1 - 2 * m * tol - 1e-9) or (
+                got == 0.0 and exact < sys.float_info.min)
+            beta = a * rng.uniform(-1, 0.9)
+            exact = decimal_product(v, a - beta, 0)
+            assert Decimal(single_vertex_bound(v, a, beta, tol)) <= exact
 
     def test_large_alpha_tends_to_one(self):
         assert epsilon_lower_bound(8, 200.0, 3) == pytest.approx(1.0, abs=1e-6)
@@ -574,7 +611,9 @@ def ref_log_product_tail(n_vertices, rate, start, tail_tol):
     while gap > 0 and total < 746.0:
         tail = n_vertices * math.exp(-rate * (r)) / gap
         if tail < tail_tol:
-            return total + tail
+            # rounded up as the library rounds its certified sum
+            ulps = r - start + rate * r + 1.0 / gap + 16
+            return (total + tail) * (1.0 + ulps * 2.0**-52)
         total += math.log1p(n_vertices * math.exp(-rate * r))
         r += 1
     return math.inf
@@ -607,9 +646,9 @@ def test_product_series_matches_references(n_vertices, alpha, beta_frac, m,
     beta = alpha * beta_frac
     lower, upper = sorted((int(h1), int(h2)))
     lb = epsilon_lower_bound(n_vertices, alpha, m, tol)
-    assert lb == math.exp(-m * ref_log_product_tail(n_vertices, alpha, 1, tol))
-    assert single_vertex_bound(n_vertices, alpha, beta, tol) == math.exp(
-        -ref_log_product_tail(n_vertices, alpha - beta, 0, tol))
+    assert lb == oracle._exp_lower(m * ref_log_product_tail(n_vertices, alpha, 1, tol))
+    assert single_vertex_bound(n_vertices, alpha, beta, tol) == oracle._exp_lower(
+        ref_log_product_tail(n_vertices, alpha - beta, 0, tol))
     eps = [epsilon_n(n_vertices, alpha, m, h) for h in (lower, upper)]
     for h, got in zip((lower, upper), eps):
         want = ref_epsilon_n(n_vertices, alpha, m, h)

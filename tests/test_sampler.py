@@ -1,17 +1,25 @@
-"""Both sampling kernels against the original one-step numpy loop.
+"""Both sampling kernels against the original one-step numpy loop, and the
+fast paths of `_allocate` against the kernels.
 
 `run()` picks the scalar kernel or the numpy kernel by graph size; each must
 give the allocations of the reference loop below bit for bit, for any graph,
 parameters and uniforms, or golden outputs would change with the graph size.
 The reference recomputes the exponents densely at every step; the kernels
 update them incrementally, which must stay within 1e-9 of a recomputation.
+`_allocate` draws blocks of verified steps, or the steps of a frozen law at
+once; it must give the kernels' allocations and exponents exactly, on the
+same uniforms.
 """
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliquegrowth import Graph, RateParams, State, exponent_vector
-from cliquegrowth.process import _numpy_kernel, _scalar_kernel
+from cliquegrowth import Graph, RateParams, State, exponent_vector, process, run
+from cliquegrowth.process import _allocate, _numpy_kernel, _scalar_kernel
 
 from conftest import drive_kernel
 
@@ -30,17 +38,23 @@ def reference_allocations(params, g, x0, uniforms):
     return np.array(out, dtype=np.int64)
 
 
-@st.composite
-def cases(draw):
-    """A connected graph (random spanning tree plus random extra edges),
-    real-valued general-mode parameters on it at one of several scales, a
-    start state, and uniforms with some exact zeros among them."""
-    n = draw(st.integers(2, 12))
+def connected_graphs(draw, max_n=12):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=n * 2))
     edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
-    g = Graph.from_edge_labels(sorted(edges))
+    return Graph.from_edge_labels(sorted(edges))
+
+
+@st.composite
+def cases(draw):
+    """A connected graph, real-valued general-mode parameters on it at one of
+    several scales, a start state, and uniforms with some exact zeros among
+    them."""
+    g = connected_graphs(draw)
+    n = g.n
     scale = draw(st.sampled_from([0.05, 0.5, 1.0, 4.0]))
     steps = draw(st.integers(1, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -66,3 +80,213 @@ def test_kernels_match_reference_bit_for_bit(case):
     assert L_scalar.tobytes() == L_vector.tobytes()
     final = State(x0.counts + np.bincount(want, minlength=g.n))
     assert np.abs(L_scalar - exponent_vector(params, g, final)).max() <= 1e-9
+
+
+EDGE_UNIFORMS = (0.0, 2.0**-53, 1.0 - 2.0**-53)
+
+
+@st.composite
+def dyadic_cases(draw):
+    """Runs that can freeze: a connected graph with uniform or general-mode
+    rates on a grid of 1/4 (beta possibly negative, the critical regime
+    alpha = beta likely), offsets on a grid of 1/8, a start state, uniforms
+    with 0.0, 2^-53 and 1 - 2^-53 injected."""
+    g = connected_graphs(draw, max_n=10)
+    n = g.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    beta = draw(st.sampled_from([alpha, alpha, alpha / 2, -0.25, 2 * alpha]))
+    if draw(st.booleans()):
+        offsets = rng.integers(-16, 17, n) / 8 if draw(st.booleans()) else None
+        params = RateParams.uniform(alpha, beta, offsets)
+    else:
+        alpha_v = np.full(n, alpha)
+        beta_vu = {(v, u): beta for v in range(n) for u in sorted(g.adjacency[v])}
+        # perturb some rates by multiples of 1/4, keeping them dyadic
+        for v in np.flatnonzero(rng.random(n) < 0.3):
+            alpha_v[v] += rng.integers(-2, 5) / 4
+        for key in list(beta_vu):
+            if rng.random() < 0.2:
+                beta_vu[key] += rng.integers(-4, 3) / 4
+        params = RateParams.general(alpha_v, beta_vu,
+                                    base_offset_v=rng.integers(-16, 17, n) / 8)
+    x0 = State(rng.integers(0, 4, n) * (rng.random(n) < 0.5))
+    steps = draw(st.integers(1, 700))
+    uniforms = rng.random(steps)
+    hit = rng.random(steps) < 0.01
+    uniforms[hit] = rng.choice(EDGE_UNIFORMS, hit.sum())
+    return g, params, x0, uniforms
+
+
+class StubRng:
+    """Serves crafted uniforms in order through `random(size)`."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.served = uniforms, 0
+
+    def random(self, size):
+        out = self.uniforms[self.served:self.served + size]
+        assert len(out) == size, "more uniforms asked than the run has steps"
+        self.served += size
+        return out.copy()
+
+
+class Tally:
+    """Counts, while `installed`, the steps `process`'s kernels take and the
+    uniforms they pull, the steps the frozen path draws and its entries, and
+    the steps verified blocks keep; the last exponents a kernel was given are
+    `exponents`, which it and the fast paths advance in place."""
+
+    def __init__(self):
+        self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = 0
+        self.verified_steps = self.verified_calls = 0
+        self.exits = Counter()
+        self.exponents = None
+
+    def _kernel(self, original):
+        def counted(L, columns, uniforms):
+            self.exponents = L
+
+            def pulled():
+                for u in uniforms:
+                    self.kernel_pulled += 1
+                    yield u
+
+            def steps():
+                for v in original(L, columns, pulled()):
+                    self.kernel_steps += 1
+                    yield v
+            return steps()
+        return counted
+
+    def _fast_forward(self, original):
+        def counted(us, cum, safe):
+            picks = original(us, cum, safe)
+            self.fast_steps += len(picks)
+            if len(picks) < len(us):
+                u = us[len(picks)]
+                self.exits["zero" if u == 0.0 else
+                           "clamp" if u * cum[-1] >= cum[-1] else "unsafe"] += 1
+            return picks
+        return counted
+
+    def _verified_steps(self, original):
+        def counted(*args):
+            picks, exps = original(*args)
+            self.verified_steps += len(picks)
+            self.verified_calls += 1
+            return picks, exps
+        return counted
+
+    def _frozen_law(self, original):
+        def counted(*args):
+            law = original(*args)
+            self.entries += law is not None
+            return law
+        return counted
+
+    @contextmanager
+    def installed(self):
+        with ExitStack() as stack:
+            for name, wrap in (("_scalar_kernel", self._kernel), ("_numpy_kernel", self._kernel),
+                               ("_fast_forward", self._fast_forward),
+                               ("_frozen_law", self._frozen_law),
+                               ("_verified_steps", self._verified_steps)):
+                stack.enter_context(patch.object(process, name, wrap(getattr(process, name))))
+            yield self
+
+
+def test_frozen_path_matches_kernels():
+    """On the same uniforms `_allocate` gives the kernel's allocations and
+    final exponents, draws each uniform once (none a fast path used reaches
+    the kernel), and enters each fast path often enough that this is no
+    vacuous pass.  Every case runs on both kernels: the scalar kernel's runs
+    take verified blocks, the numpy kernel's the frozen path."""
+    entries, exits, verified = [], Counter(), []
+
+    @given(dyadic_cases())
+    def check(case):
+        g, params, x0, uniforms = case
+        for scalar, kernel in ((True, _scalar_kernel), (False, _numpy_kernel)):
+            want, L_want = drive_kernel(kernel, params, g, x0, uniforms.tolist())
+            stub, tally = StubRng(uniforms), Tally()
+            with tally.installed():
+                got = _allocate(params, g, x0, stub, len(uniforms), scalar)
+            assert got.tolist() == want.tolist()
+            assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+            assert stub.served == len(uniforms)
+            assert tally.kernel_pulled == tally.kernel_steps
+            assert tally.kernel_steps + tally.fast_steps + tally.verified_steps == len(uniforms)
+            assert (tally.fast_steps if scalar else tally.verified_steps) == 0
+            entries.append(tally.entries)
+            exits.update(tally.exits)
+            if scalar:
+                verified.append(tally.verified_steps / len(uniforms))
+
+    check()
+    # about half of what these 200 examples give: 206 entries in 108 runs,
+    # 67 unsafe and 61 zero exits, and verified blocks keeping over half the
+    # steps of 166 runs.  The clamp exit is a guard: for u < 1, u * total
+    # rounds below total.
+    assert sum(entries) >= 100 and sum(e > 0 for e in entries) >= 50
+    assert exits["unsafe"] >= 30 and exits["zero"] >= 20
+    assert sum(v > 0.5 for v in verified) >= 80
+
+
+def test_frozen_path_waits_while_the_tail_can_grow():
+    """Vertex 1 starts 40 below vertex 0, in C = {0}'s tail, but each draw
+    on 0 adds 2 to it and 1 to vertex 0: 0 is unsafe, so the law is not
+    frozen, and the kernels soon draw 1."""
+    g = Graph.from_edge_labels([(0, 1)])
+    params = RateParams.general([1.0, 0.0], {(0, 1): 0.0, (1, 0): 2.0},
+                                base_offset_v=[0.0, -40.0])
+    uniforms = np.random.default_rng(5).random(200)
+    for scalar, kernel in ((True, _scalar_kernel), (False, _numpy_kernel)):
+        want, _ = drive_kernel(kernel, params, g, State.zeros(2), uniforms.tolist())
+        got = _allocate(params, g, State.zeros(2), StubRng(uniforms), 200, scalar)
+        assert got.tolist() == want.tolist()
+        assert 1 in want
+
+
+def test_frozen_path_takes_most_steps(fig1):
+    """fig1 at alpha = beta = 1 freezes on one clique within a few hundred
+    steps, so the kernels take few of four 5000-step runs."""
+    p = RateParams.uniform(1.0, 1.0)
+    tally = Tally()
+    with tally.installed():
+        for stream in range(4):
+            run(fig1, p, State.zeros(fig1.n), 5000, seed=1, stream=stream)
+    assert tally.kernel_steps <= 2000
+    assert tally.kernel_steps + tally.fast_steps + tally.verified_steps == 20_000
+
+
+def test_verified_blocks_cost_the_same_whatever_the_seed(fig1):
+    """On fig1 at alpha = beta = 1 the kernel takes one chunk of a 5000-step
+    run, rarely two, and verified blocks take the rest in a dozen calls at
+    most, whatever the seed: the work of a run hardly depends on its
+    uniforms.  (Over seeds 1-40, 159 of 160 runs took one chunk and 8 calls
+    or up to 11.)"""
+    p = RateParams.uniform(1.0, 1.0)
+    for seed in range(1, 11):
+        for stream in range(4):
+            tally = Tally()
+            with tally.installed():
+                run(fig1, p, State.zeros(fig1.n), 5000, seed=seed, stream=stream)
+            assert tally.kernel_steps <= 2 * process.FREEZE_CHUNK
+            assert tally.verified_calls <= 12
+
+
+def test_frozen_path_only_where_exact(fig1):
+    """Runs with a column of K peaking on its diagonal and exponents exact
+    over every path may freeze; the clique regime and rates off the grid
+    that `steps` leaves do not."""
+    def can(alpha, beta, steps=5000):
+        p = RateParams.uniform(alpha, beta)
+        exps0, K = exponent_vector(p, fig1, State.zeros(fig1.n)), p.interaction_matrix(fig1)
+        return process._peaked_columns(exps0, K, process.check_reach(exps0, K, steps)) is not None
+
+    assert can(1, 1) and can(1, 0.5) and can(0.25, -0.75)
+    assert not can(1, 2)  # no column peaks on its diagonal
+    assert not can(0.7, 0.7)
+    assert can(1 + 2**-30, 1 + 2**-30, steps=100)
+    assert not can(1 + 2**-30, 1 + 2**-30, steps=2**25)
