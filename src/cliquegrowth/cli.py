@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -233,7 +234,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _Parser(
         prog="cliquegrowth",
         description="Simulate and verify the clique-localising growth process.")

@@ -24,9 +24,21 @@ kernel chunks for a frozen law: a set C holding all float weight but a tail
 below 2^-56 of its smallest weight, with safe vertices whose column is
 constant on C and no larger off it.  Draws on safe vertices leave the law
 bitwise unchanged, so they are made in one `searchsorted` over C's partial
-sums; the kernel takes back the step of a uniform that is 0.0, reaches the
-clamp or picks an unsafe vertex.  Either way, allocations, final exponents
-and the uniforms consumed are those of the kernels alone.
+sums; the kernel takes back the step of a uniform that is 0.0 or picks an
+unsafe vertex.
+
+A small-graph run with exact exponents but no peaked column, such as the
+clique regime alpha < beta, never freezes: there the count differences
+inside the final clique form a positive-recurrent chain.  The kernel's law
+depends only on d = L - max L, so the run walks a table of these laws
+(`_DifferenceChain`), keyed by d with negligible coordinates (the tail) as
+-inf: each step is one search in the state's partial sums, computed once by
+the kernel's own arithmetic, and one link to the next state.  A bound on the
+tail's exponents, carried along the walk, says when the key no longer
+holds; the state is then re-derived from the exact exponents L0 + K x.
+
+On every path, allocations, final exponents and the uniforms consumed are
+those of the kernels alone.
 """
 from __future__ import annotations
 
@@ -72,8 +84,18 @@ FROZEN_TAIL = 2.0**-56
 EXP_UNDERFLOW = -746.0
 # Most np.exp weights the scalar kernel memoizes in one run.
 EXP_MEMO_MAX = 1 << 15
+# Most cells the difference chain's table holds in one run: per state, its
+# key of n exponents and four entries per live vertex.
+CHAIN_MAX_CELLS = 1 << 16
+# The difference chain keeps its live exponents above this, so that their
+# weights are normal floats and its tail bound holds for np.exp's rounding.
+CHAIN_LIVE_FLOOR = -600.0
+# A re-derived tail starts this far below what its bound may reach.
+CHAIN_CUT_SLACK = 8.0
 # Most steps one run takes: its int64 allocations array is then 800 MB.
 MAX_STEPS = 10**8
+# Trajectory CSV rows joined into one string per write.
+CSV_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,7 +160,7 @@ class RateParams:
     def arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray]:
         """(K, offset) for graph g, materialized once and read-only.  Raises
         if per-vertex or per-pair rates do not fit g."""
-        return _materialized_arrays(self, g)
+        return _materialized_arrays(self, g)[:2]
 
     def interaction_matrix(self, g: Graph) -> np.ndarray:
         """K = diag(alpha) + beta for graph g: the exponents are
@@ -172,9 +194,17 @@ def _materialized_arrays(p: RateParams, g: Graph):
         raise ValueError("base_offset_v length does not match the graph")
     # beta_mat[v, u] is the weight of u's count in v's exponent
     K = beta_mat + np.diag(alpha_vec)
-    for a in (K, offset):
+    # what one allocation at v adds to the exponents, read-only like K: the
+    # support (indices, values) of column K[:, v] for the kernels, and on the
+    # scalar kernel's graphs the whole column for the difference chain
+    nonzero = K.T != 0
+    idx, val = nonzero.nonzero()[1], K.T[nonzero]
+    for a in (K, offset, idx, val):
         a.setflags(write=False)
-    return K, offset
+    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+    supports = tuple((idx[a:b], val[a:b]) for a, b in zip([0] + ends, ends))
+    dense = tuple(map(tuple, K.T.tolist())) if n <= SCALAR_KERNEL_MAX_N else None
+    return K, offset, supports, dense
 
 
 @dataclass
@@ -248,18 +278,6 @@ def check_reach(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> float:
     return reach
 
 
-def _columns(params: RateParams, g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per vertex v, the support (indices, values) of column v of the
-    interaction matrix K = diag(alpha) + beta: what one allocation at v adds
-    to the exponents."""
-    K = params.interaction_matrix(g)
-    cols = []
-    for v in range(g.n):
-        idx = np.flatnonzero(K[:, v])
-        cols.append((idx, K[idx, v]))
-    return cols
-
-
 def _scalar_kernel(L: list, columns, uniforms):
     """Yield one vertex per uniform, advancing the exponent list L in place.
 
@@ -273,7 +291,6 @@ def _scalar_kernel(L: list, columns, uniforms):
     cols = [list(zip(idx.tolist(), val.tolist())) for idx, val in columns]
     memo: dict[float, float] = {}
     get = memo.get
-    last = len(L) - 1
     for u in uniforms:
         top = max(L)
         total = 0.0
@@ -289,9 +306,11 @@ def _scalar_kernel(L: list, columns, uniforms):
                         memo[d] = w
                 total += w
             append(total)
+        # no clamp: u <= 1 - 2^-53 and total >= 1 (the top weight is 1.0),
+        # so the exact u * total lies total 2^-53 or more below total, over
+        # half the float spacing just below it (a whole one at a power of
+        # two), and rounds below total; the search stays inside the list
         v = bisect_right(cum, u * total)
-        if v > last:
-            v = last
         for j, k in cols[v]:
             L[j] += k
         yield v
@@ -299,8 +318,8 @@ def _scalar_kernel(L: list, columns, uniforms):
 
 def _numpy_kernel(L: np.ndarray, columns, uniforms):
     """Yield one vertex per uniform, advancing the exponent array L in place:
-    cumsum(exp(L - max L)) and a right-side search for u * total."""
-    last = len(L) - 1
+    cumsum(exp(L - max L)) and a right-side search for u * total, which
+    stays below total as in `_scalar_kernel`."""
     w = np.empty_like(L)
     cum = np.empty_like(L)
     for u in uniforms:
@@ -309,28 +328,29 @@ def _numpy_kernel(L: np.ndarray, columns, uniforms):
         np.exp(w, out=w)
         np.add.accumulate(w, out=cum)
         v = int(cum.searchsorted(u * cum[-1], side="right"))
-        if v > last:
-            v = last
         idx, val = columns[v]
         L[idx] += val
         yield v
 
 
+def _on_grid(exps0: np.ndarray, K: np.ndarray, reach: float) -> bool:
+    """The run's exponents stay exact: K and exps0 are multiples of 2^-e
+    with 2 reach 2^e < 2^52 (`check_reach`'s reach of the run), so that every
+    exponent, sum and difference on any path of the run is a float."""
+    e = min(51 - math.frexp(reach)[1], 64)
+    if e < 0:
+        return False
+    grid = np.concatenate((K.ravel(), exps0)) * 2.0**e
+    return bool((grid == np.rint(grid)).all())
+
+
 def _peaked_columns(exps0: np.ndarray, K: np.ndarray, reach: float) -> np.ndarray | None:
     """peaked[u, v]: K[u, v] equals K[v, v] and column v of K peaks there.
     None unless this run may fast-forward a frozen law: some column peaks on
-    its diagonal, and the exponents stay exact, K and exps0 being multiples
-    of 2^-e with 2 reach 2^e < 2^52 (`check_reach`'s reach of the run), so
-    that every exponent, sum and difference on any path of the run is a float."""
+    its diagonal, and the exponents stay exact (`_on_grid`)."""
     diag = K.diagonal()
     peaked = (K == diag) & (K.max(axis=0) <= diag)
-    if not peaked.any():
-        return None
-    e = min(51 - math.frexp(reach)[1], 64)
-    if e < 0:
-        return None
-    grid = np.concatenate((K.ravel(), exps0)) * 2.0**e
-    return peaked if (grid == np.rint(grid)).all() else None
+    return peaked if peaked.any() and _on_grid(exps0, K, reach) else None
 
 
 def _frozen_law(exps: np.ndarray, peaked: np.ndarray):
@@ -346,7 +366,7 @@ def _frozen_law(exps: np.ndarray, peaked: np.ndarray):
     partial sum is then a partial sum of C, since adding the tail does not
     round, and the tail stays below 2^-53 <= u * total for every u > 0: the
     kernels draw C[cum.searchsorted(u * total, side="right")], until u is
-    0.0, u * total reaches total (the clamp) or the pick is unsafe.
+    0.0 or the pick is unsafe.
     """
     top = exps.max()
     # a vertex within 38 of the top weighs over 2^-56, so it is in C, and a
@@ -391,13 +411,13 @@ def _verified_steps(exps: np.ndarray, KT: np.ndarray, us: np.ndarray):
     exponents after the first j guesses, the columns added in step order as
     the kernels add them, and each row gives the kernels' pick for u_j by
     their own arithmetic: np.exp of the row less its max, partial sums left
-    to right, the number of them at most u_j * total, clamped to the last
-    vertex.  A pick is the kernels' while every guess before it was right,
-    so the picks up to the first wrong guess are kept, at least one.
+    to right, the number of them at most u_j * total.  A pick is the
+    kernels' while every guess before it was right, so the picks up to the
+    first wrong guess are kept, at least one.
     """
     n = len(exps)
     cum = np.add.accumulate(np.exp(exps - exps.max()))
-    guess = np.minimum(cum.searchsorted(us * cum[-1], side="right"), n - 1)
+    guess = cum.searchsorted(us * cum[-1], side="right")
     S = np.empty((len(us) + 1, n))
     S[0] = exps
     S[1:] = KT[guess]
@@ -405,10 +425,156 @@ def _verified_steps(exps: np.ndarray, KT: np.ndarray, us: np.ndarray):
     W = S[:-1] - S[:-1].max(axis=1, keepdims=True)
     np.exp(W, out=W)
     np.add.accumulate(W, axis=1, out=W)
-    picks = np.minimum((W <= (us * W[:, -1])[:, None]).sum(axis=1), n - 1)
+    picks = (W <= (us * W[:, -1])[:, None]).sum(axis=1)
     wrong = picks != guess
     k = int(wrong.argmax()) + 1 if wrong.any() else len(us)
     return picks[:k], S[k - 1] + KT[picks[k - 1]]
+
+
+class _DifferenceChain:
+    """The scalar kernel's picks on the exact grid (`_on_grid`), one table
+    lookup a step, for runs that cannot freeze.
+
+    On the grid the kernel's law depends only on d = L - max L, which it
+    computes exactly.  A state of the table is keyed by d with its *tail*
+    keyed as -inf: coordinates below all live ones by more than `gap`, so
+    that each weighs under 2^-56 / n of the smallest live weight.  Adding
+    such a weight to a partial sum of at least one live weight does not
+    round, and partial sums before the first live weight stay below
+    2^-56 <= u * total for every u > 0.  So the kernel's partial sums at
+    live coordinates are those of the live weights alone, and a state keeps
+    these (np.exp memoized, summed left to right) and per live vertex v a
+    link (v, state after a pick at v, rise), that state's key being
+    d + K[:, v] less its max with the same tail.
+
+    The walk carries a bound on the tail's exponents; a link adds to it its
+    rise, the largest tail entry of K[:, v] less the step's shift.  A state
+    holds while the bound stays below its threshold, its smallest live
+    exponent less `gap`.  The state is re-derived from the exact exponents
+    L = L0 + K x (exact on the grid) when the bound reaches it, at a uniform
+    of 0.0 (the kernel takes that step, its first positive weight may lie in
+    the tail), and on entering a state whose live set holds a gap wide
+    enough to cut there (threshold -inf).  A re-derived state cuts its tail
+    at the first gap of at least gap + CHAIN_CUT_SLACK down from the top,
+    above CHAIN_LIVE_FLOOR, so the bound starts that far below its threshold.
+    """
+
+    def __init__(self, L: list, K: np.ndarray, columns, dense):
+        self.L, self.K, self.columns, self.dense = L, K, columns, dense
+        # n weights below e^-gap of the smallest live weight sum to less
+        # than 2^-56 of it, with a margin of e for np.exp's rounding
+        self.gap = 56 * math.log(2) + math.log(len(L)) + 1.0
+        self.table: dict[tuple, tuple] = {}
+        self.cells = 0
+        self.memo: dict[float, float] = {}
+        self.state, self.bound = self._resync()
+
+    def walk(self, us: list) -> list:
+        """The kernel's picks for the uniforms us, leaving L exact after
+        them.  Fewer picks than uniforms once the table is full: the kernel
+        then takes the rest of the run from L."""
+        picks: list[int] = []
+        append = picks.append
+        s, bound, synced = self.state, self.bound, 0
+        cum, total, links, thr, _ = s
+        for u in us:
+            if bound >= thr or u == 0.0:
+                self._sync(picks[synced:])
+                if u == 0.0:
+                    append(next(_scalar_kernel(self.L, self.columns, (u,))))
+                synced = len(picks)
+                s, bound = self._resync()
+                if s is None:
+                    break
+                cum, total, links, thr, _ = s
+                if u == 0.0:
+                    continue
+            # u * total < total, as in the kernel, so k is a live position
+            k = bisect_right(cum, u * total)
+            v, nxt, rise = links[k]
+            append(v)
+            if nxt is None:
+                nxt, rise = self._successor(s, k)
+                if nxt is None:
+                    break
+            bound += rise
+            s = nxt
+            cum, total, links, thr, _ = s
+        self._sync(picks[synced:])
+        self.state, self.bound = s, bound
+        return picks
+
+    def _sync(self, picks: list) -> None:
+        """Add the columns of `picks` to L: exact on the grid, in any order."""
+        if picks:
+            counts = np.bincount(picks, minlength=len(self.L))
+            self.L[:] = (np.array(self.L) + self.K @ counts).tolist()
+
+    def _resync(self):
+        """(state of the exact exponents L, largest tail exponent); the
+        state is None if it is new and the table is full."""
+        top = max(self.L)
+        d = [x - top for x in self.L]
+        live = set(self._cut(d))
+        key = tuple(x if j in live else -math.inf for j, x in enumerate(d))
+        bound = max((x for j, x in enumerate(d) if j not in live), default=-math.inf)
+        return self._state(key), bound
+
+    def _cut(self, d) -> list[int]:
+        """The coordinates of d, ascending, above its first gap of at least
+        gap + CHAIN_CUT_SLACK from the top; all finite ones if there is no
+        such gap above CHAIN_LIVE_FLOOR."""
+        order = sorted(range(len(d)), key=d.__getitem__, reverse=True)
+        for k in range(1, len(order)):
+            hi = d[order[k - 1]]
+            if hi < CHAIN_LIVE_FLOOR:
+                break
+            if hi - d[order[k]] >= self.gap + CHAIN_CUT_SLACK:
+                return sorted(order[:k])
+        return [j for j, x in enumerate(d) if x > -math.inf]
+
+    def _state(self, key: tuple):
+        """The table's state for key, built on a miss; None if it is new and
+        the table is full."""
+        s = self.table.get(key)
+        if s is not None or self.cells >= CHAIN_MAX_CELLS:
+            return s
+        live = [j for j, x in enumerate(key) if x > -math.inf]
+        cum, total = [], 0.0
+        for j in live:
+            if key[j] >= EXP_UNDERFLOW:
+                w = self.memo.get(key[j])
+                if w is None:
+                    w = float(np.exp(key[j]))
+                    if len(self.memo) < EXP_MEMO_MAX:
+                        self.memo[key[j]] = w
+                total += w
+            cum.append(total)
+        low = min(key[j] for j in live)
+        tail = len(live) < len(key)
+        if self._cut(key) != live or (tail and low < CHAIN_LIVE_FLOOR):
+            thr = -math.inf
+        else:
+            thr = low - self.gap if tail else math.inf
+        s = (cum, total, [(v, None, 0.0) for v in live], thr, key)
+        self.table[key] = s
+        self.cells += len(key) + 4 * len(live)
+        return s
+
+    def _successor(self, s, k: int):
+        """Link live position k of state s to the state after a pick there:
+        (that state, the link's rise of the tail bound); the state is None
+        if the table is full."""
+        _, _, links, _, key = s
+        v = links[k][0]
+        col = self.dense[v]
+        moved = [x + c for x, c in zip(key, col)]
+        shift = max(moved)
+        nxt = self._state(tuple(x - shift for x in moved))
+        rise = max((c for x, c in zip(key, col) if x == -math.inf), default=shift) - shift
+        if nxt is not None:
+            links[k] = (v, nxt, rise)
+        return nxt, rise
 
 
 def _chained(chunks: deque):
@@ -436,23 +602,37 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     ended the law, alone if the law drew at least FREEZE_CHUNK steps and
     else with a whole chunk, so that a law which ends early costs one test
     per chunk.
+
+    Scalar-kernel runs on the exact grid (`_on_grid`) without a peaked
+    column walk the difference chain instead (`_DifferenceChain.walk`), one
+    block of uniforms at a time, until its table is full; the kernel then
+    takes the rest of the run from the exact exponents the walk leaves.
     """
     L = exponent_vector(params, g, x0)
-    K = params.interaction_matrix(g)
-    peaked = _peaked_columns(L, K, check_reach(L, K, steps))
+    K, _, columns, dense = _materialized_arrays(params, g)
+    reach = check_reach(L, K, steps)
+    peaked = _peaked_columns(L, K, reach)
     freezable = peaked is not None
     verified, frozen = freezable and scalar, freezable and not scalar
+    walk = scalar and not freezable and _on_grid(L, K, reach)
     KT = np.ascontiguousarray(K.T) if verified else None
     kernel = _numpy_kernel
     if scalar:
         L, kernel = L.tolist(), _scalar_kernel
+    chain = _DifferenceChain(L, K, columns, dense) if walk else None
     chunks: deque = deque()
-    draw = kernel(L, _columns(params, g), _chained(chunks))
+    draw = kernel(L, columns, _chained(chunks))
     out = np.empty(steps, dtype=np.int64)
     done, law, block = 0, None, FREEZE_CHUNK
     while done < steps:
         us = rng.random(min(UNIFORM_BLOCK, steps - done))
         i = 0
+        if chain is not None:
+            picks = chain.walk(us.tolist())
+            out[done:done + len(picks)] = picks
+            done, i = done + len(picks), len(picks)
+            if i < len(us):
+                chain = None  # its table is full: the kernel ends the run
         while i < len(us):
             k = FREEZE_CHUNK if freezable else len(us)
             if verified:
@@ -546,7 +726,10 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
 
 def write_trajectory_csv(fh: IO[str], t: Trajectory, g: Graph) -> None:
     """Write `step,vertex` rows (1-based steps, vertex labels)."""
+    labels = [str(lab) for lab in g.labels]
     fh.write("step,vertex\n")
-    labels = g.labels
-    for i, v in enumerate(t.allocations, start=1):
-        fh.write(f"{i},{labels[v]}\n")
+    # one joined string per CSV_BLOCK rows: a whole run's row strings at once
+    # would hold about 60 bytes a row
+    for start in range(0, t.n_steps, CSV_BLOCK):
+        block = t.allocations[start:start + CSV_BLOCK].tolist()
+        fh.write("".join([f"{i},{labels[v]}\n" for i, v in enumerate(block, start + 1)]))

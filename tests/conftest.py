@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from cliquegrowth import Graph, exponent_vector, parse_graph
-from cliquegrowth.process import _columns, _numpy_kernel, _scalar_kernel
+from cliquegrowth.process import _materialized_arrays, _numpy_kernel, _scalar_kernel
 
 # 8-vertex test graph with exactly six maximal cliques:
 # {1,2}, {2,7}, {4,8}, {7,8}, {4,5,6}, {2,3,4,5}
@@ -64,11 +64,13 @@ KERNELS = (_scalar_kernel, _numpy_kernel)
 
 def drive_kernel(kernel, params, g: Graph, x0, uniforms):
     """Run one sampling kernel from x0 over `uniforms` on the sampler's
-    columns: its allocations, and the exponents it keeps, after them."""
+    column supports: its allocations, and the exponents it keeps, after
+    them."""
     L = exponent_vector(params, g, x0)
     if kernel is _scalar_kernel:
         L = L.tolist()
-    alloc = np.fromiter(kernel(L, _columns(params, g), uniforms), dtype=np.int64)
+    supports = _materialized_arrays(params, g)[2]
+    alloc = np.fromiter(kernel(L, supports, uniforms), dtype=np.int64)
     return alloc, np.asarray(L, dtype=np.float64)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliquegrowth import analysis, graphs, oracle, process
+from cliquegrowth import analysis, cli, graphs, oracle, process
 from cliquegrowth.analysis import MAX_REPLICAS
 from cliquegrowth.cli import main
 from cliquegrowth.process import MAX_STEPS
@@ -31,6 +31,43 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call(capsys, fig1_file):
+    """`main` builds its parser once per process.  Different subcommands,
+    usage errors and --help run in one process give the bytes and exit
+    codes that each gives with a parser of its own."""
+    calls = [
+        ("cliques", fig1_file),
+        ("simulate", fig1_file, "--alpha", "1", "--beta", "2", "--steps", "40", "--seed", "3"),
+        ("simulate", fig1_file, "--alpha", "1"),
+        ("zchain", "--m", "3", "--alpha", "1", "--beta", "2", "--steps", "100", "--seed", "5"),
+        ("simulate", "--help"),
+        ("bounds", "--vertices", "2", "--alpha", "1", "--m", "2", "--horizon", "5"),
+        ("nosuchcommand",),
+        ("--help",),
+        ("drift", "--m", "3", "--alpha", "1", "--beta", "2", "--shell", "0:4"),
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli.build_parser.cache_clear()
+    together = [call(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert together[2][2].startswith("error:") and len(together[2][2].splitlines()) == 1
+    assert together[4][1].startswith("usage: cliquegrowth simulate")
 
 
 class TestCliques:

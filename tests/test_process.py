@@ -19,7 +19,6 @@ from cliquegrowth import (
 )
 from cliquegrowth.graphs import Graph
 from cliquegrowth.process import (
-    _columns,
     _materialized_arrays,
     _scalar_kernel,
     probs_from_exponents,
@@ -329,7 +328,7 @@ def test_normalization_along_long_run(fig1):
     p = RateParams.uniform(1.0, 1.0)
     L = exponent_vector(p, fig1, State.zeros(fig1.n)).tolist()
     us = make_rng(77).random(1_000_000).tolist()
-    kernel = _scalar_kernel(L, _columns(p, fig1), us)
+    kernel = _scalar_kernel(L, _materialized_arrays(p, fig1)[2], us)
     rows = [list(L)]
     while rows:
         probs = probs_from_exponents(np.array(rows))

@@ -6,20 +6,21 @@ give the allocations of the reference loop below bit for bit, for any graph,
 parameters and uniforms, or golden outputs would change with the graph size.
 The reference recomputes the exponents densely at every step; the kernels
 update them incrementally, which must stay within 1e-9 of a recomputation.
-`_allocate` draws blocks of verified steps, or the steps of a frozen law at
-once; it must give the kernels' allocations and exponents exactly, on the
-same uniforms.
+`_allocate` draws blocks of verified steps, the steps of a frozen law at
+once, or walks the difference chain's table; it must give the kernels'
+allocations and exponents exactly, on the same uniforms.
 """
+import math
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquegrowth import Graph, RateParams, State, exponent_vector, process, run
-from cliquegrowth.process import _allocate, _numpy_kernel, _scalar_kernel
+from cliquegrowth import Graph, RateParams, State, complete_graph, exponent_vector, process, run
+from cliquegrowth.process import _allocate, _DifferenceChain, _numpy_kernel, _scalar_kernel
 
 from conftest import drive_kernel
 
@@ -86,18 +87,24 @@ EDGE_UNIFORMS = (0.0, 2.0**-53, 1.0 - 2.0**-53)
 
 
 @st.composite
-def dyadic_cases(draw):
+def dyadic_cases(draw, clique=False):
     """Runs that can freeze: a connected graph with uniform or general-mode
     rates on a grid of 1/4 (beta possibly negative, the critical regime
     alpha = beta likely), offsets on a grid of 1/8, a start state, uniforms
-    with 0.0, 2^-53 and 1 - 2^-53 injected."""
+    with 0.0, 2^-53 and 1 - 2^-53 injected.  With `clique`, beta = 2 alpha
+    (uniform rates then cannot freeze), and with uniform rates some vertices
+    start 40 to 80 below the others, about the edge of the difference
+    chain's tail."""
     g = connected_graphs(draw, max_n=10)
     n = g.n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-    beta = draw(st.sampled_from([alpha, alpha, alpha / 2, -0.25, 2 * alpha]))
+    beta = 2 * alpha if clique else \
+        draw(st.sampled_from([alpha, alpha, alpha / 2, -0.25, 2 * alpha]))
     if draw(st.booleans()):
-        offsets = rng.integers(-16, 17, n) / 8 if draw(st.booleans()) else None
+        offsets = rng.integers(-16, 17, n) / 8 if draw(st.booleans()) or clique else None
+        if clique:
+            offsets[rng.random(n) < 0.3] -= rng.integers(40, 81)
         params = RateParams.uniform(alpha, beta, offsets)
     else:
         alpha_v = np.full(n, alpha)
@@ -133,13 +140,18 @@ class StubRng:
 
 class Tally:
     """Counts, while `installed`, the steps `process`'s kernels take and the
-    uniforms they pull, the steps the frozen path draws and its entries, and
-    the steps verified blocks keep; the last exponents a kernel was given are
-    `exponents`, which it and the fast paths advance in place."""
+    uniforms they pull, the steps the frozen path draws and its entries, the
+    steps verified blocks keep, and the difference chain's steps, misses,
+    re-syncs (those leaving a tail as `tails`), hand-backs and uniforms of
+    0.0 (which the kernel takes) and its last table's states; the last
+    exponents a kernel was given are `exponents`, which it and the fast paths
+    advance in place."""
 
     def __init__(self):
         self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = 0
         self.verified_steps = self.verified_calls = 0
+        self.chain_steps = self.misses = self.resyncs = self.tails = 0
+        self.handbacks = self.chain_zeros = self.states = 0
         self.exits = Counter()
         self.exponents = None
 
@@ -185,6 +197,32 @@ class Tally:
             return law
         return counted
 
+    def _walk(self, original):
+        def counted(chain, us):
+            before = self.kernel_steps
+            picks = original(chain, us)
+            zeros = self.kernel_steps - before
+            self.chain_steps += len(picks) - zeros
+            self.chain_zeros += zeros
+            self.handbacks += len(picks) < len(us)
+            self.states = len(chain.table)
+            return picks
+        return counted
+
+    def _successor(self, original):
+        def counted(*args):
+            self.misses += 1
+            return original(*args)
+        return counted
+
+    def _resync(self, original):
+        def counted(*args):
+            state, bound = original(*args)
+            self.resyncs += 1
+            self.tails += bound > -math.inf
+            return state, bound
+        return counted
+
     @contextmanager
     def installed(self):
         with ExitStack() as stack:
@@ -193,6 +231,10 @@ class Tally:
                                ("_frozen_law", self._frozen_law),
                                ("_verified_steps", self._verified_steps)):
                 stack.enter_context(patch.object(process, name, wrap(getattr(process, name))))
+            for name, wrap in (("walk", self._walk), ("_successor", self._successor),
+                               ("_resync", self._resync)):
+                stack.enter_context(patch.object(_DifferenceChain, name,
+                                                 wrap(getattr(_DifferenceChain, name))))
             yield self
 
 
@@ -216,18 +258,20 @@ def test_frozen_path_matches_kernels():
             assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
             assert stub.served == len(uniforms)
             assert tally.kernel_pulled == tally.kernel_steps
-            assert tally.kernel_steps + tally.fast_steps + tally.verified_steps == len(uniforms)
-            assert (tally.fast_steps if scalar else tally.verified_steps) == 0
+            assert tally.kernel_steps + tally.fast_steps + tally.verified_steps \
+                + tally.chain_steps == len(uniforms)
+            assert (tally.fast_steps if scalar else tally.verified_steps + tally.chain_steps) == 0
             entries.append(tally.entries)
             exits.update(tally.exits)
             if scalar:
                 verified.append(tally.verified_steps / len(uniforms))
 
     check()
-    # about half of what these 200 examples give: 206 entries in 108 runs,
-    # 67 unsafe and 61 zero exits, and verified blocks keeping over half the
-    # steps of 166 runs.  The clamp exit is a guard: for u < 1, u * total
-    # rounds below total.
+    # these 200 examples give 119 entries in 81 runs, 33 unsafe and 28 zero
+    # exits, and verified blocks keeping over half the steps of 161 runs
+    # (the examples follow this function's source; an earlier version drew
+    # 206, 108, 67, 61 and 166).  The clamp exit is a guard: for u < 1,
+    # u * total rounds below total.
     assert sum(entries) >= 100 and sum(e > 0 for e in entries) >= 50
     assert exits["unsafe"] >= 30 and exits["zero"] >= 20
     assert sum(v > 0.5 for v in verified) >= 80
@@ -258,6 +302,7 @@ def test_frozen_path_takes_most_steps(fig1):
             run(fig1, p, State.zeros(fig1.n), 5000, seed=1, stream=stream)
     assert tally.kernel_steps <= 2000
     assert tally.kernel_steps + tally.fast_steps + tally.verified_steps == 20_000
+    assert tally.chain_steps == 0
 
 
 def test_verified_blocks_cost_the_same_whatever_the_seed(fig1):
@@ -290,3 +335,113 @@ def test_frozen_path_only_where_exact(fig1):
     assert not can(0.7, 0.7)
     assert can(1 + 2**-30, 1 + 2**-30, steps=100)
     assert not can(1 + 2**-30, 1 + 2**-30, steps=2**25)
+
+
+@given(st.floats(1.0, 2.0**12))
+def test_largest_uniform_times_total_stays_below_total(total):
+    """Why the kernels need no clamp: the largest uniform numpy draws is
+    1 - 2^-53, each kernel's total is at least 1 (the top weight is 1.0), and
+    u * total then rounds below total, so the search never passes the last
+    vertex."""
+    assert (1.0 - 2.0**-53) * total < total
+
+
+def test_largest_uniform_times_a_power_of_two_stays_below_it():
+    """The closest case: below a power of two the floats are twice as dense,
+    and total 2^-53 is exactly their spacing there."""
+    for k in range(1024):
+        assert (1.0 - 2.0**-53) * 2.0**k < 2.0**k
+
+
+def test_difference_chain_matches_kernel():
+    """On the same uniforms `_allocate` gives the scalar kernel's
+    allocations and final exponents in the clique regime, where no column of
+    K peaks on its diagonal and the difference chain walks the run: with
+    tails (vertices started 40-80 below the rest or fallen there), uniforms
+    of 0.0 and 1 - 2^-53, and tables capped small enough to hand runs back
+    to the kernel.  Each of these engages often enough that this is no
+    vacuous pass."""
+    seen = Counter()
+
+    @given(dyadic_cases(clique=True), st.sampled_from([1 << 7, 1 << 10, process.CHAIN_MAX_CELLS]))
+    def check(case, cap):
+        g, params, x0, uniforms = case
+        want, L_want = drive_kernel(_scalar_kernel, params, g, x0, uniforms.tolist())
+        stub, tally = StubRng(uniforms), Tally()
+        with tally.installed(), patch.object(process, "CHAIN_MAX_CELLS", cap):
+            got = _allocate(params, g, x0, stub, len(uniforms), True)
+        assert got.tolist() == want.tolist()
+        assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+        assert stub.served == len(uniforms)
+        assert tally.kernel_steps + tally.verified_steps + tally.chain_steps == len(uniforms)
+        seen.update(walked=tally.chain_steps > 0, tails=tally.tails > 0,
+                    resynced=tally.resyncs > 1, handed_back=tally.handbacks > 0,
+                    zeros=tally.chain_zeros > 0,
+                    ones=tally.chain_steps > 0 and (uniforms == 1.0 - 2.0**-53).any())
+
+    check()
+    # about half of what these 200 examples give: 160 runs walked, 58 with a
+    # tail, 44 re-synced past their start, 71 handed back, 29 walked a 0.0
+    # and 44 walked runs drew 1 - 2^-53
+    assert seen["walked"] >= 80 and seen["tails"] >= 25 and seen["resynced"] >= 20
+    assert seen["handed_back"] >= 35 and seen["zeros"] >= 12 and seen["ones"] >= 20
+
+
+def test_difference_chain_states_hold_the_kernel_sums():
+    """The invariant behind the walk, checked after every step from the
+    exact exponents L: while the bound is below the state's threshold, the
+    state's key holds L - max L at its live vertices, the tail's exponents
+    are at most the bound, and the state's partial sums and total are the
+    kernel's at its live vertices.  (Picks alone could miss a tail too heavy
+    by far: it moves a pick only for uniforms within a few ulps.)"""
+    audited = []
+
+    @settings(max_examples=60)
+    @given(dyadic_cases(clique=True))
+    def check(case):
+        g, params, x0, uniforms = case
+        L = exponent_vector(params, g, x0)
+        K, _, columns, dense = process._materialized_arrays(params, g)
+        assert process._on_grid(L, K, process.check_reach(L, K, len(uniforms)))
+        L = L.tolist()
+        chain = _DifferenceChain(L, K, columns, dense)
+        for u in uniforms.tolist():
+            if chain.state is None or not chain.walk([u]):
+                break
+            cum, total, links, thr, key = chain.state
+            if not chain.bound < thr:
+                continue  # the next step re-derives the state first
+            top = max(L)
+            live = [v for v, _, _ in links]
+            weights = [float(np.exp(x - top)) if x - top >= process.EXP_UNDERFLOW else 0.0
+                       for x in L]
+            assert [key[j] for j in live] == [L[j] - top for j in live]
+            assert all(L[j] - top <= chain.bound for j in range(g.n) if j not in live)
+            sums = np.cumsum(weights)  # left to right, as the kernel adds
+            assert [float(sums[j]) for j in live] == cum and float(sums[-1]) == total
+            audited.append(len(live) < g.n)
+
+    check()
+    # 9,580 states audited, 8,286 of them with a tail, in these 60 examples
+    assert len(audited) >= 5000 and sum(audited) >= 4000
+
+
+def test_difference_chain_hits_its_table(fig1):
+    """The chain's cost does not follow the seed: on K3 at alpha = 1,
+    beta = 2 at least 99% of a 50,000-step run's steps are table hits
+    (about 145 misses were seen), and on fig1 a 100,000-step run's table
+    stays below 1,000 states (at most about 400 seen) with few re-syncs."""
+    p = RateParams.uniform(1.0, 2.0)
+    k3 = complete_graph(3)
+    for seed in range(1, 11):
+        tally = Tally()
+        with tally.installed():
+            run(k3, p, State.zeros(3), 50_000, seed=seed)
+        assert tally.chain_steps == 50_000
+        assert tally.misses <= 500 and tally.resyncs == 1
+    for seed in range(1, 4):
+        tally = Tally()
+        with tally.installed():
+            run(fig1, p, State.zeros(fig1.n), 100_000, seed=seed)
+        assert tally.chain_steps == 100_000
+        assert tally.states < 1000 and tally.resyncs <= 50
