@@ -358,7 +358,7 @@ def _frozen_law(exps: np.ndarray, peaked: np.ndarray):
     None.  C (ascending) carries all float weight exp(L - max L) but a tail
     below FROZEN_TAIL of C's smallest weight; cum are C's weights summed in
     index order; safe[i] says column K[:, C[i]] is constant on C and no
-    larger off it (`peaked` on C), and safe[len(C)] is False.
+    larger off it (`peaked` on C).
 
     With exact exponents (`_peaked_columns`), an allocation at a safe vertex
     adds one constant to C's exponents and no more to the others, so C's
@@ -383,7 +383,7 @@ def _frozen_law(exps: np.ndarray, peaked: np.ndarray):
     safe = peaked[np.ix_(C, C)].all(axis=0)
     if not safe.any():
         return None
-    return C, w[C].cumsum(), np.append(safe, False)
+    return C, w[C].cumsum(), safe
 
 
 def _fast_forward(us: np.ndarray, cum: np.ndarray, safe: np.ndarray) -> np.ndarray:
@@ -393,6 +393,7 @@ def _fast_forward(us: np.ndarray, cum: np.ndarray, safe: np.ndarray) -> np.ndarr
     start, size = 0, FREEZE_CHUNK
     while start < len(us):
         u = us[start:start + size]
+        # below len(C): cum[-1] >= 1, C holding the top weight 1.0
         pick = cum.searchsorted(u * cum[-1], side="right")
         ok = safe[pick] & (u > 0.0)
         if not ok.all():
@@ -470,9 +471,10 @@ class _DifferenceChain:
         self.state, self.bound = self._resync()
 
     def walk(self, us: list) -> list:
-        """The kernel's picks for the uniforms us, leaving L exact after
-        them.  Fewer picks than uniforms once the table is full: the kernel
-        then takes the rest of the run from L."""
+        """The kernel's picks for a leading run of the uniforms us, all of
+        them unless the table fills, leaving L exact after the picks.  A full
+        table stops the walk and sets `state` to None: the kernel then takes
+        the rest of the run from L."""
         picks: list[int] = []
         append = picks.append
         s, bound, synced = self.state, self.bound, 0
@@ -496,6 +498,7 @@ class _DifferenceChain:
             if nxt is None:
                 nxt, rise = self._successor(s, k)
                 if nxt is None:
+                    s = None  # v is the kernel's pick, synced below
                     break
             bound += rise
             s = nxt
@@ -631,7 +634,7 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
             picks = chain.walk(us.tolist())
             out[done:done + len(picks)] = picks
             done, i = done + len(picks), len(picks)
-            if i < len(us):
+            if chain.state is None:
                 chain = None  # its table is full: the kernel ends the run
         while i < len(us):
             k = FREEZE_CHUNK if freezable else len(us)

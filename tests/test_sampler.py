@@ -142,8 +142,9 @@ class Tally:
     """Counts, while `installed`, the steps `process`'s kernels take and the
     uniforms they pull, the steps the frozen path draws and its entries, the
     steps verified blocks keep, and the difference chain's steps, misses,
-    re-syncs (those leaving a tail as `tails`), hand-backs and uniforms of
-    0.0 (which the kernel takes) and its last table's states; the last
+    re-syncs (those leaving a tail as `tails`), hand-backs (those after a
+    pick on the last uniform of a block as `block_end_handbacks`), uniforms
+    of 0.0 (which the kernel takes) and its last table's states; the last
     exponents a kernel was given are `exponents`, which it and the fast paths
     advance in place."""
 
@@ -151,7 +152,7 @@ class Tally:
         self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = 0
         self.verified_steps = self.verified_calls = 0
         self.chain_steps = self.misses = self.resyncs = self.tails = 0
-        self.handbacks = self.chain_zeros = self.states = 0
+        self.handbacks = self.block_end_handbacks = self.chain_zeros = self.states = 0
         self.exits = Counter()
         self.exponents = None
 
@@ -177,8 +178,7 @@ class Tally:
             self.fast_steps += len(picks)
             if len(picks) < len(us):
                 u = us[len(picks)]
-                self.exits["zero" if u == 0.0 else
-                           "clamp" if u * cum[-1] >= cum[-1] else "unsafe"] += 1
+                self.exits["zero" if u == 0.0 else "unsafe"] += 1
             return picks
         return counted
 
@@ -204,7 +204,8 @@ class Tally:
             zeros = self.kernel_steps - before
             self.chain_steps += len(picks) - zeros
             self.chain_zeros += zeros
-            self.handbacks += len(picks) < len(us)
+            self.handbacks += chain.state is None
+            self.block_end_handbacks += chain.state is None and len(picks) == len(us)
             self.states = len(chain.table)
             return picks
         return counted
@@ -270,8 +271,7 @@ def test_frozen_path_matches_kernels():
     # these 200 examples give 119 entries in 81 runs, 33 unsafe and 28 zero
     # exits, and verified blocks keeping over half the steps of 161 runs
     # (the examples follow this function's source; an earlier version drew
-    # 206, 108, 67, 61 and 166).  The clamp exit is a guard: for u < 1,
-    # u * total rounds below total.
+    # 206, 108, 67, 61 and 166)
     assert sum(entries) >= 100 and sum(e > 0 for e in entries) >= 50
     assert exits["unsafe"] >= 30 and exits["zero"] >= 20
     assert sum(v > 0.5 for v in verified) >= 80
@@ -358,17 +358,20 @@ def test_difference_chain_matches_kernel():
     allocations and final exponents in the clique regime, where no column of
     K peaks on its diagonal and the difference chain walks the run: with
     tails (vertices started 40-80 below the rest or fallen there), uniforms
-    of 0.0 and 1 - 2^-53, and tables capped small enough to hand runs back
-    to the kernel.  Each of these engages often enough that this is no
-    vacuous pass."""
+    of 0.0 and 1 - 2^-53, tables capped small enough to hand runs back to
+    the kernel, and uniform blocks short enough that block ends meet
+    re-syncs and hand-backs.  Each of these engages often enough that this
+    is no vacuous pass."""
     seen = Counter()
 
-    @given(dyadic_cases(clique=True), st.sampled_from([1 << 7, 1 << 10, process.CHAIN_MAX_CELLS]))
-    def check(case, cap):
+    @given(dyadic_cases(clique=True), st.sampled_from([1 << 7, 1 << 10, process.CHAIN_MAX_CELLS]),
+           st.sampled_from([1, 7, 64, process.UNIFORM_BLOCK]))
+    def check(case, cap, block):
         g, params, x0, uniforms = case
         want, L_want = drive_kernel(_scalar_kernel, params, g, x0, uniforms.tolist())
         stub, tally = StubRng(uniforms), Tally()
-        with tally.installed(), patch.object(process, "CHAIN_MAX_CELLS", cap):
+        with tally.installed(), patch.object(process, "CHAIN_MAX_CELLS", cap), \
+                patch.object(process, "UNIFORM_BLOCK", block):
             got = _allocate(params, g, x0, stub, len(uniforms), True)
         assert got.tolist() == want.tolist()
         assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
@@ -376,15 +379,18 @@ def test_difference_chain_matches_kernel():
         assert tally.kernel_steps + tally.verified_steps + tally.chain_steps == len(uniforms)
         seen.update(walked=tally.chain_steps > 0, tails=tally.tails > 0,
                     resynced=tally.resyncs > 1, handed_back=tally.handbacks > 0,
+                    at_block_end=tally.block_end_handbacks > 0,
                     zeros=tally.chain_zeros > 0,
-                    ones=tally.chain_steps > 0 and (uniforms == 1.0 - 2.0**-53).any())
+                    ones=tally.chain_steps > 0 and bool((uniforms == 1.0 - 2.0**-53).any()))
 
     check()
-    # about half of what these 200 examples give: 160 runs walked, 58 with a
-    # tail, 44 re-synced past their start, 71 handed back, 29 walked a 0.0
-    # and 44 walked runs drew 1 - 2^-53
+    # these 200 examples give 138 runs walked, 40 with a tail, 32 re-synced
+    # past their start, 62 handed back (22 of them after a pick on a block's
+    # last uniform), 12 walked a 0.0 and 54 walked runs drew 1 - 2^-53 (an
+    # earlier version, without short blocks, drew 160, 58, 44, 71, 29, 44)
     assert seen["walked"] >= 80 and seen["tails"] >= 25 and seen["resynced"] >= 20
-    assert seen["handed_back"] >= 35 and seen["zeros"] >= 12 and seen["ones"] >= 20
+    assert seen["handed_back"] >= 35 and seen["at_block_end"] >= 10
+    assert seen["zeros"] >= 12 and seen["ones"] >= 20
 
 
 def test_difference_chain_states_hold_the_kernel_sums():
@@ -406,7 +412,8 @@ def test_difference_chain_states_hold_the_kernel_sums():
         L = L.tolist()
         chain = _DifferenceChain(L, K, columns, dense)
         for u in uniforms.tolist():
-            if chain.state is None or not chain.walk([u]):
+            chain.walk([u])
+            if chain.state is None:
                 break
             cum, total, links, thr, key = chain.state
             if not chain.bound < thr:
@@ -422,7 +429,8 @@ def test_difference_chain_states_hold_the_kernel_sums():
             audited.append(len(live) < g.n)
 
     check()
-    # 9,580 states audited, 8,286 of them with a tail, in these 60 examples
+    # 7,656 states audited, 5,090 of them with a tail, in these 60 examples
+    # (9,580 and 8,286 before the loop's hand-back test changed them)
     assert len(audited) >= 5000 and sum(audited) >= 4000
 
 
