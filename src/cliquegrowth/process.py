@@ -14,13 +14,18 @@ weights, larger ones a numpy kernel; both give the same allocations bit for
 bit, so the output depends only on (seed, stream), never on the kernel.
 
 A run whose exponents stay exact (K and L0 multiples of one 2^-e with
-2 reach 2^e < 2^52) and whose K has a column peaking on its diagonal is
-tested between kernel chunks for a frozen law, on either kernel: a set C
-holding all float weight but a tail below 2^-56 of its smallest weight,
-with safe vertices whose column is constant on C and no larger off it.
-Draws on safe vertices leave the law bitwise unchanged, so they are made in
-one `searchsorted` over C's partial sums; the kernel takes back the step of
-a uniform that is 0.0 or picks an unsafe vertex.
+2 reach 2^e < 2^52) and whose K has a column peaking on its diagonal draws
+most of its steps in blocks.  On small graphs a block guesses every pick
+from the law at its start, computes the exponents along the guessed path
+and the kernels' pick from each of them, and keeps the picks up to the first
+wrong guess (`_verified_steps`); once the law barely moves, whole blocks
+verify, whatever the seed.  On large graphs the run is tested between
+kernel chunks for a frozen law: a set C holding all float weight but a tail
+below 2^-56 of its smallest weight, with safe vertices whose column is
+constant on C and no larger off it.  Draws on safe vertices leave the law
+bitwise unchanged, so they are made in one `searchsorted` over C's partial
+sums; the kernel takes back the step of a uniform that is 0.0 or picks an
+unsafe vertex.
 
 A small-graph run with exact exponents but no peaked column, such as the
 clique regime alpha < beta, never freezes: there the count differences
@@ -399,10 +404,32 @@ def _fast_forward(us: np.ndarray, cum: np.ndarray, safe: np.ndarray) -> np.ndarr
     return np.concatenate(picks)
 
 
-def _add_columns(L, K: np.ndarray, picks) -> None:
-    """Add the columns K[:, v] of the vertices `picks` to the exponents L, a
-    list or an array, in place: exact on the grid (`_on_grid`), in any order."""
-    L[:] = (np.asarray(L) + K @ np.bincount(picks, minlength=len(L))).tolist()
+def _verified_steps(exps: np.ndarray, KT: np.ndarray, us: np.ndarray):
+    """(picks, exponents after them) for a leading run of the uniforms us
+    from exponents exps, with KT[v] the column K[:, v].
+
+    Every pick is first guessed from the law at exps.  Row j of S holds the
+    exponents after the first j guesses, the columns added in step order as
+    the kernels add them, and each row gives the kernels' pick for u_j by
+    their own arithmetic: np.exp of the row less its max, partial sums left
+    to right, the number of them at most u_j * total.  A pick is the
+    kernels' while every guess before it was right, so the picks up to the
+    first wrong guess are kept, at least one.
+    """
+    n = len(exps)
+    cum = np.add.accumulate(np.exp(exps - exps.max()))
+    guess = cum.searchsorted(us * cum[-1], side="right")
+    S = np.empty((len(us) + 1, n))
+    S[0] = exps
+    S[1:] = KT[guess]
+    np.add.accumulate(S, axis=0, out=S)
+    W = S[:-1] - S[:-1].max(axis=1, keepdims=True)
+    np.exp(W, out=W)
+    np.add.accumulate(W, axis=1, out=W)
+    picks = (W <= (us * W[:, -1])[:, None]).sum(axis=1)
+    wrong = picks != guess
+    k = int(wrong.argmax()) + 1 if wrong.any() else len(us)
+    return picks[:k], S[k - 1] + KT[picks[k - 1]]
 
 
 class _DifferenceChain:
@@ -483,7 +510,8 @@ class _DifferenceChain:
     def _sync(self, picks: list) -> None:
         """Add the columns of `picks` to L: exact on the grid, in any order."""
         if picks:
-            _add_columns(self.L, self.K, picks)
+            counts = np.bincount(picks, minlength=len(self.L))
+            self.L[:] = (np.array(self.L) + self.K @ counts).tolist()
 
     def _resync(self):
         """(state of the exact exponents L, largest tail exponent); the
@@ -564,12 +592,19 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     or the numpy kernel (the two agree bit for bit), once `check_reach` passes.
     Uniform 0 selects the first vertex with positive weight.
 
-    Where `_peaked_columns` allows, either kernel runs FREEZE_CHUNK steps
-    at a time, and between chunks a frozen law (`_frozen_law`) draws its
-    steps at once and adds their columns to the kernel's exponents.  The
-    kernel then takes the step of the uniform that ended the law, alone if
-    the law drew at least FREEZE_CHUNK steps and else with a whole chunk, so
-    that a law which ends early costs one test per chunk.
+    Where `_peaked_columns` allows, the scalar kernel's runs are drawn by
+    `_verified_steps` in blocks that double while they verify whole and
+    shrink to twice what they kept when not; a block keeping fewer than a
+    quarter of FREEZE_CHUNK steps, as while the run still picks its clique,
+    hands FREEZE_CHUNK steps to the kernel.  A block's time and memory grow
+    with its length times n, which only the scalar kernel's graphs keep
+    small, so the numpy kernel instead runs
+    FREEZE_CHUNK steps at a time, and between chunks a frozen law
+    (`_frozen_law`) draws its steps at once and adds their columns to the
+    kernel's exponents.  The kernel then takes the step of the uniform that
+    ended the law, alone if the law drew at least FREEZE_CHUNK steps and
+    else with a whole chunk, so that a law which ends early costs one test
+    per chunk.
 
     Scalar-kernel runs on the exact grid (`_on_grid`) without a peaked
     column walk the difference chain instead (`_DifferenceChain.walk`), one
@@ -580,7 +615,10 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     K, _, columns, dense = _materialized_arrays(params, g)
     reach = check_reach(L, K, steps)
     peaked = _peaked_columns(L, K, reach)
-    walk = scalar and peaked is None and _on_grid(L, K, reach)
+    freezable = peaked is not None
+    verified, frozen = freezable and scalar, freezable and not scalar
+    walk = scalar and not freezable and _on_grid(L, K, reach)
+    KT = np.ascontiguousarray(K.T) if verified else None
     kernel = _numpy_kernel
     if scalar:
         L, kernel = L.tolist(), _scalar_kernel
@@ -588,7 +626,7 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     chunks: deque = deque()
     draw = kernel(L, columns, _chained(chunks))
     out = np.empty(steps, dtype=np.int64)
-    done, law = 0, None
+    done, law, block = 0, None, FREEZE_CHUNK
     while done < steps:
         us = rng.random(min(UNIFORM_BLOCK, steps - done))
         i = 0
@@ -599,14 +637,25 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
             if chain.state is None:
                 chain = None  # its table is full: the kernel ends the run
         while i < len(us):
-            k = len(us) if peaked is None else FREEZE_CHUNK
-            if peaked is not None and law is None:
-                law = _frozen_law(np.asarray(L), peaked)
+            k = FREEZE_CHUNK if freezable else len(us)
+            if verified:
+                m = min(block, len(us) - i)
+                picks, exps = _verified_steps(np.array(L), KT, us[i:i + m])
+                out[done:done + len(picks)] = picks
+                L[:] = exps.tolist()
+                done, i = done + len(picks), i + len(picks)
+                block = min(2 * block, UNIFORM_BLOCK) if len(picks) == m else \
+                    max(FREEZE_CHUNK, 2 * len(picks))
+                if len(picks) >= FREEZE_CHUNK // 4 or i == len(us):
+                    continue
+            if frozen and law is None:
+                law = _frozen_law(L, peaked)
             if law:
                 C, cum, safe = law
-                picks = C[_fast_forward(us[i:], cum, safe)]
-                out[done:done + len(picks)] = picks
-                _add_columns(L, K, picks)
+                picks = _fast_forward(us[i:], cum, safe)
+                out[done:done + len(picks)] = C[picks]
+                # the numpy kernel's own array
+                L += K[:, C] @ np.bincount(picks, minlength=len(C))
                 done, i = done + len(picks), i + len(picks)
                 if i == len(us):
                     break  # no exit: the law holds into the next block
