@@ -64,18 +64,18 @@ class LocalisationReport:
     def to_jsonable(self, g: Graph) -> dict:
         """JSON-ready dict with vertex indices translated to labels."""
 
-        def lab(vs):
-            return [int(g.labels[v]) for v in vs]
-
+        labels = [int(lab) for lab in g.labels]
+        names = [str(lab) for lab in labels]
         # json writes the matrix tuples as arrays
         return {
             "replicas": len(self.per_replica),
-            "per_replica": [{**vars(r), "localisation_set": lab(r.localisation_set)}
+            "per_replica": [{**vars(r),
+                             "localisation_set": [labels[v] for v in r.localisation_set]}
                             for r in self.per_replica],
             "aggregate": {
                 "clique_frequencies": {
-                    ",".join(str(x) for x in lab(c)): f
-                    for c, f in sorted(self.clique_frequencies.items())
+                    ",".join([names[v] for v in c]): f
+                    for c, f in self.clique_frequencies.items()
                 },
                 "single_vertex_frequency": self.single_vertex_frequency,
                 "undecided_frequency": self.undecided_frequency,

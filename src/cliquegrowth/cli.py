@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -49,12 +49,107 @@ def _parse_clique(text: str, g: Graph) -> OrderedClique:
 
 
 def _graph_echo(path: str, g: Graph) -> dict:
-    return {"file": path, "vertices": [int(x) for x in sorted(g.labels)],
-            "edges": [list(e) for e in g.edge_labels()]}
+    # the edge tuples are written as JSON arrays
+    return {"file": path, "vertices": sorted(g.labels), "edges": g.edge_labels()}
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _dump(doc: dict | list) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n" for a dict or list
+    doc, the same string, written directly: with an indent, json runs its
+    pure-Python encoder, which yields every piece through nested
+    generators."""
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar(o) -> str | None:
+    """The JSON text of a str, None, bool, int or float as json writes it:
+    strings by json's own ASCII escaper, ints by int.__repr__, floats by
+    float.__repr__ (NaN and the infinities as NaN, Infinity, -Infinity);
+    None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _no_text(_) -> None:
+    return None
+
+
+# `_scalar` by exact type, which most values have
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: _scalar, type(None): _scalar,
+                list: _no_text, tuple: _no_text, dict: _no_text}
+
+
+def _encode(o, nl: str, out: list) -> None:
+    """Append the JSON text of the list, tuple or dict o to out, its
+    closing bracket on a line indented as nl."""
+    if isinstance(o, dict):
+        items = sorted(o.items())
+        labels = [_key(key) + ": " for key, _ in items]
+        o = [value for _, value in items]
+        start, end = "{", "}"
+    elif isinstance(o, (list, tuple)):
+        labels = None
+        start, end = "[", "]"
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not o:
+        out.append(start + end)
+        return
+    text_of = _SCALAR_TEXT.get
+    texts = [text_of(type(item), _scalar)(item) for item in o]
+    inner = nl + "  "
+    sep = "," + inner
+    if None not in texts:
+        if labels:
+            texts = list(map(str.__add__, labels, texts))
+        out.append(start + inner + sep.join(texts) + nl + end)
+        return
+    out.append(start)
+    for i, (item, text) in enumerate(zip(o, texts)):
+        head = (sep if i else inner) + (labels[i] if labels else "")
+        if text is None:
+            out.append(head)
+            _encode(item, inner, out)
+        else:
+            out.append(head + text)
+    out.append(nl + end)
+
+
+def _key(key) -> str:
+    """A dict key's JSON text: a str quoted, a None, bool, int or float as
+    its JSON text in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    text = _scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return encode_basestring_ascii(text)
 
 
 def _labels(g: Graph, verts) -> list[int]:

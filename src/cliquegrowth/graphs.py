@@ -1,9 +1,9 @@
 """Finite simple graphs, maximal-clique machinery, and ordered-clique partitions."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -67,23 +67,29 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Read-only boolean (n, n) matrix, True at [u, v] iff u ~ v."""
         adj = np.zeros((self.n, self.n), dtype=bool)
-        for v, nbrs in enumerate(self.adjacency):
-            adj[v, list(nbrs)] = True
+        degrees = [len(nbrs) for nbrs in self.adjacency]
+        rows = np.repeat(np.arange(self.n), degrees)
+        adj[rows, np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp,
+                              count=len(rows))] = True
         adj.setflags(write=False)
         return adj
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as index pairs (u, v) with u < v, sorted."""
-        return sorted(
-            (u, v) for u in range(self.n) for v in self.adjacency[u] if u < v
-        )
+    @cached_property
+    def adjacency_bits(self) -> tuple[int, ...]:
+        """The neighbours of each vertex as an int bitset: bit u of entry v is
+        set iff u ~ v.  Built from the neighbour sets, so enumerating cliques
+        needs no n x n matrix."""
+        return tuple(sum(map((1).__lshift__, nbrs)) for nbrs in self.adjacency)
 
     def edge_labels(self) -> list[tuple[int, int]]:
         """All edges as label pairs, each sorted, list sorted."""
-        return sorted(
-            tuple(sorted((self.labels[u], self.labels[v])))
-            for u, v in self.edges()
-        )
+        labels = self.labels
+        pairs: list[tuple[int, int]] = []
+        for a, nbrs in zip(labels, self.adjacency):
+            # each edge appears from both ends: keep it where a is smaller
+            pairs += [(a, b) for b in map(labels.__getitem__, nbrs) if a < b]
+        pairs.sort()
+        return pairs
 
     @staticmethod
     def from_edge_labels(pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -162,18 +168,21 @@ def path_graph(m: int) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0."""
+    """Breadth-first reachability of every vertex from vertex 0, on the
+    adjacency bitsets."""
     if g.n == 0:
         return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    adj = g.adjacency_bits
+    seen = frontier = 1
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached |= adj[low.bit_length() - 1]
+        frontier = reached & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -203,35 +212,59 @@ def is_maximal_clique(g: Graph, vertices: Iterable[int]) -> bool:
 def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques, each a sorted index tuple, list sorted.
 
-    Bron-Kerbosch with pivoting on an explicit stack, so a clique of any
-    size fits; exact, output-exponential in the worst case, fine for the
-    few-hundred-vertex graphs this package targets.  Refuses a graph with
-    more than MAX_CLIQUES maximal cliques.
+    Bron-Kerbosch with Tomita's pivot on int bitsets (`adjacency_bits`): the
+    candidate set p, the excluded set x and the branches still to take are
+    ints, the pivot is the vertex u of p | x with the most neighbours in p,
+    (p & adj[u]).bit_count(), and a branch left with one candidate is closed
+    without a search level of its own.  The levels sit on an explicit
+    stack, so a clique of any size fits; exact, output-exponential in the
+    worst case, fine for the few-hundred-vertex graphs this package
+    targets.  Refuses a graph with more than MAX_CLIQUES maximal cliques.
     """
-    adj = g.adjacency
+    adj = g.adjacency_bits
     out: list[tuple[int, ...]] = []
 
-    def frame(r: tuple[int, ...], p: set[int], x: set[int]):
-        pivot = max(p | x, key=lambda u: len(p & adj[u]))
-        return r, p, x, iter(sorted(p - adj[pivot]))
+    def branches(p: int, x: int) -> int:
+        m, best = p | x, -1
+        while m:
+            low = m & -m
+            m ^= low
+            covered = (p & adj[low.bit_length() - 1]).bit_count()
+            if covered > best:
+                best, pivot = covered, low
+        return p & ~adj[pivot.bit_length() - 1]
 
-    # one frame per vertex of the clique r being grown, plus the root
-    stack = [frame((), set(range(g.n)), set())]
+    # one level [r, p, x, branches] per vertex of the clique r being grown,
+    # plus the root
+    everything = (1 << g.n) - 1
+    stack = [[(), everything, 0, branches(everything, 0)]]
     while stack:
-        r, p, x, branches = stack[-1]
-        v = next(branches, None)
-        if v is None:
+        level = stack[-1]
+        r, p, x, todo = level
+        if not todo:
             stack.pop()
             continue
-        rv, pv, xv = r + (v,), p & adj[v], x & adj[v]
-        p.remove(v)
-        x.add(v)
+        low = todo & -todo
+        level[1:] = p ^ low, x | low, todo ^ low
+        v = low.bit_length() - 1
+        pv, xv = p & adj[v], x & adj[v]
+        if pv & (pv - 1):
+            stack.append([r + (v,), pv, xv, branches(pv, xv)])
+            continue
         if pv:
-            stack.append(frame(rv, pv, xv))
-        elif not xv:
-            out.append(tuple(sorted(rv)))
-            if len(out) > MAX_CLIQUES:
-                raise ValueError(f"the graph has more than {MAX_CLIQUES} maximal cliques")
+            # one candidate w: r + v + w is maximal unless x holds a
+            # neighbour of w
+            w = pv.bit_length() - 1
+            if xv & adj[w]:
+                continue
+            clique = r + (v, w)
+        elif xv:
+            continue
+        else:
+            clique = r + (v,)
+        out.append(tuple(sorted(clique)))
+        if len(out) > MAX_CLIQUES:
+            raise ValueError(f"the graph has more than {MAX_CLIQUES} maximal cliques")
     return sorted(out)
 
 

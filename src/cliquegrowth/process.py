@@ -24,8 +24,10 @@ kernel chunks for a frozen law: a set C holding all float weight but a tail
 below 2^-56 of its smallest weight, with safe vertices whose column is
 constant on C and no larger off it.  Draws on safe vertices leave the law
 bitwise unchanged, so they are made in one `searchsorted` over C's partial
-sums; the kernel takes back the step of a uniform that is 0.0 or picks an
-unsafe vertex.
+sums.  The law ends at its first unsafe pick, which it still draws, or at
+a uniform of 0.0, whose one step the kernel takes; the run is then tested
+again at once, first on the C it had, and only a test that fails hands the
+kernel a chunk.
 
 A small-graph run with exact exponents but no peaked column, such as the
 clique regime alpha < beta, never freezes: there the count differences
@@ -47,7 +49,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Mapping
+from typing import IO, Mapping, NamedTuple
 
 import numpy as np
 
@@ -353,9 +355,22 @@ def _peaked_columns(exps0: np.ndarray, K: np.ndarray, reach: float) -> np.ndarra
     return peaked if peaked.any() and _on_grid(exps0, K, reach) else None
 
 
-def _frozen_law(exps: np.ndarray, peaked: np.ndarray):
-    """(C, cum, safe) if the next steps' law is frozen at exponents exps, else
-    None.  C (ascending) carries all float weight exp(L - max L) but a tail
+class _Law(NamedTuple):
+    """A frozen law (`_frozen_law`): the set C (ascending), its weights'
+    partial sums cum, its safe flags, the mask of the vertices off C, and
+    K[:, C]."""
+
+    C: np.ndarray
+    cum: np.ndarray
+    safe: np.ndarray
+    tail: np.ndarray
+    KC: np.ndarray
+
+
+def _frozen_law(exps: np.ndarray, K: np.ndarray, peaked: np.ndarray,
+                last: _Law | None = None) -> _Law | None:
+    """The law of the next steps at exponents exps if it is frozen, else
+    None.  Its set C carries all float weight exp(L - max L) but a tail
     below FROZEN_TAIL of C's smallest weight; cum are C's weights summed in
     index order; safe[i] says column K[:, C[i]] is constant on C and no
     larger off it (`peaked` on C).
@@ -365,30 +380,64 @@ def _frozen_law(exps: np.ndarray, peaked: np.ndarray):
     weights stay bitwise the same and the tail only shrinks.  Each kernel
     partial sum is then a partial sum of C, since adding the tail does not
     round, and the tail stays below 2^-53 <= u * total for every u > 0: the
-    kernels draw C[cum.searchsorted(u * total, side="right")], until u is
-    0.0 or the pick is unsafe.
+    kernels draw C[cum.searchsorted(u * total, side="right")] while u > 0
+    and every pick before is safe.
+
+    C is the smallest such set (`_top_part`).  It lies inside every such
+    set, so it is searched for first inside the C of `last`, a law found
+    before, whose safe flags and K[:, C] still hold if C is the same; then
+    inside the vertices weighing 2^-56 or more, which are in every such
+    set; then among all vertices.
     """
-    top = exps.max()
-    # a vertex within 38 of the top weighs over 2^-56, so it is in C, and a
-    # safe vertex's column peaks on it: a cheap test that fails most laws
-    if not peaked[exps >= top - 38.0].all(axis=0).any():
-        return None
-    w = np.exp(exps - top)
-    order = w.argsort()
-    ws = w[order]
-    # negligible[k]: the k + 1 smallest weights are a tail of the rest
-    negligible = (ws.cumsum()[:-1] < FROZEN_TAIL * ws[1:]).nonzero()[0]
-    C = order[negligible[-1] + 1:] if len(negligible) else order
-    C.sort()
-    safe = peaked[np.ix_(C, C)].all(axis=0)
+    w = np.exp(exps - np.maximum.reduce(exps))
+    C = None
+    if last is not None:
+        C = _top_part(w, last.C, np.add.reduce(w, where=last.tail))
+        if C is last.C:
+            return _Law(C, np.add.accumulate(w.take(C)), last.safe, last.tail, last.KC)
+    if C is None:
+        heavy = w >= FROZEN_TAIL
+        # a safe vertex's column peaks on every heavy vertex: a cheap test
+        # that fails most laws
+        if not np.logical_and.reduce(peaked[heavy], axis=0).any():
+            return None
+        C = _top_part(w, heavy.nonzero()[0], np.add.reduce(w, where=~heavy))
+        if C is None:
+            C = _top_part(w, np.arange(len(w)), 0.0)
+    safe = np.logical_and.reduce(peaked.take(C, axis=0).take(C, axis=1), axis=0)
     if not safe.any():
         return None
-    return C, w[C].cumsum(), safe
+    tail = np.ones(len(w), dtype=bool)
+    tail[C] = False
+    return _Law(C, np.add.accumulate(w.take(C)), safe, tail, K.take(C, axis=1))
+
+
+def _top_part(w: np.ndarray, C: np.ndarray, below: float):
+    """The smallest set of C's heaviest vertices (ascending) whose other
+    weights in w[C], with `below` more, sum below FROZEN_TAIL of its smallest
+    weight: C itself if no smaller set does, None if not even C does.  The
+    ascending weights of C are summed from `below` and cut at the last
+    point where the sum is below FROZEN_TAIL of the next weight."""
+    wc = w.take(C)
+    low = np.minimum.reduce(wc)
+    if low >= FROZEN_TAIL:
+        # each weight of C is at least 2^-56 and at most 1, so no part of
+        # C is a tail of the rest
+        return C if below < FROZEN_TAIL * low else None
+    order = wc.argsort()
+    ws = wc.take(order)
+    rest = np.add.accumulate(np.concatenate(([below], ws[:-1])))
+    cut = (rest < FROZEN_TAIL * ws).nonzero()[0]
+    if not len(cut):
+        return None
+    return C if cut[-1] == 0 else np.sort(C.take(order[cut[-1]:]))
 
 
 def _fast_forward(us: np.ndarray, cum: np.ndarray, safe: np.ndarray) -> np.ndarray:
-    """Picks into C for the leading uniforms of us that the frozen law draws
-    on safe vertices, scanned in windows growing from FREEZE_CHUNK."""
+    """Picks into C that the frozen law draws for the leading uniforms of
+    us: up to and with the first unsafe pick, which is still the kernels',
+    and never for a uniform of 0.0.  Scanned in windows growing from
+    FREEZE_CHUNK."""
     picks = []
     start, size = 0, FREEZE_CHUNK
     while start < len(us):
@@ -396,12 +445,13 @@ def _fast_forward(us: np.ndarray, cum: np.ndarray, safe: np.ndarray) -> np.ndarr
         # below len(C): cum[-1] >= 1, C holding the top weight 1.0
         pick = cum.searchsorted(u * cum[-1], side="right")
         ok = safe[pick] & (u > 0.0)
-        if not ok.all():
-            picks.append(pick[:ok.argmin()])
+        if not np.logical_and.reduce(ok):
+            j = int(ok.argmin())
+            picks.append(pick[:j + (u[j] > 0.0)])
             break
         picks.append(pick)
         start, size = start + size, 8 * size
-    return np.concatenate(picks)
+    return picks[0] if len(picks) == 1 else np.concatenate(picks)
 
 
 def _verified_steps(exps: np.ndarray, KT: np.ndarray, us: np.ndarray):
@@ -598,13 +648,14 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     quarter of FREEZE_CHUNK steps, as while the run still picks its clique,
     hands FREEZE_CHUNK steps to the kernel.  A block's time and memory grow
     with its length times n, which only the scalar kernel's graphs keep
-    small, so the numpy kernel instead runs
-    FREEZE_CHUNK steps at a time, and between chunks a frozen law
-    (`_frozen_law`) draws its steps at once and adds their columns to the
-    kernel's exponents.  The kernel then takes the step of the uniform that
-    ended the law, alone if the law drew at least FREEZE_CHUNK steps and
-    else with a whole chunk, so that a law which ends early costs one test
-    per chunk.
+    small, so the numpy kernel instead runs FREEZE_CHUNK steps at a time,
+    and between chunks a frozen law (`_frozen_law`) draws its steps at once
+    and adds their columns to the kernel's exponents.  A law ends early at
+    an unsafe pick, its own last step, or at a uniform of 0.0, whose one
+    step the kernel takes; either way the law is tested again at once,
+    starting from the last law's C, so an early exit costs one test and no
+    kernel chunk.  Only a test that finds no frozen law hands the kernel
+    FREEZE_CHUNK steps.
 
     Scalar-kernel runs on the exact grid (`_on_grid`) without a peaked
     column walk the difference chain instead (`_DifferenceChain.walk`), one
@@ -626,7 +677,7 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     chunks: deque = deque()
     draw = kernel(L, columns, _chained(chunks))
     out = np.empty(steps, dtype=np.int64)
-    done, law, block = 0, None, FREEZE_CHUNK
+    done, law, last, block = 0, None, None, FREEZE_CHUNK
     while done < steps:
         us = rng.random(min(UNIFORM_BLOCK, steps - done))
         i = 0
@@ -649,19 +700,20 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
                 if len(picks) >= FREEZE_CHUNK // 4 or i == len(us):
                     continue
             if frozen and law is None:
-                law = _frozen_law(L, peaked)
-            if law:
-                C, cum, safe = law
-                picks = _fast_forward(us[i:], cum, safe)
-                out[done:done + len(picks)] = C[picks]
-                # the numpy kernel's own array
-                L += K[:, C] @ np.bincount(picks, minlength=len(C))
+                law = _frozen_law(L, K, peaked, last)
+            if law is not None:
+                last = law
+                picks = _fast_forward(us[i:], law.cum, law.safe)
+                out[done:done + len(picks)] = law.C[picks]
+                # the numpy kernel's own array, exact in any order
+                L += law.KC @ np.bincount(picks, minlength=len(law.C))
                 done, i = done + len(picks), i + len(picks)
-                if i == len(us):
+                if i == len(us) and law.safe[picks[-1]]:
                     break  # no exit: the law holds into the next block
-                if len(picks) >= FREEZE_CHUNK:
-                    k = 1
-            law = None
+                law = None
+                if i == len(us) or us[i] > 0.0:
+                    continue  # an unsafe pick ended the law: test again
+                k = 1  # the kernel takes the step of a uniform of 0.0
             k = min(k, len(us) - i)
             chunks.append(us[i:i + k].tolist())
             out[done:done + k] = np.fromiter(draw, dtype=np.int64, count=k)

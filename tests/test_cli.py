@@ -1,6 +1,7 @@
 import concurrent.futures
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,57 @@ def test_one_parser_serves_every_call(capsys, fig1_file):
     assert [code for code, _, _ in together] == [0, 0, 1, 0, 0, 0, 1, 0, 0]
     assert together[2][2].startswith("error:") and len(together[2][2].splitlines()) == 1
     assert together[4][1].startswith("usage: cliquegrowth simulate")
+
+
+# strings json must escape: quotes, backslashes, control characters,
+# non-ASCII text, a lone surrogate
+ESCAPED = st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n\r\b\f", "\u00e9",
+                           "\u65e5\u672c", "\u2028\u2029", "\U0001f600", "\ud800", ""])
+TEXTS = st.one_of(st.text(), ESCAPED)
+# special floats beside arbitrary ones
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 5e-324, 0.1, 1.0,
+                                                 math.nan, math.inf, -math.inf]))
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2**200, 2**200), FLOATS, TEXTS)
+# json sorts a dict's keys, then writes each as a string: keys of one kind
+# per dict, or of mixed kinds, which json may fail to sort
+JSON_KEYS = (TEXTS, st.integers(-2**70, 2**70), FLOATS, st.booleans(),
+             st.one_of(TEXTS, st.integers(), FLOATS, st.none()))
+
+
+def json_containers(inner):
+    return st.one_of(st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple),
+                     *(st.dictionaries(keys, inner, max_size=6) for keys in JSON_KEYS))
+
+
+# a list, tuple or dict at the top, as every command's document is
+JSON_DOCS = json_containers(st.recursive(JSON_LEAVES, json_containers, max_leaves=12))
+
+
+@given(JSON_DOCS)
+def test_dump_writes_what_json_writes(doc):
+    """`cli._dump` gives json.dumps(doc, sort_keys=True, indent=2) + newline
+    for any JSON document: nested dicts, lists and tuples, escaped and
+    non-ASCII keys and strings, bools, None, big ints, and floats with -0.0,
+    the smallest subnormal, NaN and the infinities.  Where json refuses a
+    document (keys of kinds it cannot sort together), so does `_dump`."""
+    try:
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._dump(doc)
+    else:
+        assert cli._dump(doc) == want
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, frozenset(), object(), np.float32(1.5)])
+def test_dump_refuses_what_json_refuses(bad):
+    """A value json cannot write raises the TypeError json raises, in a
+    list and in a dict, at any depth."""
+    for doc in ([bad], [1, bad], {"a": {"b": [bad]}}, [[1, 2], [3, bad]]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._dump(doc)
 
 
 class TestCliques:

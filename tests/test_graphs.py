@@ -149,8 +149,8 @@ class TestMaximalCliques:
         cliques = [set(c) for c in enumerate_maximal_cliques(fig1)]
         for a, b in itertools.combinations(cliques, 2):
             assert not a <= b and not b <= a
-        for u, v in fig1.edges():
-            assert any({u, v} <= c for c in cliques)
+        for u, nbrs in enumerate(fig1.adjacency):
+            assert all(any({u, v} <= c for c in cliques) for v in nbrs)
 
     def test_cross_check_all_subsets(self, fig1):
         members = set(enumerate_maximal_cliques(fig1))

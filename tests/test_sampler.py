@@ -11,6 +11,7 @@ once, or walks the difference chain's table; it must give the kernels'
 allocations and exponents exactly, on the same uniforms.
 """
 import math
+import random
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
@@ -19,7 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquegrowth import Graph, RateParams, State, complete_graph, exponent_vector, process, run
+from cliquegrowth import (Graph, RateParams, State, complete_graph, exponent_vector, is_connected,
+                          process, run)
 from cliquegrowth.process import _allocate, _DifferenceChain, _numpy_kernel, _scalar_kernel
 
 from conftest import drive_kernel
@@ -140,16 +142,19 @@ class StubRng:
 
 class Tally:
     """Counts, while `installed`, the steps `process`'s kernels take and the
-    uniforms they pull, the steps the frozen path draws and its entries, the
-    steps verified blocks keep, and the difference chain's steps, misses,
-    re-syncs (those leaving a tail as `tails`), hand-backs (those after a
-    pick on the last uniform of a block as `block_end_handbacks`), uniforms
-    of 0.0 (which the kernel takes) and its last table's states; the last
-    exponents a kernel was given are `exponents`, which it and the fast paths
-    advance in place."""
+    uniforms they pull, the steps the frozen path draws, its tests for a
+    frozen law and the laws they find (`entries`), the steps verified blocks
+    keep, and the difference chain's steps, misses, re-syncs (those leaving
+    a tail as `tails`), hand-backs (those after a pick on the last uniform
+    of a block as `block_end_handbacks`), uniforms of 0.0 (which the kernel
+    takes) and its last table's states; the last exponents a kernel was
+    given are `exponents`, which it and the fast paths advance in place.
+    A frozen law's exit is `unsafe` when its last pick is unsafe (the law
+    draws that step itself; `unsafe_at_block_end` if that is the last
+    uniform it was given) and `zero` at a uniform of 0.0."""
 
     def __init__(self):
-        self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = 0
+        self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = self.tests = 0
         self.verified_steps = self.verified_calls = 0
         self.chain_steps = self.misses = self.resyncs = self.tails = 0
         self.handbacks = self.block_end_handbacks = self.chain_zeros = self.states = 0
@@ -176,9 +181,11 @@ class Tally:
         def counted(us, cum, safe):
             picks = original(us, cum, safe)
             self.fast_steps += len(picks)
-            if len(picks) < len(us):
-                u = us[len(picks)]
-                self.exits["zero" if u == 0.0 else "unsafe"] += 1
+            if len(picks) and not safe[picks[-1]]:
+                self.exits["unsafe"] += 1
+                self.exits["unsafe_at_block_end"] += len(picks) == len(us)
+            elif len(picks) < len(us):
+                self.exits["zero"] += 1
             return picks
         return counted
 
@@ -193,6 +200,7 @@ class Tally:
     def _frozen_law(self, original):
         def counted(*args):
             law = original(*args)
+            self.tests += 1
             self.entries += law is not None
             return law
         return counted
@@ -268,13 +276,89 @@ def test_frozen_path_matches_kernels():
                 verified.append(tally.verified_steps / len(uniforms))
 
     check()
-    # these 200 examples give 119 entries in 81 runs, 33 unsafe and 28 zero
+    # these 200 examples give 223 entries in 81 runs, 127 unsafe and 32 zero
     # exits, and verified blocks keeping over half the steps of 161 runs
-    # (the examples follow this function's source; an earlier version drew
-    # 206, 108, 67, 61 and 166)
+    # (the examples follow this function's source; while an early exit
+    # handed a kernel chunk back they gave 119 entries, 33 unsafe and 28
+    # zero exits, and an earlier version drew 206, 108, 67, 61 and 166)
     assert sum(entries) >= 100 and sum(e > 0 for e in entries) >= 50
     assert exits["unsafe"] >= 30 and exits["zero"] >= 20
     assert sum(v > 0.5 for v in verified) >= 80
+
+
+def smallest_cut(w):
+    """The smallest set C of the heaviest weights w whose other weights sum
+    (exactly rounded) below FROZEN_TAIL of C's smallest, by trying every
+    cut of the ascending weights from the top."""
+    order = sorted(range(len(w)), key=w.__getitem__)
+    for k in range(len(w) - 1, -1, -1):
+        if math.fsum(w[j] for j in order[:k]) < process.FROZEN_TAIL * w[order[k]]:
+            return sorted(order[k:])
+
+
+@st.composite
+def spread_exponents(draw):
+    """Exponents in runs of close values split by gaps of 20 to 60, so
+    that tails, light members of C and near-tails all occur; the same
+    exponents moved some way, which may leave a law's C as it is, shrink it
+    or break it; and a `peaked` matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    steps = rng.choice([0.0, 0.25, 1.0, 3.0, 20.0, 45.0, 60.0], n,
+                       p=[.1, .2, .3, .2, .1, .05, .05])
+    exps = -np.cumsum(steps)[rng.permutation(n)]
+    later = exps + rng.choice([0.0, 0.0, 1.0, -2.0, 4.0, -30.0, 30.0], n)
+    return exps, later, rng.random((n, n)) < draw(st.sampled_from([0.5, 0.9, 1.0]))
+
+
+@given(spread_exponents())
+def test_frozen_law_cuts_where_the_sorted_weights_do(case):
+    """`_frozen_law` finds the smallest set C whose tail is negligible, the
+    cut a search over every cut of the sorted weights finds, whether it
+    searches all vertices, the heavy ones, or inside the C of a law found a
+    few allocations before; its safe flags are `peaked` on C, and its
+    partial sums and K[:, C] are C's."""
+    exps, later, peaked = case
+    K = np.arange(len(exps) ** 2, dtype=np.float64).reshape(len(exps), -1)
+    last = process._frozen_law(exps, K, peaked)
+    for x, prior in ((exps, None), (later, last)):
+        w = np.exp(x - x.max())
+        C = smallest_cut(w.tolist())
+        safe = peaked[np.ix_(C, C)].all(axis=0)
+        law = process._frozen_law(x, K, peaked, prior)
+        if not safe.any():
+            assert law is None
+            continue
+        assert law.C.tolist() == C and law.safe.tolist() == safe.tolist()
+        assert law.cum.tolist() == np.cumsum(w[C]).tolist()
+        assert (law.KC == K[:, C]).all()
+        assert law.tail.tolist() == [j not in C for j in range(len(x))]
+
+
+def test_frozen_path_holds_across_block_ends():
+    """With blocks of uniforms short enough that frozen laws meet block
+    ends, an unsafe pick on a block's last uniform among them, the numpy
+    kernel's runs still give the kernel's allocations and exponents: a law
+    ended there is tested again in the next block, one that holds is kept."""
+    seen = Counter()
+
+    @settings(max_examples=100)
+    @given(dyadic_cases(), st.sampled_from([1, 3, 16, 64]))
+    def check(case, block):
+        g, params, x0, uniforms = case
+        want, L_want = drive_kernel(_numpy_kernel, params, g, x0, uniforms.tolist())
+        stub, tally = StubRng(uniforms), Tally()
+        with tally.installed(), patch.object(process, "UNIFORM_BLOCK", block):
+            got = _allocate(params, g, x0, stub, len(uniforms), False)
+        assert got.tolist() == want.tolist()
+        assert (tally.exponents == L_want).all()
+        assert tally.kernel_steps + tally.fast_steps == len(uniforms)
+        seen.update(tally.exits)
+
+    check()
+    # these 100 examples give 154 unsafe exits, 92 of them on a block's last
+    # uniform, and 30 zero exits
+    assert seen["unsafe_at_block_end"] >= 40 and seen["zero"] >= 10
 
 
 def test_frozen_path_waits_while_the_tail_can_grow():
@@ -319,6 +403,42 @@ def test_verified_blocks_cost_the_same_whatever_the_seed(fig1):
                 run(fig1, p, State.zeros(fig1.n), 5000, seed=seed, stream=stream)
             assert tally.kernel_steps <= 2 * process.FREEZE_CHUNK
             assert tally.verified_calls <= 12
+
+
+def sparse_graph(seed, n=300, p=0.1):
+    """A connected G(n, p) on labels 1..n drawn from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    while True:
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 if rng.random() < p]
+        g = Graph.from_edge_labels(edges)
+        if g.n == n and is_connected(g):
+            return g
+
+
+def test_frozen_law_costs_the_same_whatever_the_seed():
+    """On a seeded G(300, 0.1) at alpha = beta = 1 (the numpy kernel), a
+    5000-step run gives the kernel's allocations and exponents, and takes
+    at most four kernel chunks and 150 tests for a frozen law whatever the
+    seed: a law that ends early costs the next test, not a kernel chunk.
+    (Seeds 1-10, two streams each, took 64 to 192 kernel steps and 3 to 111
+    tests; with a 64-step chunk after each early exit they took 128 to
+    1,996 kernel steps.)"""
+    p = RateParams.uniform(1.0, 1.0)
+    for seed in range(1, 11):
+        g = sparse_graph(seed)
+        x0 = State.zeros(g.n)
+        for stream in range(2):
+            uniforms = process.make_rng(seed, stream).random(5000)
+            want, L_want = drive_kernel(_numpy_kernel, p, g, x0, uniforms.tolist())
+            tally = Tally()
+            with tally.installed():
+                got = _allocate(p, g, x0, StubRng(uniforms), 5000, False)
+            assert got.tolist() == want.tolist()
+            assert (tally.exponents == L_want).all()
+            assert tally.kernel_steps + tally.fast_steps == 5000
+            assert tally.kernel_steps <= 4 * process.FREEZE_CHUNK
+            assert tally.tests <= 150
 
 
 def test_frozen_path_only_where_exact(fig1):
