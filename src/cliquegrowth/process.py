@@ -14,33 +14,22 @@ weights, larger ones a numpy kernel; both give the same allocations bit for
 bit, so the output depends only on (seed, stream), never on the kernel.
 
 A run whose exponents stay exact (K and L0 multiples of one 2^-e with
-2 reach 2^e < 2^52) and whose K has a column peaking on its diagonal draws
-most of its steps in blocks.  On small graphs a block guesses every pick
-from the law at its start, computes the exponents along the guessed path
-and the kernels' pick from each of them, and keeps the picks up to the first
-wrong guess (`_verified_steps`); once the law barely moves, whole blocks
-verify, whatever the seed.  On large graphs the run is tested between
-kernel chunks for a frozen law: a set C holding all float weight but a tail
-below 2^-56 of its smallest weight, with safe vertices whose column is
-constant on C and no larger off it.  Draws on safe vertices leave the law
-bitwise unchanged, so they are made in one `searchsorted` over C's partial
-sums.  The law ends at its first unsafe pick, which it still draws, or at
-a uniform of 0.0, whose one step the kernel takes; the run is then tested
-again at once, first on the C it had, and only a test that fails hands the
-kernel a chunk.
+2 reach 2^e < 2^52) may draw most of its steps by one fast path, chosen
+once per run.  Where a column of K peaks on its diagonal, the run can
+freeze.  On small graphs it then draws verified blocks (`_Verified`): each
+pick is guessed from the law at the block's start and checked by the
+kernels' own arithmetic along the guessed path.  On large graphs it draws
+a frozen law (`_Frozen`): a set C holding all float weight but a negligible
+tail, whose safe vertices leave the law bitwise unchanged, so their draws
+take one `searchsorted`.  A small-graph run with no peaked column, such as
+the clique regime alpha < beta, never freezes: the count differences inside
+the final clique form a positive-recurrent chain, and the run walks a table
+of the kernel's laws keyed by d = L - max L (`_DifferenceChain`).
 
-A small-graph run with exact exponents but no peaked column, such as the
-clique regime alpha < beta, never freezes: there the count differences
-inside the final clique form a positive-recurrent chain.  The kernel's law
-depends only on d = L - max L, so the run walks a table of these laws
-(`_DifferenceChain`), keyed by d with negligible coordinates (the tail) as
--inf: each step is one search in the state's partial sums, computed once by
-the kernel's own arithmetic, and one link to the next state.  A bound on the
-tail's exponents, carried along the walk, says when the key no longer
-holds; the state is then re-derived from the exact exponents L0 + K x.
-
-On every path, allocations, final exponents and the uniforms consumed are
-those of the kernels alone.
+Every path draws a leading run of a block's uniforms, leaves the exponents
+as the kernel would, and names the kernel steps that follow before it draws
+again.  On every path, allocations, final exponents and the uniforms
+consumed are those of the kernels alone.
 """
 from __future__ import annotations
 
@@ -209,6 +198,24 @@ def _materialized_arrays(p: RateParams, g: Graph):
     return K, offset, supports, dense
 
 
+@lru_cache(maxsize=64)
+def _k_facts(p: RateParams, g: Graph):
+    """What the fast paths need of K alone, once per (params, g): peaked,
+    with peaked[u, v] saying K[u, v] equals K[v, v] and column v of K peaks
+    there (None if no column does), and the least e >= 0 for which K is a
+    multiple of 2^-e (`_on_grid`)."""
+    K = p.interaction_matrix(g)
+    diag = K.diagonal()
+    peaked = (K == diag) & (K.max(axis=0) <= diag)
+    peaked.setflags(write=False)
+    # each nonzero entry is M 2^(x - 53) with M an integer; M & -M is its
+    # lowest set bit, so `low` is the entry's lowest set bit's exponent
+    m, x = np.frexp(K[K != 0])
+    M = np.ldexp(m, 53).astype(np.int64)
+    low = np.frexp(M & -M)[1] + x - 54
+    return (peaked if peaked.any() else None), -int(np.min(low, initial=0))
+
+
 @dataclass
 class State:
     """Per-vertex particle counts."""
@@ -335,24 +342,17 @@ def _numpy_kernel(L: np.ndarray, columns, uniforms):
         yield v
 
 
-def _on_grid(exps0: np.ndarray, K: np.ndarray, reach: float) -> bool:
+def _on_grid(exps0: np.ndarray, grid: int, reach: float) -> bool:
     """The run's exponents stay exact: K and exps0 are multiples of 2^-e
     with 2 reach 2^e < 2^52 (`check_reach`'s reach of the run), so that every
-    exponent, sum and difference on any path of the run is a float."""
+    exponent, sum and difference on any path of the run is a float.  K is a
+    multiple of 2^-e for every e >= `grid` (`_k_facts`), so only exps0 is
+    checked here."""
     e = min(51 - math.frexp(reach)[1], 64)
-    if e < 0:
+    if e < grid:
         return False
-    grid = np.concatenate((K.ravel(), exps0)) * 2.0**e
-    return bool((grid == np.rint(grid)).all())
-
-
-def _peaked_columns(exps0: np.ndarray, K: np.ndarray, reach: float) -> np.ndarray | None:
-    """peaked[u, v]: K[u, v] equals K[v, v] and column v of K peaks there.
-    None unless this run may fast-forward a frozen law: some column peaks on
-    its diagonal, and the exponents stay exact (`_on_grid`)."""
-    diag = K.diagonal()
-    peaked = (K == diag) & (K.max(axis=0) <= diag)
-    return peaked if peaked.any() and _on_grid(exps0, K, reach) else None
+    scaled = exps0 * 2.0**e
+    return bool((scaled == np.rint(scaled)).all())
 
 
 class _Law(NamedTuple):
@@ -375,7 +375,7 @@ def _frozen_law(exps: np.ndarray, K: np.ndarray, peaked: np.ndarray,
     index order; safe[i] says column K[:, C[i]] is constant on C and no
     larger off it (`peaked` on C).
 
-    With exact exponents (`_peaked_columns`), an allocation at a safe vertex
+    With exact exponents (`_on_grid`), an allocation at a safe vertex
     adds one constant to C's exponents and no more to the others, so C's
     weights stay bitwise the same and the tail only shrinks.  Each kernel
     partial sum is then a partial sum of C, since adding the tail does not
@@ -433,53 +433,95 @@ def _top_part(w: np.ndarray, C: np.ndarray, below: float):
     return C if cut[-1] == 0 else np.sort(C.take(order[cut[-1]:]))
 
 
-def _fast_forward(us: np.ndarray, cum: np.ndarray, safe: np.ndarray) -> np.ndarray:
-    """Picks into C that the frozen law draws for the leading uniforms of
-    us: up to and with the first unsafe pick, which is still the kernels',
-    and never for a uniform of 0.0.  Scanned in windows growing from
-    FREEZE_CHUNK."""
-    picks = []
-    start, size = 0, FREEZE_CHUNK
-    while start < len(us):
-        u = us[start:start + size]
-        # below len(C): cum[-1] >= 1, C holding the top weight 1.0
-        pick = cum.searchsorted(u * cum[-1], side="right")
-        ok = safe[pick] & (u > 0.0)
-        if not np.logical_and.reduce(ok):
-            j = int(ok.argmin())
-            picks.append(pick[:j + (u[j] > 0.0)])
-            break
-        picks.append(pick)
-        start, size = start + size, 8 * size
-    return picks[0] if len(picks) == 1 else np.concatenate(picks)
+class _Frozen:
+    """The numpy kernel's picks while the run's law is frozen (`_frozen_law`),
+    drawn at once in one search over C's partial sums.
 
-
-def _verified_steps(exps: np.ndarray, KT: np.ndarray, us: np.ndarray):
-    """(picks, exponents after them) for a leading run of the uniforms us
-    from exponents exps, with KT[v] the column K[:, v].
-
-    Every pick is first guessed from the law at exps.  Row j of S holds the
-    exponents after the first j guesses, the columns added in step order as
-    the kernels add them, and each row gives the kernels' pick for u_j by
-    their own arithmetic: np.exp of the row less its max, partial sums left
-    to right, the number of them at most u_j * total.  A pick is the
-    kernels' while every guess before it was right, so the picks up to the
-    first wrong guess are kept, at least one.
+    A walk with no law tests for one, from the last law's C; a test that
+    finds none hands the kernel FREEZE_CHUNK steps.  A law ends at its
+    first unsafe pick, which it still draws, or at a uniform of 0.0, whose
+    one step the kernel takes; the next walk then tests again at once, so an
+    early exit costs one test and no kernel chunk.  A law that still holds
+    after the last uniform it was given is kept for the next walk.
     """
-    n = len(exps)
-    cum = np.add.accumulate(np.exp(exps - exps.max()))
-    guess = cum.searchsorted(us * cum[-1], side="right")
-    S = np.empty((len(us) + 1, n))
-    S[0] = exps
-    S[1:] = KT[guess]
-    np.add.accumulate(S, axis=0, out=S)
-    W = S[:-1] - S[:-1].max(axis=1, keepdims=True)
-    np.exp(W, out=W)
-    np.add.accumulate(W, axis=1, out=W)
-    picks = (W <= (us * W[:, -1])[:, None]).sum(axis=1)
-    wrong = picks != guess
-    k = int(wrong.argmax()) + 1 if wrong.any() else len(us)
-    return picks[:k], S[k - 1] + KT[picks[k - 1]]
+
+    def __init__(self, L: np.ndarray, K: np.ndarray, peaked: np.ndarray):
+        self.L, self.K, self.peaked = L, K, peaked
+        self.law = self.last = None
+
+    def walk(self, us: np.ndarray):
+        """(vertices, kernel steps) for a leading run of the uniforms us:
+        the law's picks up to and with the first unsafe one, scanned in
+        windows growing from FREEZE_CHUNK, and their columns added to the
+        numpy kernel's L, exact in any order."""
+        if self.law is None:
+            self.law = _frozen_law(self.L, self.K, self.peaked, self.last)
+            if self.law is None:
+                return (), FREEZE_CHUNK
+        law = self.last = self.law
+        parts, start, size = [], 0, FREEZE_CHUNK
+        while start < len(us):
+            u = us[start:start + size]
+            # below len(C): cum[-1] >= 1, C holding the top weight 1.0
+            pick = law.cum.searchsorted(u * law.cum[-1], side="right")
+            ok = law.safe[pick] & (u > 0.0)
+            if not np.logical_and.reduce(ok):
+                j = int(ok.argmin())
+                parts.append(pick[:j + (u[j] > 0.0)])
+                break
+            parts.append(pick)
+            start, size = start + size, 8 * size
+        picks = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self.L += law.KC @ np.bincount(picks, minlength=len(law.C))
+        if len(picks) < len(us) or not law.safe[picks[-1]]:
+            self.law = None
+        return law.C[picks], int(len(picks) < len(us) and us[len(picks)] == 0.0)
+
+
+class _Verified:
+    """The scalar kernel's picks in verified blocks, for runs that can freeze
+    on its graphs.
+
+    Blocks double while they verify whole and shrink to twice what they
+    kept when not; a block keeping fewer than a quarter of FREEZE_CHUNK
+    picks, as while the run still picks its clique, hands FREEZE_CHUNK steps
+    to the kernel.  A block's time and memory grow with its length times n,
+    which only the scalar kernel's graphs keep small.
+    """
+
+    def __init__(self, L: list, K: np.ndarray):
+        self.L, self.KT, self.block = L, np.ascontiguousarray(K.T), FREEZE_CHUNK
+
+    def walk(self, us: np.ndarray):
+        """(vertices, kernel steps) for a leading run of the uniforms us,
+        leaving the scalar kernel's L after them.
+
+        Every pick is first guessed from the law at L.  Row j of S holds the
+        exponents after the first j guesses, the columns added in step order
+        as the kernels add them, and each row gives the kernels' pick for
+        u_j by their own arithmetic: np.exp of the row less its max, partial
+        sums left to right, the number of them at most u_j * total.  A pick
+        is the kernels' while every guess before it was right, so the picks
+        up to the first wrong guess are kept, at least one.
+        """
+        us, KT = us[:self.block], self.KT
+        exps = np.array(self.L)
+        cum = np.add.accumulate(np.exp(exps - exps.max()))
+        guess = cum.searchsorted(us * cum[-1], side="right")
+        S = np.empty((len(us) + 1, len(exps)))
+        S[0] = exps
+        S[1:] = KT[guess]
+        np.add.accumulate(S, axis=0, out=S)
+        W = S[:-1] - S[:-1].max(axis=1, keepdims=True)
+        np.exp(W, out=W)
+        np.add.accumulate(W, axis=1, out=W)
+        picks = (W <= (us * W[:, -1])[:, None]).sum(axis=1)
+        wrong = picks != guess
+        k = int(wrong.argmax()) + 1 if wrong.any() else len(us)
+        self.L[:] = (S[k - 1] + KT[picks[k - 1]]).tolist()
+        self.block = min(2 * self.block, UNIFORM_BLOCK) if k == len(us) else \
+            max(FREEZE_CHUNK, 2 * k)
+        return picks[:k], 0 if k >= FREEZE_CHUNK // 4 else FREEZE_CHUNK
 
 
 class _DifferenceChain:
@@ -502,16 +544,19 @@ class _DifferenceChain:
     rise, the largest tail entry of K[:, v] less the step's shift.  A state
     holds while the bound stays below its threshold, its smallest live
     exponent less `gap`.  The state is re-derived from the exact exponents
-    L = L0 + K x (exact on the grid) when the bound reaches it, at a uniform
-    of 0.0 (the kernel takes that step, its first positive weight may lie in
-    the tail), and on entering a state whose live set holds a gap wide
+    L = L0 + K x (exact on the grid) when the bound reaches it, after a
+    uniform of 0.0, and on entering a state whose live set holds a gap wide
     enough to cut there (threshold -inf).  A re-derived state cuts its tail
     at the first gap of at least gap + CHAIN_CUT_SLACK down from the top,
     above CHAIN_LIVE_FLOOR, so the bound starts that far below its threshold.
+
+    A walk hands one step to the kernel at a uniform of 0.0, whose first
+    positive weight may lie in the tail, and the rest of the run once the
+    table holds CHAIN_MAX_CELLS cells.
     """
 
-    def __init__(self, L: list, K: np.ndarray, columns, dense):
-        self.L, self.K, self.columns, self.dense = L, K, columns, dense
+    def __init__(self, L: list, K: np.ndarray, dense):
+        self.L, self.K, self.dense = L, K, dense
         # n weights below e^-gap of the smallest live weight sum to less
         # than 2^-56 of it, with a margin of e for np.exp's rounding
         self.gap = 56 * math.log(2) + math.log(len(L)) + 1.0
@@ -520,42 +565,44 @@ class _DifferenceChain:
         self.memo: dict[float, float] = {}
         self.state, self.bound = self._resync()
 
-    def walk(self, us: list) -> list:
-        """The kernel's picks for a leading run of the uniforms us, all of
-        them unless the table fills, leaving L exact after the picks.  A full
-        table stops the walk and sets `state` to None: the kernel then takes
-        the rest of the run from L."""
+    def walk(self, us: np.ndarray):
+        """(vertices, kernel steps) for a leading run of the uniforms us, up
+        to a uniform of 0.0 (one kernel step, and a state re-derived on the
+        next walk) or a full table (`state` None: the kernel takes the rest
+        of the run, MAX_STEPS), leaving L exact after the picks."""
         picks: list[int] = []
         append = picks.append
-        s, bound, synced = self.state, self.bound, 0
+        s, bound, synced, k = self.state, self.bound, 0, 0
+        if s is None:
+            return picks, MAX_STEPS
         cum, total, links, thr, _ = s
-        for u in us:
-            if bound >= thr or u == 0.0:
+        for u in us.tolist():
+            if u == 0.0:
+                bound, k = math.inf, 1
+                break
+            if bound >= thr:
                 self._sync(picks[synced:])
-                if u == 0.0:
-                    append(next(_scalar_kernel(self.L, self.columns, (u,))))
                 synced = len(picks)
                 s, bound = self._resync()
                 if s is None:
+                    k = MAX_STEPS
                     break
                 cum, total, links, thr, _ = s
-                if u == 0.0:
-                    continue
-            # u * total < total, as in the kernel, so k is a live position
-            k = bisect_right(cum, u * total)
-            v, nxt, rise = links[k]
+            # u * total < total, as in the kernel, so pos is a live position
+            pos = bisect_right(cum, u * total)
+            v, nxt, rise = links[pos]
             append(v)
             if nxt is None:
-                nxt, rise = self._successor(s, k)
+                nxt, rise = self._successor(s, pos)
                 if nxt is None:
-                    s = None  # v is the kernel's pick, synced below
+                    s, k = None, MAX_STEPS  # v is the kernel's pick, synced below
                     break
             bound += rise
             s = nxt
             cum, total, links, thr, _ = s
         self._sync(picks[synced:])
         self.state, self.bound = s, bound
-        return picks
+        return picks, k
 
     def _sync(self, picks: list) -> None:
         """Add the columns of `picks` to L: exact on the grid, in any order."""
@@ -642,78 +689,34 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     or the numpy kernel (the two agree bit for bit), once `check_reach` passes.
     Uniform 0 selects the first vertex with positive weight.
 
-    Where `_peaked_columns` allows, the scalar kernel's runs are drawn by
-    `_verified_steps` in blocks that double while they verify whole and
-    shrink to twice what they kept when not; a block keeping fewer than a
-    quarter of FREEZE_CHUNK steps, as while the run still picks its clique,
-    hands FREEZE_CHUNK steps to the kernel.  A block's time and memory grow
-    with its length times n, which only the scalar kernel's graphs keep
-    small, so the numpy kernel instead runs FREEZE_CHUNK steps at a time,
-    and between chunks a frozen law (`_frozen_law`) draws its steps at once
-    and adds their columns to the kernel's exponents.  A law ends early at
-    an unsafe pick, its own last step, or at a uniform of 0.0, whose one
-    step the kernel takes; either way the law is tested again at once,
-    starting from the last law's C, so an early exit costs one test and no
-    kernel chunk.  Only a test that finds no frozen law hands the kernel
-    FREEZE_CHUNK steps.
-
-    Scalar-kernel runs on the exact grid (`_on_grid`) without a peaked
-    column walk the difference chain instead (`_DifferenceChain.walk`), one
-    block of uniforms at a time, until its table is full; the kernel then
-    takes the rest of the run from the exact exponents the walk leaves.
+    A run on the exact grid (`_on_grid`) has one fast path: verified blocks
+    on the scalar kernel's graphs and the frozen law on the numpy kernel's
+    where a column of K peaks on its diagonal (`_k_facts`), else the
+    difference chain on the scalar kernel's graphs.  In each block of
+    uniforms, each walk of the path is followed by the kernel steps it names.
     """
     L = exponent_vector(params, g, x0)
     K, _, columns, dense = _materialized_arrays(params, g)
-    reach = check_reach(L, K, steps)
-    peaked = _peaked_columns(L, K, reach)
-    freezable = peaked is not None
-    verified, frozen = freezable and scalar, freezable and not scalar
-    walk = scalar and not freezable and _on_grid(L, K, reach)
-    KT = np.ascontiguousarray(K.T) if verified else None
-    kernel = _numpy_kernel
+    peaked, grid = _k_facts(params, g)
+    exact = _on_grid(L, grid, check_reach(L, K, steps))
+    kernel, path = _numpy_kernel, None
     if scalar:
         L, kernel = L.tolist(), _scalar_kernel
-    chain = _DifferenceChain(L, K, columns, dense) if walk else None
+    if exact and peaked is not None:
+        path = _Verified(L, K) if scalar else _Frozen(L, K, peaked)
+    elif exact and scalar:
+        path = _DifferenceChain(L, K, dense)
     chunks: deque = deque()
     draw = kernel(L, columns, _chained(chunks))
     out = np.empty(steps, dtype=np.int64)
-    done, law, last, block = 0, None, None, FREEZE_CHUNK
+    done = 0
     while done < steps:
         us = rng.random(min(UNIFORM_BLOCK, steps - done))
         i = 0
-        if chain is not None:
-            picks = chain.walk(us.tolist())
-            out[done:done + len(picks)] = picks
-            done, i = done + len(picks), len(picks)
-            if chain.state is None:
-                chain = None  # its table is full: the kernel ends the run
         while i < len(us):
-            k = FREEZE_CHUNK if freezable else len(us)
-            if verified:
-                m = min(block, len(us) - i)
-                picks, exps = _verified_steps(np.array(L), KT, us[i:i + m])
-                out[done:done + len(picks)] = picks
-                L[:] = exps.tolist()
-                done, i = done + len(picks), i + len(picks)
-                block = min(2 * block, UNIFORM_BLOCK) if len(picks) == m else \
-                    max(FREEZE_CHUNK, 2 * len(picks))
-                if len(picks) >= FREEZE_CHUNK // 4 or i == len(us):
-                    continue
-            if frozen and law is None:
-                law = _frozen_law(L, K, peaked, last)
-            if law is not None:
-                last = law
-                picks = _fast_forward(us[i:], law.cum, law.safe)
-                out[done:done + len(picks)] = law.C[picks]
-                # the numpy kernel's own array, exact in any order
-                L += law.KC @ np.bincount(picks, minlength=len(law.C))
-                done, i = done + len(picks), i + len(picks)
-                if i == len(us) and law.safe[picks[-1]]:
-                    break  # no exit: the law holds into the next block
-                law = None
-                if i == len(us) or us[i] > 0.0:
-                    continue  # an unsafe pick ended the law: test again
-                k = 1  # the kernel takes the step of a uniform of 0.0
+            picks, k = path.walk(us[i:]) if path else ((), len(us))
+            out[done:done + len(picks)] = picks
+            done, i = done + len(picks), i + len(picks)
             k = min(k, len(us) - i)
             chunks.append(us[i:i + k].tolist())
             out[done:done + k] = np.fromiter(draw, dtype=np.int64, count=k)

@@ -7,7 +7,9 @@ way, fails here.  The `exact` pins hold the q path measure's total and the
 confinement DP to the bytes of the per-path dict and level-array oracles,
 and the `bounds` pin holds `epsilon_n` to the bytes of its earlier sum.  The pins cover both sampling kernels: `data/fig1.edges`
 (8 vertices) runs on the scalar kernel, and a seeded connected G(200, 0.05)
-above the kernel crossover runs on the numpy kernel.
+above the kernel crossover runs on the numpy kernel.  The K3 pins hold the
+clique regime's difference-chain walk to bytes recorded before that walk
+changed how it hands steps back to the kernel.
 """
 import hashlib
 import random
@@ -22,6 +24,7 @@ from cliquegrowth.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 FIG1 = "data/fig1.edges"
 SPARSE = "sparse200.edges"
+K3 = "k3.edges"
 
 # (id, argv, sha256 of stdout)
 CLI_PINS = [
@@ -91,6 +94,16 @@ CLI_PINS = [
      ["bounds", "--vertices", "8", "--alpha", "0.05", "--beta", "0.02",
       "--m", "2", "--horizon", "1000"],
      "0ed51b74c9ac1e5db9d4d7e4bca5717ed2780a322f99c33937e7e0a39b923d4f"),
+    # the clique regime on K3, walked by the difference chain's table:
+    # recorded before its walk handed uniforms of 0.0 to the kernel
+    ("simulate-k3-clique-regime",
+     ["simulate", K3, "--alpha", "1", "--beta", "2", "--steps", "50000",
+      "--seed", "1"],
+     "97665a4ee2fc7ed3586a01bf69d7c86f220bb97c06ee0801be12b90e9676dbf2"),
+    ("zchain-k3",
+     ["zchain", "--m", "3", "--alpha", "1", "--beta", "2", "--steps", "20000",
+      "--seed", "5"],
+     "809f8f58a63e39148ebc9bca002d379a80e64492139fe4a9902604cabfb7fa00"),
 ]
 
 GENERAL_PIN = "8294a115a76848990c4becce95e22b8bd20c78daca9f36dd0952a1171ed0e015"
@@ -109,11 +122,12 @@ def sparse_edges(seed=2024, n=200, p=0.05):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A directory holding data/fig1.edges and the sparse graph, so the file
-    names echoed in JSON outputs are fixed relative paths."""
+    """A directory holding data/fig1.edges, the sparse graph and K3, so the
+    file names echoed in JSON outputs are fixed relative paths."""
     d = tmp_path_factory.mktemp("golden")
     (d / "data").mkdir()
     (d / FIG1).write_bytes((ROOT / FIG1).read_bytes())
+    (d / K3).write_text("1 2\n1 3\n2 3\n")
     (d / SPARSE).write_text("".join(f"{a} {b}\n" for a, b in sparse_edges()))
     return d
 

@@ -17,7 +17,7 @@ from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliquegrowth import (Graph, RateParams, State, complete_graph, exponent_vector, is_connected,
@@ -142,16 +142,18 @@ class StubRng:
 
 class Tally:
     """Counts, while `installed`, the steps `process`'s kernels take and the
-    uniforms they pull, the steps the frozen path draws, its tests for a
-    frozen law and the laws they find (`entries`), the steps verified blocks
-    keep, and the difference chain's steps, misses, re-syncs (those leaving
-    a tail as `tails`), hand-backs (those after a pick on the last uniform
-    of a block as `block_end_handbacks`), uniforms of 0.0 (which the kernel
-    takes) and its last table's states; the last exponents a kernel was
-    given are `exponents`, which it and the fast paths advance in place.
-    A frozen law's exit is `unsafe` when its last pick is unsafe (the law
-    draws that step itself; `unsafe_at_block_end` if that is the last
-    uniform it was given) and `zero` at a uniform of 0.0."""
+    uniforms they pull, and what each fast path's `walk` draws: the steps
+    of the frozen law (`fast_steps`), of verified blocks and of the
+    difference chain, the chain's hand-backs (those after a pick on the
+    last uniform it was given as `block_end_handbacks`) and its uniforms
+    of 0.0 (each a kernel step between two walks), and the chain's last
+    table's states.  Three internals are counted too: the tests for a
+    frozen law and the laws they find (`entries`), the chain's misses, and
+    its re-syncs (those leaving a tail as `tails`).  The last exponents a
+    kernel was given are `exponents`, which it and the fast paths advance
+    in place.  A frozen law's exit is `unsafe` when its last pick is unsafe
+    (the law draws that step itself; `unsafe_at_block_end` if that is the
+    last uniform it was given) and `zero` at a uniform of 0.0."""
 
     def __init__(self):
         self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = self.tests = 0
@@ -177,24 +179,37 @@ class Tally:
             return steps()
         return counted
 
-    def _fast_forward(self, original):
-        def counted(us, cum, safe):
-            picks = original(us, cum, safe)
+    def _frozen_walk(self, original):
+        def counted(path, us):
+            picks, k = original(path, us)
             self.fast_steps += len(picks)
-            if len(picks) and not safe[picks[-1]]:
+            law = path.last
+            if len(picks) and not law.safe[law.C.searchsorted(picks[-1])]:
                 self.exits["unsafe"] += 1
                 self.exits["unsafe_at_block_end"] += len(picks) == len(us)
-            elif len(picks) < len(us):
+            elif k == 1:
                 self.exits["zero"] += 1
-            return picks
+            return picks, k
         return counted
 
-    def _verified_steps(self, original):
-        def counted(*args):
-            picks, exps = original(*args)
+    def _verified_walk(self, original):
+        def counted(path, us):
+            picks, k = original(path, us)
             self.verified_steps += len(picks)
             self.verified_calls += 1
-            return picks, exps
+            return picks, k
+        return counted
+
+    def _chain_walk(self, original):
+        def counted(chain, us):
+            live = chain.state is not None
+            picks, k = original(chain, us)
+            self.chain_steps += len(picks)
+            self.chain_zeros += k == 1
+            self.handbacks += live and chain.state is None
+            self.block_end_handbacks += live and chain.state is None and len(picks) == len(us)
+            self.states = len(chain.table)
+            return picks, k
         return counted
 
     def _frozen_law(self, original):
@@ -203,19 +218,6 @@ class Tally:
             self.tests += 1
             self.entries += law is not None
             return law
-        return counted
-
-    def _walk(self, original):
-        def counted(chain, us):
-            before = self.kernel_steps
-            picks = original(chain, us)
-            zeros = self.kernel_steps - before
-            self.chain_steps += len(picks) - zeros
-            self.chain_zeros += zeros
-            self.handbacks += chain.state is None
-            self.block_end_handbacks += chain.state is None and len(picks) == len(us)
-            self.states = len(chain.table)
-            return picks
         return counted
 
     def _successor(self, original):
@@ -235,15 +237,16 @@ class Tally:
     @contextmanager
     def installed(self):
         with ExitStack() as stack:
-            for name, wrap in (("_scalar_kernel", self._kernel), ("_numpy_kernel", self._kernel),
-                               ("_fast_forward", self._fast_forward),
-                               ("_frozen_law", self._frozen_law),
-                               ("_verified_steps", self._verified_steps)):
-                stack.enter_context(patch.object(process, name, wrap(getattr(process, name))))
-            for name, wrap in (("walk", self._walk), ("_successor", self._successor),
-                               ("_resync", self._resync)):
-                stack.enter_context(patch.object(_DifferenceChain, name,
-                                                 wrap(getattr(_DifferenceChain, name))))
+            for owner, name, wrap in (
+                    (process, "_scalar_kernel", self._kernel),
+                    (process, "_numpy_kernel", self._kernel),
+                    (process._Frozen, "walk", self._frozen_walk),
+                    (process._Verified, "walk", self._verified_walk),
+                    (_DifferenceChain, "walk", self._chain_walk),
+                    (process, "_frozen_law", self._frozen_law),
+                    (_DifferenceChain, "_successor", self._successor),
+                    (_DifferenceChain, "_resync", self._resync)):
+                stack.enter_context(patch.object(owner, name, wrap(getattr(owner, name))))
             yield self
 
 
@@ -441,20 +444,123 @@ def test_frozen_law_costs_the_same_whatever_the_seed():
             assert tally.tests <= 150
 
 
+class Chosen(Exception):
+    """Carries the name of the fast path `_allocate` built, or None."""
+
+
+class Refusing:
+    """An rng that draws nothing: `_allocate` builds its path before."""
+
+    def random(self, size):
+        raise Chosen(None)
+
+
+def chosen_path(params, g, x0, steps, scalar):
+    """The fast path `_allocate` builds for a run, "verified", "frozen",
+    "chain" or None, found before its first uniform is drawn."""
+    def build(name):
+        def raising(*args):
+            raise Chosen(name)
+        return raising
+
+    with ExitStack() as stack:
+        for name, cls in (("verified", "_Verified"), ("frozen", "_Frozen"),
+                          ("chain", "_DifferenceChain")):
+            stack.enter_context(patch.object(process, cls, build(name)))
+        try:
+            _allocate(params, g, x0, Refusing(), steps, scalar)
+        except Chosen as chosen:
+            return chosen.args[0]
+    raise AssertionError("the run drew no uniform")
+
+
 def test_frozen_path_only_where_exact(fig1):
     """Runs with a column of K peaking on its diagonal and exponents exact
     over every path may freeze; the clique regime and rates off the grid
     that `steps` leaves do not."""
     def can(alpha, beta, steps=5000):
         p = RateParams.uniform(alpha, beta)
-        exps0, K = exponent_vector(p, fig1, State.zeros(fig1.n)), p.interaction_matrix(fig1)
-        return process._peaked_columns(exps0, K, process.check_reach(exps0, K, steps)) is not None
+        return chosen_path(p, fig1, State.zeros(fig1.n), steps, True) == "verified"
 
     assert can(1, 1) and can(1, 0.5) and can(0.25, -0.75)
     assert not can(1, 2)  # no column peaks on its diagonal
     assert not can(0.7, 0.7)
     assert can(1 + 2**-30, 1 + 2**-30, steps=100)
     assert not can(1 + 2**-30, 1 + 2**-30, steps=2**25)
+
+
+def per_run_path(params, g, x0, steps, scalar):
+    """The path chosen from K and the start exponents anew for each run, as
+    `_peaked_columns` and `_on_grid` did before the facts of K alone were
+    cached per (params, g)."""
+    def on_grid(exps0, K, reach):
+        e = min(51 - math.frexp(reach)[1], 64)
+        if e < 0:
+            return False
+        grid = np.concatenate((K.ravel(), exps0)) * 2.0**e
+        return bool((grid == np.rint(grid)).all())
+
+    def peaked_columns(exps0, K, reach):
+        diag = K.diagonal()
+        peaked = (K == diag) & (K.max(axis=0) <= diag)
+        return peaked if peaked.any() and on_grid(exps0, K, reach) else None
+
+    exps0, K = exponent_vector(params, g, x0), params.interaction_matrix(g)
+    reach = process.check_reach(exps0, K, steps)
+    if peaked_columns(exps0, K, reach) is not None:
+        return "verified" if scalar else "frozen"
+    return "chain" if scalar and on_grid(exps0, K, reach) else None
+
+
+@st.composite
+def grid_edge_cases(draw):
+    """A run about the edge of the exact grid: dyadic rates (`dyadic_cases`)
+    or real-valued ones (`cases`) for 1 to MAX_STEPS steps, or uniform rates
+    1 + a 2^-k with a odd, so K's grid is exactly 2^-k, for about
+    2^(50 - k + d) steps, d in -1..1, which leaves the run's exponents on
+    the grid of 2^-(k - d): off K's grid at d = 1, on it otherwise."""
+    kind = draw(st.sampled_from(["dyadic", "real", "fine"]))
+    steps = draw(st.sampled_from([1, 100, 5000, 2**20, 2**25, process.MAX_STEPS]))
+    if kind == "dyadic":
+        g, params, x0, _ = draw(dyadic_cases())
+    elif kind == "real":
+        g, params, x0, _ = draw(cases())
+    else:
+        g = connected_graphs(draw)
+        k = draw(st.integers(25, 49))
+        alpha = (2 * draw(st.integers(-2**11, 2**11)) + 1) * 2.0**-k
+        beta = draw(st.integers(-2**12, 2**12)) * 2.0**-k
+        offsets = [draw(st.integers(-64, 64)) * 2.0**-draw(st.integers(0, 50))
+                   for _ in range(g.n)] if draw(st.booleans()) else None
+        params = RateParams.uniform(1 + alpha, 1 + beta, offsets)
+        x0 = State([draw(st.integers(0, 3)) for _ in range(g.n)])
+        steps = max(1, 2 ** (50 - k + draw(st.integers(-1, 1))) + draw(st.integers(-1, 1)))
+    return g, params, x0, steps
+
+
+def test_path_is_chosen_as_by_per_run_facts(fig1):
+    """The peaked columns and grid of K, computed once per (params, g),
+    choose each run's path as the per-run tests of K and the start
+    exponents did, on both kernels; among the runs, fig1 at rates 1 + 2^-30,
+    on the grid for 100 steps and off it for 2^25."""
+    seen = Counter()
+    fine = RateParams.uniform(1 + 2**-30, 1 + 2**-30)
+
+    @given(grid_edge_cases())
+    @example((fig1, fine, State.zeros(fig1.n), 100))
+    @example((fig1, fine, State.zeros(fig1.n), 2**25))
+    @example((fig1, RateParams.uniform(0.7, 0.7), State.zeros(fig1.n), 5000))
+    def check(case):
+        g, params, x0, steps = case
+        for scalar in (True, False):
+            want = per_run_path(params, g, x0, steps, scalar)
+            assert chosen_path(params, g, x0, steps, scalar) == want
+            seen[want] += 1
+
+    check()
+    # these 200 examples and the three above choose verified blocks 69
+    # times, the frozen law 69, the chain 38 and no path 230
+    assert min(seen[path] for path in ("verified", "frozen", "chain", None)) >= 20
 
 
 @given(st.floats(1.0, 2.0**12))
@@ -506,8 +612,10 @@ def test_difference_chain_matches_kernel():
     check()
     # these 200 examples give 138 runs walked, 40 with a tail, 32 re-synced
     # past their start, 62 handed back (22 of them after a pick on a block's
-    # last uniform), 12 walked a 0.0 and 54 walked runs drew 1 - 2^-53 (an
-    # earlier version, without short blocks, drew 160, 58, 44, 71, 29, 44)
+    # last uniform), 12 handed a 0.0 to the kernel between two walks (12
+    # too while the walk took that step itself) and 54 walked runs drew
+    # 1 - 2^-53 (an earlier version, without short blocks, drew 160, 58, 44,
+    # 71, 29, 44)
     assert seen["walked"] >= 80 and seen["tails"] >= 25 and seen["resynced"] >= 20
     assert seen["handed_back"] >= 35 and seen["at_block_end"] >= 10
     assert seen["zeros"] >= 12 and seen["ones"] >= 20
@@ -528,11 +636,14 @@ def test_difference_chain_states_hold_the_kernel_sums():
         g, params, x0, uniforms = case
         L = exponent_vector(params, g, x0)
         K, _, columns, dense = process._materialized_arrays(params, g)
-        assert process._on_grid(L, K, process.check_reach(L, K, len(uniforms)))
+        assert process._on_grid(L, process._k_facts(params, g)[1],
+                                process.check_reach(L, K, len(uniforms)))
         L = L.tolist()
-        chain = _DifferenceChain(L, K, columns, dense)
-        for u in uniforms.tolist():
-            chain.walk([u])
+        chain = _DifferenceChain(L, K, dense)
+        for step in range(len(uniforms)):
+            u = uniforms[step:step + 1]
+            if chain.walk(u)[1] == 1:  # a uniform of 0.0: the kernel takes it
+                next(_scalar_kernel(L, columns, u.tolist()))
             if chain.state is None:
                 break
             cum, total, links, thr, key = chain.state
@@ -549,8 +660,10 @@ def test_difference_chain_states_hold_the_kernel_sums():
             audited.append(len(live) < g.n)
 
     check()
-    # 7,656 states audited, 5,090 of them with a tail, in these 60 examples
-    # (9,580 and 8,286 before the loop's hand-back test changed them)
+    # 10,028 states audited, 8,459 of them with a tail, in these 60 examples
+    # (7,656 and 5,090 before the walk handed a uniform of 0.0 back to the
+    # kernel, 9,580 and 8,286 before the loop's hand-back test: each change
+    # of this loop draws other examples)
     assert len(audited) >= 5000 and sum(audited) >= 4000
 
 
