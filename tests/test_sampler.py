@@ -17,7 +17,7 @@ from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cliquegrowth import (Graph, RateParams, State, complete_graph, exponent_vector, is_connected,
@@ -258,6 +258,7 @@ def test_frozen_path_matches_kernels():
     take verified blocks, the numpy kernel's the frozen path."""
     entries, exits, verified = [], Counter(), []
 
+    @seed(0)
     @given(dyadic_cases())
     def check(case):
         g, params, x0, uniforms = case
@@ -279,11 +280,11 @@ def test_frozen_path_matches_kernels():
                 verified.append(tally.verified_steps / len(uniforms))
 
     check()
-    # these 200 examples give 223 entries in 81 runs, 127 unsafe and 32 zero
-    # exits, and verified blocks keeping over half the steps of 161 runs
-    # (the examples follow this function's source; while an early exit
-    # handed a kernel chunk back they gave 119 entries, 33 unsafe and 28
-    # zero exits, and an earlier version drew 206, 108, 67, 61 and 166)
+    # these 200 examples, drawn from seed 0, give 676 entries in 108 runs,
+    # 519 unsafe and 60 zero exits, and verified blocks keeping over half the
+    # steps of 169 runs (before the seed was pinned the examples followed
+    # this function's source, and the last unpinned ones gave 223, 81, 127,
+    # 32 and 161)
     assert sum(entries) >= 100 and sum(e > 0 for e in entries) >= 50
     assert exits["unsafe"] >= 30 and exits["zero"] >= 20
     assert sum(v > 0.5 for v in verified) >= 80
@@ -345,6 +346,7 @@ def test_frozen_path_holds_across_block_ends():
     ended there is tested again in the next block, one that holds is kept."""
     seen = Counter()
 
+    @seed(0)
     @settings(max_examples=100)
     @given(dyadic_cases(), st.sampled_from([1, 3, 16, 64]))
     def check(case, block):
@@ -359,8 +361,9 @@ def test_frozen_path_holds_across_block_ends():
         seen.update(tally.exits)
 
     check()
-    # these 100 examples give 154 unsafe exits, 92 of them on a block's last
-    # uniform, and 30 zero exits
+    # these 100 examples, drawn from seed 0, give 364 unsafe exits, 356 of
+    # them on a block's last uniform, and 54 zero exits (the last unpinned
+    # ones 154, 92 and 30)
     assert seen["unsafe_at_block_end"] >= 40 and seen["zero"] >= 10
 
 
@@ -546,6 +549,7 @@ def test_path_is_chosen_as_by_per_run_facts(fig1):
     seen = Counter()
     fine = RateParams.uniform(1 + 2**-30, 1 + 2**-30)
 
+    @seed(0)
     @given(grid_edge_cases())
     @example((fig1, fine, State.zeros(fig1.n), 100))
     @example((fig1, fine, State.zeros(fig1.n), 2**25))
@@ -558,8 +562,9 @@ def test_path_is_chosen_as_by_per_run_facts(fig1):
             seen[want] += 1
 
     check()
-    # these 200 examples and the three above choose verified blocks 69
-    # times, the frozen law 69, the chain 38 and no path 230
+    # these 200 examples, drawn from seed 0, and the three above choose
+    # verified blocks 81 times, the frozen law 81, the chain 30 and no path
+    # 214 (the last unpinned ones 69, 69, 38 and 230)
     assert min(seen[path] for path in ("verified", "frozen", "chain", None)) >= 20
 
 
@@ -590,6 +595,7 @@ def test_difference_chain_matches_kernel():
     is no vacuous pass."""
     seen = Counter()
 
+    @seed(0)
     @given(dyadic_cases(clique=True), st.sampled_from([1 << 7, 1 << 10, process.CHAIN_MAX_CELLS]),
            st.sampled_from([1, 7, 64, process.UNIFORM_BLOCK]))
     def check(case, cap, block):
@@ -610,12 +616,11 @@ def test_difference_chain_matches_kernel():
                     ones=tally.chain_steps > 0 and bool((uniforms == 1.0 - 2.0**-53).any()))
 
     check()
-    # these 200 examples give 138 runs walked, 40 with a tail, 32 re-synced
-    # past their start, 62 handed back (22 of them after a pick on a block's
-    # last uniform), 12 handed a 0.0 to the kernel between two walks (12
-    # too while the walk took that step itself) and 54 walked runs drew
-    # 1 - 2^-53 (an earlier version, without short blocks, drew 160, 58, 44,
-    # 71, 29, 44)
+    # these 200 examples, drawn from seed 0, give 153 runs walked, 75 with a
+    # tail, 71 re-synced past their start, 62 handed back (15 of them after
+    # a pick on a block's last uniform), 41 handed a 0.0 to the kernel
+    # between two walks and 64 walked runs drew 1 - 2^-53 (the last
+    # unpinned ones 138, 40, 32, 62, 22, 12 and 54)
     assert seen["walked"] >= 80 and seen["tails"] >= 25 and seen["resynced"] >= 20
     assert seen["handed_back"] >= 35 and seen["at_block_end"] >= 10
     assert seen["zeros"] >= 12 and seen["ones"] >= 20
@@ -630,6 +635,7 @@ def test_difference_chain_states_hold_the_kernel_sums():
     by far: it moves a pick only for uniforms within a few ulps.)"""
     audited = []
 
+    @seed(0)
     @settings(max_examples=60)
     @given(dyadic_cases(clique=True))
     def check(case):
@@ -660,10 +666,9 @@ def test_difference_chain_states_hold_the_kernel_sums():
             audited.append(len(live) < g.n)
 
     check()
-    # 10,028 states audited, 8,459 of them with a tail, in these 60 examples
-    # (7,656 and 5,090 before the walk handed a uniform of 0.0 back to the
-    # kernel, 9,580 and 8,286 before the loop's hand-back test: each change
-    # of this loop draws other examples)
+    # 7,405 states audited, 5,651 of them with a tail, in these 60 examples
+    # drawn from seed 0 (the last unpinned ones, which followed this
+    # function's source, 10,028 and 8,459)
     assert len(audited) >= 5000 and sum(audited) >= 4000
 
 
