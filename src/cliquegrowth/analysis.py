@@ -116,7 +116,7 @@ def c_matrix(g: Graph, lam: float, state: State, clique: Sequence[int]) -> np.nd
     """
     verts = list(clique)
     if not is_clique(g, verts) or len(verts) < 2:
-        raise ValueError(f"{tuple(verts)} is not a clique of size >= 2")
+        raise ValueError(f"{tuple(g.labels[v] for v in verts)} is not a clique of size >= 2")
     x = state.counts
     s = x @ g.adjacency_matrix[:, verts] + x[verts]
     upper = np.triu_indices(len(verts), 1)

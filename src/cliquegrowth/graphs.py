@@ -303,7 +303,7 @@ def d_sets(g: Graph, clique: OrderedClique) -> DPartition:
     """Compute the D-sets and blocks for an ordered maximal clique."""
     verts = clique.vertices
     if not is_maximal_clique(g, verts):
-        raise ValueError(f"{verts} is not a maximal clique")
+        raise ValueError(f"{tuple(g.labels[v] for v in verts)} is not a maximal clique")
     ds: list[frozenset[int]] = []
     for k, vk in enumerate(verts):
         prefix = verts[:k]

@@ -141,7 +141,8 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
     if m ** horizon > MAX_CELLS:
         raise ValueError(f"{m}^{horizon} paths exceed {MAX_CELLS} array cells")
     if not check_final_properties(g, params, x0, clique):
-        raise ValueError(f"{clique.vertices} is not a final maximal clique for this state")
+        raise ValueError(f"{tuple(g.labels[v] for v in clique.vertices)} "
+                         "is not a final maximal clique for this state")
     part = d_sets(g, clique)
     block_idx = [np.fromiter(sorted(b), dtype=np.intp) for b in part.blocks]
     exps0, deltas = _start_exponents(params, g, x0, clique.vertices, horizon)
@@ -184,7 +185,7 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
     """
     verts = clique.vertices
     if not verts or not is_clique(g, verts):
-        raise ValueError(f"{verts} is not a clique")
+        raise ValueError(f"{tuple(g.labels[v] for v in verts)} is not a clique")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     m = len(verts)

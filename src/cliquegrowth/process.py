@@ -16,15 +16,13 @@ bit, so the output depends only on (seed, stream), never on the kernel.
 A run whose exponents stay exact (K and L0 multiples of one 2^-e with
 2 reach 2^e < 2^52) may draw most of its steps by one fast path, chosen
 once per run.  Where a column of K peaks on its diagonal, the run can
-freeze.  On small graphs it then draws verified blocks (`_Verified`): each
-pick is guessed from the law at the block's start and checked by the
-kernels' own arithmetic along the guessed path.  On large graphs it draws
-a frozen law (`_Frozen`): a set C holding all float weight but a negligible
-tail, whose safe vertices leave the law bitwise unchanged, so their draws
-take one `searchsorted`.  A small-graph run with no peaked column, such as
-the clique regime alpha < beta, never freezes: the count differences inside
-the final clique form a positive-recurrent chain, and the run walks a table
-of the kernel's laws keyed by d = L - max L (`_DifferenceChain`).
+freeze, and on either kernel it draws a frozen law (`_Frozen`): a set C
+holding all float weight but a negligible tail, whose safe vertices leave
+the law bitwise unchanged, so their draws take one `searchsorted`.  A
+small-graph run with no peaked column, such as the clique regime
+alpha < beta, never freezes: the count differences inside the final clique
+form a positive-recurrent chain, and the run walks a table of the kernel's
+laws keyed by d = L - max L (`_DifferenceChain`).
 
 Every path draws a leading run of a block's uniforms, leaves the exponents
 as the kernel would, and names the kernel steps that follow before it draws
@@ -434,7 +432,7 @@ def _top_part(w: np.ndarray, C: np.ndarray, below: float):
 
 
 class _Frozen:
-    """The numpy kernel's picks while the run's law is frozen (`_frozen_law`),
+    """The kernels' picks while the run's law is frozen (`_frozen_law`),
     drawn at once in one search over C's partial sums.
 
     A walk with no law tests for one, from the last law's C; a test that
@@ -445,7 +443,7 @@ class _Frozen:
     after the last uniform it was given is kept for the next walk.
     """
 
-    def __init__(self, L: np.ndarray, K: np.ndarray, peaked: np.ndarray):
+    def __init__(self, L, K: np.ndarray, peaked: np.ndarray):
         self.L, self.K, self.peaked = L, K, peaked
         self.law = self.last = None
 
@@ -453,9 +451,9 @@ class _Frozen:
         """(vertices, kernel steps) for a leading run of the uniforms us:
         the law's picks up to and with the first unsafe one, scanned in
         windows growing from FREEZE_CHUNK, and their columns added to the
-        numpy kernel's L, exact in any order."""
+        kernel's own L, a list or an array, exact in any order."""
         if self.law is None:
-            self.law = _frozen_law(self.L, self.K, self.peaked, self.last)
+            self.law = _frozen_law(np.asarray(self.L), self.K, self.peaked, self.last)
             if self.law is None:
                 return (), FREEZE_CHUNK
         law = self.last = self.law
@@ -472,56 +470,14 @@ class _Frozen:
             parts.append(pick)
             start, size = start + size, 8 * size
         picks = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self.L += law.KC @ np.bincount(picks, minlength=len(law.C))
+        added = law.KC @ np.bincount(picks, minlength=len(law.C))
+        if isinstance(self.L, list):
+            self.L[:] = (np.array(self.L) + added).tolist()
+        else:
+            self.L += added
         if len(picks) < len(us) or not law.safe[picks[-1]]:
             self.law = None
         return law.C[picks], int(len(picks) < len(us) and us[len(picks)] == 0.0)
-
-
-class _Verified:
-    """The scalar kernel's picks in verified blocks, for runs that can freeze
-    on its graphs.
-
-    Blocks double while they verify whole and shrink to twice what they
-    kept when not; a block keeping fewer than a quarter of FREEZE_CHUNK
-    picks, as while the run still picks its clique, hands FREEZE_CHUNK steps
-    to the kernel.  A block's time and memory grow with its length times n,
-    which only the scalar kernel's graphs keep small.
-    """
-
-    def __init__(self, L: list, K: np.ndarray):
-        self.L, self.KT, self.block = L, np.ascontiguousarray(K.T), FREEZE_CHUNK
-
-    def walk(self, us: np.ndarray):
-        """(vertices, kernel steps) for a leading run of the uniforms us,
-        leaving the scalar kernel's L after them.
-
-        Every pick is first guessed from the law at L.  Row j of S holds the
-        exponents after the first j guesses, the columns added in step order
-        as the kernels add them, and each row gives the kernels' pick for
-        u_j by their own arithmetic: np.exp of the row less its max, partial
-        sums left to right, the number of them at most u_j * total.  A pick
-        is the kernels' while every guess before it was right, so the picks
-        up to the first wrong guess are kept, at least one.
-        """
-        us, KT = us[:self.block], self.KT
-        exps = np.array(self.L)
-        cum = np.add.accumulate(np.exp(exps - exps.max()))
-        guess = cum.searchsorted(us * cum[-1], side="right")
-        S = np.empty((len(us) + 1, len(exps)))
-        S[0] = exps
-        S[1:] = KT[guess]
-        np.add.accumulate(S, axis=0, out=S)
-        W = S[:-1] - S[:-1].max(axis=1, keepdims=True)
-        np.exp(W, out=W)
-        np.add.accumulate(W, axis=1, out=W)
-        picks = (W <= (us * W[:, -1])[:, None]).sum(axis=1)
-        wrong = picks != guess
-        k = int(wrong.argmax()) + 1 if wrong.any() else len(us)
-        self.L[:] = (S[k - 1] + KT[picks[k - 1]]).tolist()
-        self.block = min(2 * self.block, UNIFORM_BLOCK) if k == len(us) else \
-            max(FREEZE_CHUNK, 2 * k)
-        return picks[:k], 0 if k >= FREEZE_CHUNK // 4 else FREEZE_CHUNK
 
 
 class _DifferenceChain:
@@ -689,11 +645,11 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     or the numpy kernel (the two agree bit for bit), once `check_reach` passes.
     Uniform 0 selects the first vertex with positive weight.
 
-    A run on the exact grid (`_on_grid`) has one fast path: verified blocks
-    on the scalar kernel's graphs and the frozen law on the numpy kernel's
-    where a column of K peaks on its diagonal (`_k_facts`), else the
-    difference chain on the scalar kernel's graphs.  In each block of
-    uniforms, each walk of the path is followed by the kernel steps it names.
+    A run on the exact grid (`_on_grid`) has one fast path: the frozen law
+    where a column of K peaks on its diagonal (`_k_facts`), on either
+    kernel, else the difference chain on the scalar kernel's graphs.  In
+    each block of uniforms, each walk of the path is followed by the kernel
+    steps it names.
     """
     L = exponent_vector(params, g, x0)
     K, _, columns, dense = _materialized_arrays(params, g)
@@ -703,7 +659,7 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     if scalar:
         L, kernel = L.tolist(), _scalar_kernel
     if exact and peaked is not None:
-        path = _Verified(L, K) if scalar else _Frozen(L, K, peaked)
+        path = _Frozen(L, K, peaked)
     elif exact and scalar:
         path = _DifferenceChain(L, K, dense)
     chunks: deque = deque()

@@ -173,7 +173,8 @@ class TestCMatrix:
                 assert C[i, j] == pytest.approx(L[v] - L[u], abs=1e-9)
 
     def test_requires_adjacent_members(self, fig1):
-        with pytest.raises(ValueError):
+        # the message names labels 1, 3, not their indices
+        with pytest.raises(ValueError, match=r"\(1, 3\) is not a clique"):
             c_matrix(fig1, 1.0, State.zeros(fig1.n), idx(fig1, 1, 3))
 
     @given(c_matrix_cases())

@@ -386,6 +386,19 @@ class TestBadInput:
         self.check_rejected(capsys, "drift", "--m", "3", "--alpha", "1",
                             "--beta", "2", "--shell", "250001:250001")
 
+    @pytest.mark.parametrize("argv, want", [
+        (["dsets", "--clique", "5"], "(5,) is not a maximal clique"),
+        (["exact", "--clique", "5,9", "--mode", "confine"], "(5, 9) is not a clique"),
+        (["exact", "--clique", "5,9", "--mode", "q"], "(5, 9) is not a final maximal clique")],
+        ids=["dsets", "confine", "q"])
+    def test_clique_errors_name_labels(self, capsys, tmp_path, argv, want):
+        # on the path 5-7-9 the labels 5, 9 are the indices 0, 2
+        path = tmp_path / "path579.edges"
+        path.write_text("5 7\n7 9\n")
+        rates = ["--alpha", "1", "--beta", "1", "--horizon", "2"] if argv[0] == "exact" else []
+        err = self.check_rejected(capsys, argv[0], str(path), *argv[1:], *rates)
+        assert want in err
+
     @pytest.mark.parametrize("mode", ["confine", "q"])
     def test_exact_overflowing_exponents(self, capsys, fig1_file, mode):
         self.check_rejected(capsys, "exact", fig1_file, "--alpha", "1e308",

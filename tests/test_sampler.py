@@ -6,9 +6,9 @@ give the allocations of the reference loop below bit for bit, for any graph,
 parameters and uniforms, or golden outputs would change with the graph size.
 The reference recomputes the exponents densely at every step; the kernels
 update them incrementally, which must stay within 1e-9 of a recomputation.
-`_allocate` draws blocks of verified steps, the steps of a frozen law at
-once, or walks the difference chain's table; it must give the kernels'
-allocations and exponents exactly, on the same uniforms.
+`_allocate` draws the steps of a frozen law at once, on either kernel, or
+walks the difference chain's table; it must give the kernels' allocations
+and exponents exactly, on the same uniforms.
 """
 import math
 import random
@@ -142,22 +142,20 @@ class StubRng:
 
 class Tally:
     """Counts, while `installed`, the steps `process`'s kernels take and the
-    uniforms they pull, and what each fast path's `walk` draws: the steps
-    of the frozen law (`fast_steps`), of verified blocks and of the
-    difference chain, the chain's hand-backs (those after a pick on the
-    last uniform it was given as `block_end_handbacks`) and its uniforms
-    of 0.0 (each a kernel step between two walks), and the chain's last
-    table's states.  Three internals are counted too: the tests for a
-    frozen law and the laws they find (`entries`), the chain's misses, and
-    its re-syncs (those leaving a tail as `tails`).  The last exponents a
-    kernel was given are `exponents`, which it and the fast paths advance
-    in place.  A frozen law's exit is `unsafe` when its last pick is unsafe
-    (the law draws that step itself; `unsafe_at_block_end` if that is the
-    last uniform it was given) and `zero` at a uniform of 0.0."""
+    uniforms they pull, and what each fast path's `walk` draws: the steps of
+    the frozen law (`fast_steps`) and of the difference chain, the chain's
+    hand-backs (those after a pick on the last uniform it was given as
+    `block_end_handbacks`) and its uniforms of 0.0 (each a kernel step between
+    two walks), and the chain's last table's states.  Three internals are
+    counted too: the tests for a frozen law and the laws they find (`entries`),
+    the chain's misses, and its re-syncs (those leaving a tail as `tails`).
+    The last exponents a kernel was given are `exponents`, which it and the
+    fast paths advance in place.  A frozen law's exit is `unsafe` when its last
+    pick is unsafe (the law draws that step itself; `unsafe_at_block_end` if
+    that is the last uniform it was given) and `zero` at a uniform of 0.0."""
 
     def __init__(self):
         self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = self.tests = 0
-        self.verified_steps = self.verified_calls = 0
         self.chain_steps = self.misses = self.resyncs = self.tails = 0
         self.handbacks = self.block_end_handbacks = self.chain_zeros = self.states = 0
         self.exits = Counter()
@@ -189,14 +187,6 @@ class Tally:
                 self.exits["unsafe_at_block_end"] += len(picks) == len(us)
             elif k == 1:
                 self.exits["zero"] += 1
-            return picks, k
-        return counted
-
-    def _verified_walk(self, original):
-        def counted(path, us):
-            picks, k = original(path, us)
-            self.verified_steps += len(picks)
-            self.verified_calls += 1
             return picks, k
         return counted
 
@@ -241,7 +231,6 @@ class Tally:
                     (process, "_scalar_kernel", self._kernel),
                     (process, "_numpy_kernel", self._kernel),
                     (process._Frozen, "walk", self._frozen_walk),
-                    (process._Verified, "walk", self._verified_walk),
                     (_DifferenceChain, "walk", self._chain_walk),
                     (process, "_frozen_law", self._frozen_law),
                     (_DifferenceChain, "_successor", self._successor),
@@ -254,14 +243,15 @@ def test_frozen_path_matches_kernels():
     """On the same uniforms `_allocate` gives the kernel's allocations and
     final exponents, draws each uniform once (none a fast path used reaches
     the kernel), and enters each fast path often enough that this is no
-    vacuous pass.  Every case runs on both kernels: the scalar kernel's runs
-    take verified blocks, the numpy kernel's the frozen path."""
-    entries, exits, verified = [], Counter(), []
+    vacuous pass.  Every case runs on both kernels, and both take the frozen
+    path alike: the same kernel steps, law tests, laws and exits."""
+    entries, exits, frozen = [], Counter(), []
 
     @seed(0)
     @given(dyadic_cases())
     def check(case):
         g, params, x0, uniforms = case
+        costs = []
         for scalar, kernel in ((True, _scalar_kernel), (False, _numpy_kernel)):
             want, L_want = drive_kernel(kernel, params, g, x0, uniforms.tolist())
             stub, tally = StubRng(uniforms), Tally()
@@ -271,23 +261,24 @@ def test_frozen_path_matches_kernels():
             assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
             assert stub.served == len(uniforms)
             assert tally.kernel_pulled == tally.kernel_steps
-            assert tally.kernel_steps + tally.fast_steps + tally.verified_steps \
-                + tally.chain_steps == len(uniforms)
-            assert (tally.fast_steps if scalar else tally.verified_steps + tally.chain_steps) == 0
-            entries.append(tally.entries)
-            exits.update(tally.exits)
-            if scalar:
-                verified.append(tally.verified_steps / len(uniforms))
+            assert tally.kernel_steps + tally.fast_steps + tally.chain_steps == len(uniforms)
+            assert tally.chain_steps == 0 or (scalar and tally.tests == 0)
+            costs.append((tally.kernel_steps, tally.fast_steps, tally.tests, tally.entries,
+                          tally.exits))
+        on_scalar, on_numpy = costs
+        if tally.tests:  # the numpy kernel's run tested for a law: it took the frozen path
+            assert on_scalar == on_numpy
+        entries.append(tally.entries)
+        exits.update(tally.exits)
+        frozen.append(on_scalar[1] / len(uniforms))
 
     check()
     # these 200 examples, drawn from seed 0, give 676 entries in 108 runs,
-    # 519 unsafe and 60 zero exits, and verified blocks keeping over half the
-    # steps of 169 runs (before the seed was pinned the examples followed
-    # this function's source, and the last unpinned ones gave 223, 81, 127,
-    # 32 and 161)
+    # 519 unsafe and 60 zero exits on each kernel, and the frozen law keeping
+    # over half the steps of 92 scalar-kernel runs
     assert sum(entries) >= 100 and sum(e > 0 for e in entries) >= 50
     assert exits["unsafe"] >= 30 and exits["zero"] >= 20
-    assert sum(v > 0.5 for v in verified) >= 80
+    assert sum(v > 0.5 for v in frozen) >= 80
 
 
 def smallest_cut(w):
@@ -341,9 +332,10 @@ def test_frozen_law_cuts_where_the_sorted_weights_do(case):
 
 def test_frozen_path_holds_across_block_ends():
     """With blocks of uniforms short enough that frozen laws meet block
-    ends, an unsafe pick on a block's last uniform among them, the numpy
-    kernel's runs still give the kernel's allocations and exponents: a law
-    ended there is tested again in the next block, one that holds is kept."""
+    ends, an unsafe pick on a block's last uniform among them, both kernels'
+    runs still give the kernel's allocations and exponents, with the same
+    exits: a law ended there is tested again in the next block, one that
+    holds is kept."""
     seen = Counter()
 
     @seed(0)
@@ -351,19 +343,22 @@ def test_frozen_path_holds_across_block_ends():
     @given(dyadic_cases(), st.sampled_from([1, 3, 16, 64]))
     def check(case, block):
         g, params, x0, uniforms = case
-        want, L_want = drive_kernel(_numpy_kernel, params, g, x0, uniforms.tolist())
-        stub, tally = StubRng(uniforms), Tally()
-        with tally.installed(), patch.object(process, "UNIFORM_BLOCK", block):
-            got = _allocate(params, g, x0, stub, len(uniforms), False)
-        assert got.tolist() == want.tolist()
-        assert (tally.exponents == L_want).all()
-        assert tally.kernel_steps + tally.fast_steps == len(uniforms)
-        seen.update(tally.exits)
+        exits = []
+        for scalar, kernel in ((True, _scalar_kernel), (False, _numpy_kernel)):
+            want, L_want = drive_kernel(kernel, params, g, x0, uniforms.tolist())
+            stub, tally = StubRng(uniforms), Tally()
+            with tally.installed(), patch.object(process, "UNIFORM_BLOCK", block):
+                got = _allocate(params, g, x0, stub, len(uniforms), scalar)
+            assert got.tolist() == want.tolist()
+            assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+            assert tally.kernel_steps + tally.fast_steps + tally.chain_steps == len(uniforms)
+            exits.append(tally.exits)
+        assert exits[0] == exits[1]
+        seen.update(exits[1])
 
     check()
     # these 100 examples, drawn from seed 0, give 364 unsafe exits, 356 of
-    # them on a block's last uniform, and 54 zero exits (the last unpinned
-    # ones 154, 92 and 30)
+    # them on a block's last uniform, and 54 zero exits on each kernel
     assert seen["unsafe_at_block_end"] >= 40 and seen["zero"] >= 10
 
 
@@ -391,24 +386,8 @@ def test_frozen_path_takes_most_steps(fig1):
         for stream in range(4):
             run(fig1, p, State.zeros(fig1.n), 5000, seed=1, stream=stream)
     assert tally.kernel_steps <= 2000
-    assert tally.kernel_steps + tally.fast_steps + tally.verified_steps == 20_000
+    assert tally.kernel_steps + tally.fast_steps == 20_000
     assert tally.chain_steps == 0
-
-
-def test_verified_blocks_cost_the_same_whatever_the_seed(fig1):
-    """On fig1 at alpha = beta = 1 the kernel takes one chunk of a 5000-step
-    run, rarely two, and verified blocks take the rest in a dozen calls at
-    most, whatever the seed: the work of a run hardly depends on its
-    uniforms.  (Over seeds 1-40, 159 of 160 runs took one chunk and 8 calls
-    or up to 11.)"""
-    p = RateParams.uniform(1.0, 1.0)
-    for seed in range(1, 11):
-        for stream in range(4):
-            tally = Tally()
-            with tally.installed():
-                run(fig1, p, State.zeros(fig1.n), 5000, seed=seed, stream=stream)
-            assert tally.kernel_steps <= 2 * process.FREEZE_CHUNK
-            assert tally.verified_calls <= 12
 
 
 def sparse_graph(seed, n=300, p=0.1):
@@ -422,29 +401,33 @@ def sparse_graph(seed, n=300, p=0.1):
             return g
 
 
-def test_frozen_law_costs_the_same_whatever_the_seed():
-    """On a seeded G(300, 0.1) at alpha = beta = 1 (the numpy kernel), a
-    5000-step run gives the kernel's allocations and exponents, and takes
-    at most four kernel chunks and 150 tests for a frozen law whatever the
-    seed: a law that ends early costs the next test, not a kernel chunk.
-    (Seeds 1-10, two streams each, took 64 to 192 kernel steps and 3 to 111
-    tests; with a 64-step chunk after each early exit they took 128 to
-    1,996 kernel steps.)"""
+def test_frozen_law_costs_the_same_whatever_the_seed(fig1):
+    """At alpha = beta = 1, on a seeded G(300, 0.1) (the numpy kernel) and on
+    fig1 (the scalar kernel), a 5000-step run gives the kernel's allocations
+    and exponents, and takes a few kernel chunks and a bounded number of
+    tests for a frozen law whatever the seed: a law that ends early costs
+    the next test, not a kernel chunk.  (Seeds 1-10 took 64 to 192 kernel
+    steps and 3 to 111 tests on G(300, 0.1), two streams each, and 64 to
+    128 kernel steps and 3 to 53 tests on fig1, four streams each, 63 tests
+    at most over seeds 1-40; with a 64-step chunk after each early exit
+    G(300, 0.1) took 128 to 1,996 kernel steps.)"""
     p = RateParams.uniform(1.0, 1.0)
     for seed in range(1, 11):
-        g = sparse_graph(seed)
-        x0 = State.zeros(g.n)
-        for stream in range(2):
-            uniforms = process.make_rng(seed, stream).random(5000)
-            want, L_want = drive_kernel(_numpy_kernel, p, g, x0, uniforms.tolist())
-            tally = Tally()
-            with tally.installed():
-                got = _allocate(p, g, x0, StubRng(uniforms), 5000, False)
-            assert got.tolist() == want.tolist()
-            assert (tally.exponents == L_want).all()
-            assert tally.kernel_steps + tally.fast_steps == 5000
-            assert tally.kernel_steps <= 4 * process.FREEZE_CHUNK
-            assert tally.tests <= 150
+        for g, streams, chunks, tests in ((sparse_graph(seed), 2, 4, 150), (fig1, 4, 2, 80)):
+            scalar = g.n <= process.SCALAR_KERNEL_MAX_N
+            x0 = State.zeros(g.n)
+            for stream in range(streams):
+                uniforms = process.make_rng(seed, stream).random(5000)
+                want, L_want = drive_kernel(_scalar_kernel if scalar else _numpy_kernel,
+                                            p, g, x0, uniforms.tolist())
+                tally = Tally()
+                with tally.installed():
+                    got = _allocate(p, g, x0, StubRng(uniforms), 5000, scalar)
+                assert got.tolist() == want.tolist()
+                assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+                assert tally.kernel_steps + tally.fast_steps == 5000
+                assert tally.kernel_steps <= chunks * process.FREEZE_CHUNK
+                assert tally.tests <= tests
 
 
 class Chosen(Exception):
@@ -459,16 +442,15 @@ class Refusing:
 
 
 def chosen_path(params, g, x0, steps, scalar):
-    """The fast path `_allocate` builds for a run, "verified", "frozen",
-    "chain" or None, found before its first uniform is drawn."""
+    """The fast path `_allocate` builds for a run, "frozen", "chain" or
+    None, found before its first uniform is drawn."""
     def build(name):
         def raising(*args):
             raise Chosen(name)
         return raising
 
     with ExitStack() as stack:
-        for name, cls in (("verified", "_Verified"), ("frozen", "_Frozen"),
-                          ("chain", "_DifferenceChain")):
+        for name, cls in (("frozen", "_Frozen"), ("chain", "_DifferenceChain")):
             stack.enter_context(patch.object(process, cls, build(name)))
         try:
             _allocate(params, g, x0, Refusing(), steps, scalar)
@@ -483,7 +465,7 @@ def test_frozen_path_only_where_exact(fig1):
     that `steps` leaves do not."""
     def can(alpha, beta, steps=5000):
         p = RateParams.uniform(alpha, beta)
-        return chosen_path(p, fig1, State.zeros(fig1.n), steps, True) == "verified"
+        return chosen_path(p, fig1, State.zeros(fig1.n), steps, True) == "frozen"
 
     assert can(1, 1) and can(1, 0.5) and can(0.25, -0.75)
     assert not can(1, 2)  # no column peaks on its diagonal
@@ -511,7 +493,7 @@ def per_run_path(params, g, x0, steps, scalar):
     exps0, K = exponent_vector(params, g, x0), params.interaction_matrix(g)
     reach = process.check_reach(exps0, K, steps)
     if peaked_columns(exps0, K, reach) is not None:
-        return "verified" if scalar else "frozen"
+        return "frozen"
     return "chain" if scalar and on_grid(exps0, K, reach) else None
 
 
@@ -559,13 +541,13 @@ def test_path_is_chosen_as_by_per_run_facts(fig1):
         for scalar in (True, False):
             want = per_run_path(params, g, x0, steps, scalar)
             assert chosen_path(params, g, x0, steps, scalar) == want
-            seen[want] += 1
+            seen[want, scalar] += 1
 
     check()
-    # these 200 examples, drawn from seed 0, and the three above choose
-    # verified blocks 81 times, the frozen law 81, the chain 30 and no path
-    # 214 (the last unpinned ones 69, 69, 38 and 230)
-    assert min(seen[path] for path in ("verified", "frozen", "chain", None)) >= 20
+    # these 200 examples, drawn from seed 0, and the three above choose the
+    # frozen law 81 times on each kernel, the chain 30 and no path 214
+    assert min(seen["frozen", True], seen["frozen", False], seen["chain", True],
+               seen[None, True] + seen[None, False]) >= 20
 
 
 @given(st.floats(1.0, 2.0**12))
@@ -608,7 +590,7 @@ def test_difference_chain_matches_kernel():
         assert got.tolist() == want.tolist()
         assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
         assert stub.served == len(uniforms)
-        assert tally.kernel_steps + tally.verified_steps + tally.chain_steps == len(uniforms)
+        assert tally.kernel_steps + tally.fast_steps + tally.chain_steps == len(uniforms)
         seen.update(walked=tally.chain_steps > 0, tails=tally.tails > 0,
                     resynced=tally.resyncs > 1, handed_back=tally.handbacks > 0,
                     at_block_end=tally.block_end_handbacks > 0,
@@ -619,8 +601,7 @@ def test_difference_chain_matches_kernel():
     # these 200 examples, drawn from seed 0, give 153 runs walked, 75 with a
     # tail, 71 re-synced past their start, 62 handed back (15 of them after
     # a pick on a block's last uniform), 41 handed a 0.0 to the kernel
-    # between two walks and 64 walked runs drew 1 - 2^-53 (the last
-    # unpinned ones 138, 40, 32, 62, 22, 12 and 54)
+    # between two walks and 64 walked runs drew 1 - 2^-53
     assert seen["walked"] >= 80 and seen["tails"] >= 25 and seen["resynced"] >= 20
     assert seen["handed_back"] >= 35 and seen["at_block_end"] >= 10
     assert seen["zeros"] >= 12 and seen["ones"] >= 20
@@ -667,8 +648,7 @@ def test_difference_chain_states_hold_the_kernel_sums():
 
     check()
     # 7,405 states audited, 5,651 of them with a tail, in these 60 examples
-    # drawn from seed 0 (the last unpinned ones, which followed this
-    # function's source, 10,028 and 8,459)
+    # drawn from seed 0
     assert len(audited) >= 5000 and sum(audited) >= 4000
 
 
