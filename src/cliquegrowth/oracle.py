@@ -215,8 +215,8 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
 def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
     """Lower bound 1/(1 + |V| e^(-alpha r)) on the in-vertex-given-in-block
     conditional probability after r own-vertex allocations."""
-    if n_vertices < 1 or not alpha > 0 or r < 0:
-        raise ValueError("need n_vertices >= 1, alpha > 0, r >= 0")
+    if n_vertices < 1 or not 0 < alpha < math.inf or r < 0:
+        raise ValueError("need n_vertices >= 1, a positive finite alpha, r >= 0")
     return 1.0 / (1.0 + n_vertices * math.exp(-alpha * r))
 
 
@@ -470,6 +470,8 @@ def negative_drift_radius(m: int, a, lam: float, threshold: float = -0.1,
                           width: int = 10, c_max: int = 200) -> int:
     """Smallest C <= c_max with max drift over ||z||_1 in [C, C+width] below
     `threshold`; outward search from C=1.  Each shell is scored once."""
+    if width < 0 or math.isnan(threshold):
+        raise ValueError("need width >= 0 and a threshold that is a number")
     log_a = _chain_log_coefficients(m, a, lam)
     tops = [-math.inf]  # tops[r]: max drift over the shell of radius r
     for c in range(1, c_max + 1):

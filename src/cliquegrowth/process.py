@@ -24,18 +24,17 @@ alpha < beta, never freezes: the count differences inside the final clique
 form a positive-recurrent chain, and the run walks a table of the kernel's
 laws keyed by d = L - max L (`_DifferenceChain`).
 
-Every path draws a leading run of a block's uniforms, leaves the exponents
-as the kernel would, and names the kernel steps that follow before it draws
-again.  On every path, allocations, final exponents and the uniforms
-consumed are those of the kernels alone.
+Every path draws a leading run of a block's uniforms, leaves the run's one
+exponent array as the kernel would, and names the kernel steps that follow
+before it draws again.  On every path, allocations, final exponents and the
+uniforms consumed are those of the kernels alone.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import IO, Mapping, NamedTuple
 
 import numpy as np
@@ -163,6 +162,11 @@ def _offset_tuple(offset) -> tuple[float, ...] | None:
 
 @lru_cache(maxsize=64)
 def _materialized_arrays(p: RateParams, g: Graph):
+    """Once per (params, g), read-only: K, the offset, the support (indices,
+    values) of each column K[:, v], which one allocation at v adds, and for
+    the fast paths peaked, with peaked[u, v] saying K[u, v] equals K[v, v]
+    and column v of K peaks there (None if no column does), and the least
+    e >= 0 for which K is a multiple of 2^-e (`_on_grid`)."""
     n = g.n
     adj = g.adjacency_matrix
     alpha_vec = np.asarray(p.alpha, dtype=np.float64)
@@ -183,35 +187,20 @@ def _materialized_arrays(p: RateParams, g: Graph):
         raise ValueError("base_offset_v length does not match the graph")
     # beta_mat[v, u] is the weight of u's count in v's exponent
     K = beta_mat + np.diag(alpha_vec)
-    # what one allocation at v adds to the exponents, read-only like K: the
-    # support (indices, values) of column K[:, v] for the kernels, and on the
-    # scalar kernel's graphs the whole column for the difference chain
     nonzero = K.T != 0
     idx, val = nonzero.nonzero()[1], K.T[nonzero]
-    for a in (K, offset, idx, val):
+    diag = K.diagonal()
+    peaked = (K == diag) & (K.max(axis=0) <= diag)
+    for a in (K, offset, idx, val, peaked):
         a.setflags(write=False)
     ends = np.cumsum(nonzero.sum(axis=1)).tolist()
     supports = tuple((idx[a:b], val[a:b]) for a, b in zip([0] + ends, ends))
-    dense = tuple(map(tuple, K.T.tolist())) if n <= SCALAR_KERNEL_MAX_N else None
-    return K, offset, supports, dense
-
-
-@lru_cache(maxsize=64)
-def _k_facts(p: RateParams, g: Graph):
-    """What the fast paths need of K alone, once per (params, g): peaked,
-    with peaked[u, v] saying K[u, v] equals K[v, v] and column v of K peaks
-    there (None if no column does), and the least e >= 0 for which K is a
-    multiple of 2^-e (`_on_grid`)."""
-    K = p.interaction_matrix(g)
-    diag = K.diagonal()
-    peaked = (K == diag) & (K.max(axis=0) <= diag)
-    peaked.setflags(write=False)
     # each nonzero entry is M 2^(x - 53) with M an integer; M & -M is its
     # lowest set bit, so `low` is the entry's lowest set bit's exponent
-    m, x = np.frexp(K[K != 0])
+    m, x = np.frexp(val)
     M = np.ldexp(m, 53).astype(np.int64)
     low = np.frexp(M & -M)[1] + x - 54
-    return (peaked if peaked.any() else None), -int(np.min(low, initial=0))
+    return K, offset, supports, peaked if peaked.any() else None, -int(np.min(low, initial=0))
 
 
 @dataclass
@@ -221,9 +210,11 @@ class State:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
+        counts = np.asarray(self.counts)
+        with np.errstate(invalid="ignore"):
+            self.counts = counts.astype(np.int64)
+        if counts.ndim != 1 or not (self.counts == counts).all() or (self.counts < 0).any():
+            raise ValueError("counts must be one non-negative integer per vertex")
 
     @staticmethod
     def zeros(n: int) -> "State":
@@ -231,7 +222,7 @@ class State:
 
     @staticmethod
     def from_label_counts(g: Graph, label_counts: Mapping[int, int]) -> "State":
-        counts = np.zeros(g.n, dtype=np.int64)
+        counts = [0] * g.n
         for lab, c in label_counts.items():
             counts[g.index(lab)] = c
         return State(counts)
@@ -252,8 +243,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def exponent_vector(params: RateParams, g: Graph, state: State) -> np.ndarray:
-    """All rate exponents, computed from scratch.  Raises if one is not a
-    finite float."""
+    """All rate exponents, computed from scratch.  Raises if the state does
+    not fit g or an exponent is not a finite float."""
+    if len(state.counts) != g.n:
+        raise ValueError("initial state size does not match the graph")
     K, offset = params.arrays(g)
     with np.errstate(over="ignore", invalid="ignore"):
         exps = offset + K @ state.counts.astype(np.float64)
@@ -285,25 +278,26 @@ def check_reach(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> float:
     return reach
 
 
-def _scalar_kernel(L: list, columns, uniforms):
-    """Yield one vertex per uniform, advancing the exponent list L in place.
+def _scalar_kernel(L: np.ndarray, pairs, memo: dict, uniforms: list) -> list:
+    """One vertex per uniform, advancing the exponent array L in place;
+    `pairs[v]` lists column K[:, v]'s support as (index, value) pairs.
 
     The same arithmetic as `_numpy_kernel`, step for step, on Python floats:
     weights exp(L_j - max L) summed left to right, then the first index whose
-    partial sum exceeds u * total.  Weights come from `np.exp`, memoized per
-    run (never `math.exp`, which differs from `np.exp` in the last bit for
-    some arguments); below EXP_UNDERFLOW `np.exp` returns 0.0, so those
-    weights are 0.0 without a lookup.
+    partial sum exceeds u * total.  Weights come from `np.exp`, memoized in
+    `memo` per run (never `math.exp`, which differs from `np.exp` in the last
+    bit for some arguments); below EXP_UNDERFLOW `np.exp` returns 0.0, so
+    those weights are 0.0 without a lookup.
     """
-    cols = [list(zip(idx.tolist(), val.tolist())) for idx, val in columns]
-    memo: dict[float, float] = {}
+    exps = L.tolist()
     get = memo.get
+    picks = []
     for u in uniforms:
-        top = max(L)
+        top = max(exps)
         total = 0.0
         cum = []
         append = cum.append
-        for x in L:
+        for x in exps:
             d = x - top
             if d >= EXP_UNDERFLOW:
                 w = get(d)
@@ -318,34 +312,38 @@ def _scalar_kernel(L: list, columns, uniforms):
         # half the float spacing just below it (a whole one at a power of
         # two), and rounds below total; the search stays inside the list
         v = bisect_right(cum, u * total)
-        for j, k in cols[v]:
-            L[j] += k
-        yield v
+        for j, k in pairs[v]:
+            exps[j] += k
+        picks.append(v)
+    L[:] = exps
+    return picks
 
 
-def _numpy_kernel(L: np.ndarray, columns, uniforms):
-    """Yield one vertex per uniform, advancing the exponent array L in place:
+def _numpy_kernel(L: np.ndarray, supports, uniforms: list) -> list:
+    """One vertex per uniform, advancing the exponent array L in place:
     cumsum(exp(L - max L)) and a right-side search for u * total, which
     stays below total as in `_scalar_kernel`."""
     w = np.empty_like(L)
     cum = np.empty_like(L)
+    picks = []
     for u in uniforms:
         # the ufuncs behind L.max() and np.cumsum, without their Python wrappers
         np.subtract(L, np.maximum.reduce(L), out=w)
         np.exp(w, out=w)
         np.add.accumulate(w, out=cum)
         v = int(cum.searchsorted(u * cum[-1], side="right"))
-        idx, val = columns[v]
+        idx, val = supports[v]
         L[idx] += val
-        yield v
+        picks.append(v)
+    return picks
 
 
 def _on_grid(exps0: np.ndarray, grid: int, reach: float) -> bool:
     """The run's exponents stay exact: K and exps0 are multiples of 2^-e
     with 2 reach 2^e < 2^52 (`check_reach`'s reach of the run), so that every
     exponent, sum and difference on any path of the run is a float.  K is a
-    multiple of 2^-e for every e >= `grid` (`_k_facts`), so only exps0 is
-    checked here."""
+    multiple of 2^-e for every e >= `grid` (`_materialized_arrays`), so only
+    exps0 is checked here."""
     e = min(51 - math.frexp(reach)[1], 64)
     if e < grid:
         return False
@@ -443,17 +441,17 @@ class _Frozen:
     after the last uniform it was given is kept for the next walk.
     """
 
-    def __init__(self, L, K: np.ndarray, peaked: np.ndarray):
+    def __init__(self, L: np.ndarray, K: np.ndarray, peaked: np.ndarray):
         self.L, self.K, self.peaked = L, K, peaked
         self.law = self.last = None
 
     def walk(self, us: np.ndarray):
         """(vertices, kernel steps) for a leading run of the uniforms us:
         the law's picks up to and with the first unsafe one, scanned in
-        windows growing from FREEZE_CHUNK, and their columns added to the
-        kernel's own L, a list or an array, exact in any order."""
+        windows growing from FREEZE_CHUNK; their columns, exact in any
+        order, are added to L."""
         if self.law is None:
-            self.law = _frozen_law(np.asarray(self.L), self.K, self.peaked, self.last)
+            self.law = _frozen_law(self.L, self.K, self.peaked, self.last)
             if self.law is None:
                 return (), FREEZE_CHUNK
         law = self.last = self.law
@@ -470,11 +468,7 @@ class _Frozen:
             parts.append(pick)
             start, size = start + size, 8 * size
         picks = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        added = law.KC @ np.bincount(picks, minlength=len(law.C))
-        if isinstance(self.L, list):
-            self.L[:] = (np.array(self.L) + added).tolist()
-        else:
-            self.L += added
+        self.L += law.KC @ np.bincount(picks, minlength=len(law.C))
         if len(picks) < len(us) or not law.safe[picks[-1]]:
             self.law = None
         return law.C[picks], int(len(picks) < len(us) and us[len(picks)] == 0.0)
@@ -511,14 +505,13 @@ class _DifferenceChain:
     table holds CHAIN_MAX_CELLS cells.
     """
 
-    def __init__(self, L: list, K: np.ndarray, dense):
-        self.L, self.K, self.dense = L, K, dense
+    def __init__(self, L: np.ndarray, K: np.ndarray, memo: dict):
+        self.L, self.K, self.memo = L, K, memo
         # n weights below e^-gap of the smallest live weight sum to less
         # than 2^-56 of it, with a margin of e for np.exp's rounding
         self.gap = 56 * math.log(2) + math.log(len(L)) + 1.0
         self.table: dict[tuple, tuple] = {}
         self.cells = 0
-        self.memo: dict[float, float] = {}
         self.state, self.bound = self._resync()
 
     def walk(self, us: np.ndarray):
@@ -563,14 +556,14 @@ class _DifferenceChain:
     def _sync(self, picks: list) -> None:
         """Add the columns of `picks` to L: exact on the grid, in any order."""
         if picks:
-            counts = np.bincount(picks, minlength=len(self.L))
-            self.L[:] = (np.array(self.L) + self.K @ counts).tolist()
+            self.L += self.K @ np.bincount(picks, minlength=len(self.L))
 
     def _resync(self):
         """(state of the exact exponents L, largest tail exponent); the
         state is None if it is new and the table is full."""
-        top = max(self.L)
-        d = [x - top for x in self.L]
+        exps = self.L.tolist()
+        top = max(exps)
+        d = [x - top for x in exps]
         live = set(self._cut(d))
         key = tuple(x if j in live else -math.inf for j, x in enumerate(d))
         bound = max((x for j, x in enumerate(d) if j not in live), default=-math.inf)
@@ -623,7 +616,7 @@ class _DifferenceChain:
         if the table is full."""
         _, _, links, _, key = s
         v = links[k][0]
-        col = self.dense[v]
+        col = self.K[:, v].tolist()
         moved = [x + c for x, c in zip(key, col)]
         shift = max(moved)
         nxt = self._state(tuple(x - shift for x in moved))
@@ -633,12 +626,6 @@ class _DifferenceChain:
         return nxt, rise
 
 
-def _chained(chunks: deque):
-    """Yield the uniforms of each list put on `chunks`, in order."""
-    while True:
-        yield from chunks.popleft()
-
-
 def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
               scalar: bool) -> np.ndarray:
     """Allocations for `steps` uniforms of rng.random from x0, by the scalar
@@ -646,24 +633,26 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     Uniform 0 selects the first vertex with positive weight.
 
     A run on the exact grid (`_on_grid`) has one fast path: the frozen law
-    where a column of K peaks on its diagonal (`_k_facts`), on either
-    kernel, else the difference chain on the scalar kernel's graphs.  In
-    each block of uniforms, each walk of the path is followed by the kernel
-    steps it names.
+    where a column of K peaks on its diagonal, on either kernel, else the
+    difference chain on the scalar kernel's graphs.  In each block of
+    uniforms, each walk of the path is followed by the kernel steps it names.
+    All advance one exponent array L; the scalar kernel and the chain share
+    one memo of np.exp weights.
     """
     L = exponent_vector(params, g, x0)
-    K, _, columns, dense = _materialized_arrays(params, g)
-    peaked, grid = _k_facts(params, g)
+    K, _, supports, peaked, grid = _materialized_arrays(params, g)
     exact = _on_grid(L, grid, check_reach(L, K, steps))
-    kernel, path = _numpy_kernel, None
+    memo: dict[float, float] = {}
     if scalar:
-        L, kernel = L.tolist(), _scalar_kernel
+        pairs = [list(zip(idx.tolist(), val.tolist())) for idx, val in supports]
+        draw = partial(_scalar_kernel, L, pairs, memo)
+    else:
+        draw = partial(_numpy_kernel, L, supports)
+    path = None
     if exact and peaked is not None:
         path = _Frozen(L, K, peaked)
     elif exact and scalar:
-        path = _DifferenceChain(L, K, dense)
-    chunks: deque = deque()
-    draw = kernel(L, columns, _chained(chunks))
+        path = _DifferenceChain(L, K, memo)
     out = np.empty(steps, dtype=np.int64)
     done = 0
     while done < steps:
@@ -674,8 +663,8 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
             out[done:done + len(picks)] = picks
             done, i = done + len(picks), i + len(picks)
             k = min(k, len(us) - i)
-            chunks.append(us[i:i + k].tolist())
-            out[done:done + k] = np.fromiter(draw, dtype=np.int64, count=k)
+            if k:
+                out[done:done + k] = draw(us[i:i + k].tolist())
             done, i = done + k, i + k
     return out
 
@@ -731,8 +720,6 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
         raise ValueError(f"steps must be in [0, {MAX_STEPS}]")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    if len(x0.counts) != g.n:
-        raise ValueError("initial state size does not match the graph")
     alloc = _allocate(params, g, x0, make_rng(seed, stream), steps,
                       scalar=g.n <= SCALAR_KERNEL_MAX_N)
     return Trajectory(initial=x0.copy(), allocations=alloc)

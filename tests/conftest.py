@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -62,16 +64,27 @@ def serial_pool(started: list):
 KERNELS = (_scalar_kernel, _numpy_kernel)
 
 
-def drive_kernel(kernel, params, g: Graph, x0, uniforms):
+def scalar_pairs(supports):
+    """The scalar kernel's (index, value) pairs of each column support."""
+    return [list(zip(idx.tolist(), val.tolist())) for idx, val in supports]
+
+
+def drive_kernel(kernel, params, g: Graph, x0, uniforms, splits=()):
     """Run one sampling kernel from x0 over `uniforms` on the sampler's
-    column supports: its allocations, and the exponents it keeps, after
+    column supports, in one call per stretch between the ascending indices
+    `splits`, carrying one exponent array (and the scalar kernel's memo)
+    across the calls: its allocations, and the exponents it keeps, after
     them."""
     L = exponent_vector(params, g, x0)
-    if kernel is _scalar_kernel:
-        L = L.tolist()
     supports = _materialized_arrays(params, g)[2]
-    alloc = np.fromiter(kernel(L, supports, uniforms), dtype=np.int64)
-    return alloc, np.asarray(L, dtype=np.float64)
+    if kernel is _scalar_kernel:
+        draw = partial(kernel, L, scalar_pairs(supports), {})
+    else:
+        draw = partial(kernel, L, supports)
+    uniforms = list(uniforms)
+    ends = [0, *splits, len(uniforms)]
+    alloc = [v for a, b in zip(ends, ends[1:]) for v in draw(uniforms[a:b])]
+    return np.array(alloc, dtype=np.int64), L
 
 
 def labs(g: Graph, verts) -> tuple[int, ...]:

@@ -233,6 +233,14 @@ class TestP11Bound:
         vals = [p11_bound(8, 0.7, r) for r in range(20)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    # an infinite alpha gave nan: exp(-inf * 0)
+    @pytest.mark.parametrize("n_vertices, alpha, r", [
+        (0, 1.0, 0), (8, 0.0, 0), (8, -1.0, 0), (8, float("nan"), 0),
+        (1, float("inf"), 0), (8, 1.0, -1)])
+    def test_bad_inputs_rejected(self, n_vertices, alpha, r):
+        with pytest.raises(ValueError, match="need n_vertices"):
+            p11_bound(n_vertices, alpha, r)
+
 
 def decimal_product(n_vertices, rate, start, m=1):
     """(prod_{r >= start} 1/(1 + |V| e^(-rate r)))^m to 40 digits, from
@@ -702,6 +710,15 @@ class TestShellEnumeration:
     def test_bad_rates_rejected(self, lam):
         with pytest.raises(ValueError):
             drift_shell_max(3, np.ones(2), lam, 0, 3)
+        with pytest.raises(ValueError):
+            negative_drift_radius(3, np.ones(2), lam)
+
+    # a negative width scored no shell and raised max()'s error; a NaN
+    # threshold scanned every radius up to c_max before refusing
+    @pytest.mark.parametrize("scan", [dict(width=-1), dict(threshold=float("nan"))])
+    def test_bad_scans_rejected(self, scan):
+        with pytest.raises(ValueError, match="width >= 0"):
+            negative_drift_radius(3, np.ones(2), 1.0, **scan)
 
     def test_overflowing_logits_rejected(self):
         # lam * z overflows: an error, not a NaN drift

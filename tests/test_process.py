@@ -1,6 +1,5 @@
 import io
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cliquegrowth import (
+    OrderedClique,
     RateParams,
     State,
     complete_graph,
+    confinement_prob,
     exponent_vector,
+    final_maximal_clique,
     make_rng,
     run,
     transition_probs,
@@ -24,7 +26,7 @@ from cliquegrowth.process import (
     probs_from_exponents,
 )
 
-from conftest import KERNELS, drive_kernel, idx
+from conftest import KERNELS, drive_kernel, idx, scalar_pairs
 
 
 def uniforms_selecting(params, g, x0, vertices):
@@ -164,6 +166,23 @@ class TestRateParams:
         assert str(err.value) == reference_error(fig1, **fields)
 
 
+class TestState:
+    # a float count was truncated toward zero, and 2-D counts were kept
+    @pytest.mark.parametrize("counts", [[1.5, 0.2, 0], [[0, 1], [2, 3]], 5,
+                                        [0, math.nan], [1e30], [0, -1]])
+    def test_refuses_what_is_not_one_count_per_vertex(self, counts):
+        with pytest.raises(ValueError, match="^counts must be one non-negative integer per vertex$"):
+            State(counts)
+
+    def test_label_counts_refused_alike(self):
+        with pytest.raises(ValueError, match="one non-negative integer per vertex"):
+            State.from_label_counts(complete_graph(3), {1: 1.5})
+
+    def test_keeps_integer_valued_floats(self):
+        counts = State([2.0, 0, 1]).counts
+        assert counts.tolist() == [2, 0, 1] and counts.dtype == np.int64
+
+
 class TestExponents:
     def test_zero_state_is_zero(self, fig1):
         p = RateParams.uniform(1.3, 0.7)
@@ -177,6 +196,16 @@ class TestExponents:
         expect = {1: 0.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 1.0, 6: 1.0, 7: 0.0, 8: 1.0}
         for lab, want in expect.items():
             assert L[fig1.index(lab)] == want
+
+    def test_state_size_refused(self):
+        # one message on every path to the exponents, not numpy's matmul text
+        g, p, s = complete_graph(3), RateParams.uniform(1.0, 1.0), State([0, 0])
+        for call in (lambda: exponent_vector(p, g, s), lambda: transition_probs(p, g, s),
+                     lambda: final_maximal_clique(g, p, s),
+                     lambda: confinement_prob(g, p, s, OrderedClique((0, 1, 2)), 2),
+                     lambda: run(g, p, s, 10, seed=1)):
+            with pytest.raises(ValueError, match="^initial state size does not match the graph$"):
+                call()
 
     def test_base_offset_at_zero_counts(self):
         g = complete_graph(3)
@@ -324,16 +353,22 @@ class TestRun:
 def test_normalization_along_long_run(fig1):
     # probability vector sums to 1 within 1e-12 at every visited state, taken
     # from the exponents the scalar kernel (the one run() uses on fig1) keeps
-    # incrementally; the property test holds the numpy kernel's to the same bits
+    # incrementally: its picks replayed through its own pairs end on its
+    # array; the property test holds the numpy kernel's to the same bits
     p = RateParams.uniform(1.0, 1.0)
-    L = exponent_vector(p, fig1, State.zeros(fig1.n)).tolist()
-    us = make_rng(77).random(1_000_000).tolist()
-    kernel = _scalar_kernel(L, _materialized_arrays(p, fig1)[2], us)
-    rows = [list(L)]
-    while rows:
+    L = exponent_vector(p, fig1, State.zeros(fig1.n))
+    exps = L.tolist()
+    pairs = scalar_pairs(_materialized_arrays(p, fig1)[2])
+    picks = _scalar_kernel(L, pairs, {}, make_rng(77).random(1_000_000).tolist())
+    for start in range(0, len(picks) + 1, 50_000):
+        rows = [list(exps)]
+        for v in picks[start:start + 50_000]:
+            for j, k in pairs[v]:
+                exps[j] += k
+            rows.append(list(exps))
         probs = probs_from_exponents(np.array(rows))
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-        rows = [list(L) for _ in islice(kernel, 50_000)]
+    assert exps == L.tolist()
 
 
 def test_critical_clique_invariance(fig1):

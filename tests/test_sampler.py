@@ -24,7 +24,7 @@ from cliquegrowth import (Graph, RateParams, State, complete_graph, exponent_vec
                           process, run)
 from cliquegrowth.process import _allocate, _DifferenceChain, _numpy_kernel, _scalar_kernel
 
-from conftest import drive_kernel
+from conftest import drive_kernel, scalar_pairs
 
 
 def reference_allocations(params, g, x0, uniforms):
@@ -72,15 +72,23 @@ def cases(draw):
     return g, params, x0, uniforms.tolist()
 
 
-@given(cases())
-def test_kernels_match_reference_bit_for_bit(case):
+@given(cases(), st.data())
+def test_kernels_match_reference_bit_for_bit(case, data):
+    """Each kernel gives the reference's allocations, and both keep the same
+    exponent bytes, whether the uniforms come in one call or in up to four
+    that carry the exponent array (and the scalar kernel's memo) across."""
     g, params, x0, uniforms = case
+    splits = sorted(data.draw(st.lists(st.integers(0, len(uniforms)), max_size=3)))
     want = reference_allocations(params, g, x0, uniforms)
     scalar, L_scalar = drive_kernel(_scalar_kernel, params, g, x0, uniforms)
     vector, L_vector = drive_kernel(_numpy_kernel, params, g, x0, uniforms)
     assert scalar.tolist() == want.tolist()
     assert vector.tolist() == want.tolist()
     assert L_scalar.tobytes() == L_vector.tobytes()
+    for kernel in (_scalar_kernel, _numpy_kernel):
+        split, L_split = drive_kernel(kernel, params, g, x0, uniforms, splits)
+        assert split.tolist() == want.tolist()
+        assert L_split.tobytes() == L_scalar.tobytes()
     final = State(x0.counts + np.bincount(want, minlength=g.n))
     assert np.abs(L_scalar - exponent_vector(params, g, final)).max() <= 1e-9
 
@@ -141,40 +149,39 @@ class StubRng:
 
 
 class Tally:
-    """Counts, while `installed`, the steps `process`'s kernels take and the
-    uniforms they pull, and what each fast path's `walk` draws: the steps of
-    the frozen law (`fast_steps`) and of the difference chain, the chain's
-    hand-backs (those after a pick on the last uniform it was given as
-    `block_end_handbacks`) and its uniforms of 0.0 (each a kernel step between
-    two walks), and the chain's last table's states.  Three internals are
-    counted too: the tests for a frozen law and the laws they find (`entries`),
-    the chain's misses, and its re-syncs (those leaving a tail as `tails`).
-    The last exponents a kernel was given are `exponents`, which it and the
-    fast paths advance in place.  A frozen law's exit is `unsafe` when its last
+    """Counts, while `installed`, the steps `process`'s kernels take (each
+    call one pick per uniform it is given), and what each fast path's `walk`
+    draws: the steps of the frozen law (`fast_steps`) and of the difference
+    chain, the chain's hand-backs (those after a pick on the last uniform it
+    was given as `block_end_handbacks`) and its uniforms of 0.0 (each a
+    kernel step between two walks), and the chain's last table's states.
+    Three internals are counted too: the tests for a frozen law and the laws
+    they find (`entries`), the chain's misses, and its re-syncs (those
+    leaving a tail as `tails`).  The last exponent array `exponent_vector`
+    returned, the run's, is `exponents`, which the kernels and the fast
+    paths advance in place.  A frozen law's exit is `unsafe` when its last
     pick is unsafe (the law draws that step itself; `unsafe_at_block_end` if
     that is the last uniform it was given) and `zero` at a uniform of 0.0."""
 
     def __init__(self):
-        self.kernel_steps = self.kernel_pulled = self.fast_steps = self.entries = self.tests = 0
+        self.kernel_steps = self.fast_steps = self.entries = self.tests = 0
         self.chain_steps = self.misses = self.resyncs = self.tails = 0
         self.handbacks = self.block_end_handbacks = self.chain_zeros = self.states = 0
         self.exits = Counter()
         self.exponents = None
 
+    def _exponent_vector(self, original):
+        def kept(*args):
+            self.exponents = original(*args)
+            return self.exponents
+        return kept
+
     def _kernel(self, original):
-        def counted(L, columns, uniforms):
-            self.exponents = L
-
-            def pulled():
-                for u in uniforms:
-                    self.kernel_pulled += 1
-                    yield u
-
-            def steps():
-                for v in original(L, columns, pulled()):
-                    self.kernel_steps += 1
-                    yield v
-            return steps()
+        def counted(*args):
+            picks = original(*args)
+            assert len(picks) == len(args[-1])
+            self.kernel_steps += len(picks)
+            return picks
         return counted
 
     def _frozen_walk(self, original):
@@ -228,6 +235,7 @@ class Tally:
     def installed(self):
         with ExitStack() as stack:
             for owner, name, wrap in (
+                    (process, "exponent_vector", self._exponent_vector),
                     (process, "_scalar_kernel", self._kernel),
                     (process, "_numpy_kernel", self._kernel),
                     (process._Frozen, "walk", self._frozen_walk),
@@ -241,9 +249,9 @@ class Tally:
 
 def test_frozen_path_matches_kernels():
     """On the same uniforms `_allocate` gives the kernel's allocations and
-    final exponents, draws each uniform once (none a fast path used reaches
-    the kernel), and enters each fast path often enough that this is no
-    vacuous pass.  Every case runs on both kernels, and both take the frozen
+    final exponents, draws each uniform once (the kernel takes only those
+    no fast path used), and enters each fast path often enough that this is
+    no vacuous pass.  Every case runs on both kernels, and both take the frozen
     path alike: the same kernel steps, law tests, laws and exits."""
     entries, exits, frozen = [], Counter(), []
 
@@ -258,9 +266,8 @@ def test_frozen_path_matches_kernels():
             with tally.installed():
                 got = _allocate(params, g, x0, stub, len(uniforms), scalar)
             assert got.tolist() == want.tolist()
-            assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+            assert (tally.exponents == L_want).all()
             assert stub.served == len(uniforms)
-            assert tally.kernel_pulled == tally.kernel_steps
             assert tally.kernel_steps + tally.fast_steps + tally.chain_steps == len(uniforms)
             assert tally.chain_steps == 0 or (scalar and tally.tests == 0)
             costs.append((tally.kernel_steps, tally.fast_steps, tally.tests, tally.entries,
@@ -350,7 +357,7 @@ def test_frozen_path_holds_across_block_ends():
             with tally.installed(), patch.object(process, "UNIFORM_BLOCK", block):
                 got = _allocate(params, g, x0, stub, len(uniforms), scalar)
             assert got.tolist() == want.tolist()
-            assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+            assert (tally.exponents == L_want).all()
             assert tally.kernel_steps + tally.fast_steps + tally.chain_steps == len(uniforms)
             exits.append(tally.exits)
         assert exits[0] == exits[1]
@@ -424,7 +431,7 @@ def test_frozen_law_costs_the_same_whatever_the_seed(fig1):
                 with tally.installed():
                     got = _allocate(p, g, x0, StubRng(uniforms), 5000, scalar)
                 assert got.tolist() == want.tolist()
-                assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+                assert (tally.exponents == L_want).all()
                 assert tally.kernel_steps + tally.fast_steps == 5000
                 assert tally.kernel_steps <= chunks * process.FREEZE_CHUNK
                 assert tally.tests <= tests
@@ -588,7 +595,7 @@ def test_difference_chain_matches_kernel():
                 patch.object(process, "UNIFORM_BLOCK", block):
             got = _allocate(params, g, x0, stub, len(uniforms), True)
         assert got.tolist() == want.tolist()
-        assert (np.asarray(tally.exponents, dtype=np.float64) == L_want).all()
+        assert (tally.exponents == L_want).all()
         assert stub.served == len(uniforms)
         assert tally.kernel_steps + tally.fast_steps + tally.chain_steps == len(uniforms)
         seen.update(walked=tally.chain_steps > 0, tails=tally.tails > 0,
@@ -622,26 +629,26 @@ def test_difference_chain_states_hold_the_kernel_sums():
     def check(case):
         g, params, x0, uniforms = case
         L = exponent_vector(params, g, x0)
-        K, _, columns, dense = process._materialized_arrays(params, g)
-        assert process._on_grid(L, process._k_facts(params, g)[1],
-                                process.check_reach(L, K, len(uniforms)))
-        L = L.tolist()
-        chain = _DifferenceChain(L, K, dense)
+        K, _, supports, _, grid = process._materialized_arrays(params, g)
+        assert process._on_grid(L, grid, process.check_reach(L, K, len(uniforms)))
+        pairs, memo = scalar_pairs(supports), {}
+        chain = _DifferenceChain(L, K, memo)
         for step in range(len(uniforms)):
             u = uniforms[step:step + 1]
             if chain.walk(u)[1] == 1:  # a uniform of 0.0: the kernel takes it
-                next(_scalar_kernel(L, columns, u.tolist()))
+                _scalar_kernel(L, pairs, memo, u.tolist())
             if chain.state is None:
                 break
             cum, total, links, thr, key = chain.state
             if not chain.bound < thr:
                 continue  # the next step re-derives the state first
-            top = max(L)
+            exps = L.tolist()
+            top = max(exps)
             live = [v for v, _, _ in links]
             weights = [float(np.exp(x - top)) if x - top >= process.EXP_UNDERFLOW else 0.0
-                       for x in L]
-            assert [key[j] for j in live] == [L[j] - top for j in live]
-            assert all(L[j] - top <= chain.bound for j in range(g.n) if j not in live)
+                       for x in exps]
+            assert [key[j] for j in live] == [exps[j] - top for j in live]
+            assert all(exps[j] - top <= chain.bound for j in range(g.n) if j not in live)
             sums = np.cumsum(weights)  # left to right, as the kernel adds
             assert [float(sums[j]) for j in live] == cum and float(sums[-1]) == total
             audited.append(len(live) < g.n)
