@@ -17,7 +17,7 @@ import numpy as np
 from .detection import check_final_properties
 from .graphs import Graph, OrderedClique, d_sets, is_clique
 from .process import (EXP_UNDERFLOW, RateParams, State, check_reach,
-                      exponent_vector, probs_from_exponents)
+                      exp_weights, exponent_vector, probs_from_exponents)
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -47,9 +47,9 @@ def _start_exponents(params: RateParams, g: Graph, x0: State,
                      vertices: Sequence[int], horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The exponents at x0, and as row i the increment of one allocation at
     vertices[i] (column vertices[i] of K), once `check_reach` passes.  Refuses
-    horizons whose last level of count vectors over `vertices`, or the
-    (horizon + 2) x m binomial table of `_composition_levels`, would exceed
-    MAX_CELLS cells."""
+    horizons whose last level of count vectors over `vertices`, or a
+    binomial table of `_level_table` (under (horizon + 2) x m cells), would
+    exceed MAX_CELLS cells."""
     m = len(vertices)
     if max(math.comb(horizon + m - 1, m - 1), horizon + 2) * m > MAX_CELLS:
         raise ValueError(f"the horizon-{horizon} levels need more than {MAX_CELLS} array cells")
@@ -57,6 +57,45 @@ def _start_exponents(params: RateParams, g: Graph, x0: State,
     deltas = params.interaction_matrix(g).T[list(vertices)]
     check_reach(exps0, deltas, horizon)
     return exps0, deltas
+
+
+def _level_table(m: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count vectors of total `top` over m parts in descending
+    lexicographic order, one per row, and up: up[r, i] is the row of
+    comps[r] + e_i among the vectors of total top + 1."""
+    # binom[a + 1, p] = C(a + p, p), the number of count vectors of total a
+    # over p + 1 parts; row 0 stands for a = -1 and holds 0.  By Pascal's
+    # rule column p is the running sum of column p - 1.  No entry exceeds
+    # C(top + m - 1, m - 1), the size of this level, which _start_exponents
+    # keeps under MAX_CELLS, so int64 sums are exact.
+    binom = np.zeros((top + 2, m), dtype=np.int64)
+    binom[1:, 0] = 1
+    for p in range(1, m):
+        np.cumsum(binom[:, p - 1], out=binom[:, p])
+    # Unrank: of the vectors with total `rest` over parts j..m-1, those
+    # with part j above rest - t number binom[t, p], p = m-1-j parts after
+    # j, so part j is rest - t for the largest t with binom[t, p] <= rank.
+    comps = np.empty((binom[-1, -1], m), dtype=np.int64)
+    rank = np.arange(len(comps))
+    rest = np.full(len(comps), top)
+    for j, p in enumerate(range(m - 1, 0, -1)):
+        t = np.searchsorted(binom[:, p], rank, side="right") - 1
+        comps[:, j] = rest - t
+        rank -= binom[t, p]
+        rest = t
+    comps[:, -1] = rest
+    # The rank of a vector among those of total top+1 counts, for each
+    # position j < m-1, the vectors equal to it before j and larger at j.
+    # For comps + e_i that term is `before` for j < i and `after` for
+    # j >= i, where its prefix sums are one larger.
+    parts_after = np.arange(m - 1, 0, -1)
+    prefix = np.cumsum(comps[:, :-1], axis=1)
+    before = binom[top + 1 - prefix, parts_after]
+    after = binom[top - prefix, parts_after]
+    up = np.zeros((len(comps), m), dtype=np.int64)
+    np.cumsum(before, axis=1, out=up[:, 1:])
+    up[:, :-1] += np.cumsum(after[:, ::-1], axis=1)[:, ::-1]
+    return comps, up
 
 
 def _composition_levels(m: int, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -67,30 +106,25 @@ def _composition_levels(m: int, horizon: int) -> Iterator[tuple[np.ndarray, np.n
     lexicographic order, the order in which a dict DP that allocates at
     0..m-1 from each vector in turn first reaches them; up[r, i] is the
     row of comps[r] + e_i in the next level.
+
+    In that order the vectors of total k are those of total k-1 with one
+    more at part 0, then those with part 0 empty.  So every level is a
+    prefix of a later one: its rows are the first rows of level `top` with
+    part 0 lowered by top - k, and its up map the first rows of level
+    top's.  One table (`_level_table`) serves the levels up to `top`; a
+    level beyond it rebuilds the table at min(horizon - 1, 2k + 1), so a
+    caller that stops early holds at most about twice the last level it
+    read.
     """
-    # binom[a + 1, p] = C(a + p, p), the number of count vectors of total a
-    # over p + 1 parts; row 0 stands for a = -1 and holds 0
-    binom = np.zeros((horizon + 2, m), dtype=np.int64)
-    binom[1:] = [[math.comb(a + p, p) for p in range(m)] for a in range(horizon + 1)]
-    parts_after = np.arange(m - 1, 0, -1)
-    comps = np.zeros((1, m), dtype=np.int64)
+    top = -1
     for k in range(horizon):
-        # The rank of a vector among those of total k+1 counts, for each
-        # position j < m-1, the vectors equal to it before j and larger at
-        # j.  For comps + e_i that term is `before` for j < i and `after`
-        # for j >= i, where its prefix sums are one larger.
-        prefix = np.cumsum(comps[:, :-1], axis=1)
-        before = binom[k + 1 - prefix, parts_after]
-        after = binom[k - prefix, parts_after]
-        up = np.zeros((len(comps), m), dtype=np.int64)
-        np.cumsum(before, axis=1, out=up[:, 1:])
-        up[:, :-1] += np.cumsum(after[:, ::-1], axis=1)[:, ::-1]
-        nxt = np.empty((math.comb(k + m, m - 1), m), dtype=np.int64)
-        for i in range(m):
-            nxt[up[:, i]] = comps
-            nxt[up[:, i], i] += 1
-        yield comps, up
-        comps = nxt
+        if k > top:
+            top = min(horizon - 1, 2 * k + 1)
+            table, table_up = _level_table(m, top)
+        rows = math.comb(k + m - 1, m - 1)
+        comps = table[:rows].copy()
+        comps[:, 0] -= top - k
+        yield comps, table_up[:rows]
 
 
 def _level_weights(exps0: np.ndarray, deltas: np.ndarray,
@@ -104,7 +138,7 @@ def _level_weights(exps0: np.ndarray, deltas: np.ndarray,
         # a stack of vector-matrix products: per row the same arithmetic
         # as comp @ deltas on one count vector
         exps = exps0 + (comps[rows, None, :].astype(np.float64) @ deltas)[:, 0]
-        w = np.exp(exps - exps.max(axis=1, keepdims=True))
+        w = exp_weights(exps)
         yield rows, w, w.sum(axis=1, keepdims=True)
 
 
@@ -177,11 +211,13 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
     clique vertex received, so C(horizon+m-1, m-1) states replace m^horizon
     paths.  Singleton cliques are allowed (single-vertex confinement).
 
-    Each level is one array of count vectors.  A vector's mass is the sum of
-    its predecessors' contributions, added in the order of the predecessors
-    in the level (allocation at position m-1 first), and the last level is
+    Each level is one array of count vectors, a prefix of a table of a
+    later level (`_composition_levels`).  A vector's mass is the sum of its
+    predecessors' contributions, added in the order of the predecessors in
+    the level (allocation at position m-1 first), and the last level is
     summed left to right.  Once a level's mass is all zero it stays zero, so
-    the result 0.0 is returned there.
+    the result 0.0 is returned there; the tables grow in doubling steps, so
+    a DP that stops at level k has built none past level 2k + 1.
     """
     verts = clique.vertices
     if not verts or not is_clique(g, verts):

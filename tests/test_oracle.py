@@ -212,6 +212,30 @@ class TestConfinement:
         assert confinement_prob(fig1, p, State.zeros(fig1.n), c, stop - 1) > 0.0
         assert len(levels) == stop - 1
 
+    def test_early_stop_builds_tables_near_its_last_level(self, fig1, monkeypatch):
+        # the non-maximal edge {3,4} loses all its mass at level 1066 of a
+        # horizon-999,999 DP: no level table past twice that level is
+        # built, however far the horizon
+        levels, tops = [], []
+        compositions, level_table = oracle._composition_levels, oracle._level_table
+
+        def counted(m, horizon):
+            for level in compositions(m, horizon):
+                levels.append(level)
+                yield level
+
+        def spied(m, top):
+            tops.append(top)
+            return level_table(m, top)
+
+        monkeypatch.setattr(oracle, "_composition_levels", counted)
+        monkeypatch.setattr(oracle, "_level_table", spied)
+        c = OrderedClique(idx(fig1, 3, 4))
+        p = RateParams.uniform(1.0, 1.0)
+        assert confinement_prob(fig1, p, State.zeros(fig1.n), c, 999_999) == 0.0
+        assert len(levels) == 1066
+        assert max(tops) <= 2 * 1066 + 1
+
     @pytest.mark.parametrize("measure", [confinement_prob, q_measure])
     def test_levels_over_cell_limit_refused(self, measure):
         # within the budget, but the last level is C(601, 599) = 180300
@@ -220,6 +244,30 @@ class TestConfinement:
         with pytest.raises(ValueError, match="cells"):
             measure(g, RateParams.uniform(1.0, 1.0), State.zeros(g.n),
                     OrderedClique(tuple(range(g.n))), 2)
+
+
+def compositions_descending(m, total):
+    """Every count vector of `total` over m parts, in descending
+    lexicographic order, from the m-1 bar positions among total+m-1 slots."""
+    comps = []
+    for bars in itertools.combinations(range(total + m - 1), m - 1):
+        ends = (-1, *bars, total + m - 1)
+        comps.append(tuple(b - a - 1 for a, b in zip(ends, ends[1:])))
+    return np.array(sorted(comps, reverse=True), dtype=np.int64).reshape(-1, m)
+
+
+@pytest.mark.parametrize("m, horizon",
+                         [(m, h) for m in range(1, 7) for h in range(1, 13)] + [(4, 30)])
+def test_composition_levels_match_enumeration(m, horizon):
+    levels = list(oracle._composition_levels(m, horizon))
+    assert len(levels) == horizon
+    nxt = compositions_descending(m, 0)
+    for k, (comps, up) in enumerate(levels):
+        assert np.array_equal(comps, nxt)
+        nxt = compositions_descending(m, k + 1)
+        assert up.shape == comps.shape
+        for i in range(m):
+            assert np.array_equal(nxt[up[:, i]], comps + np.eye(m, dtype=np.int64)[i])
 
 
 class TestP11Bound:

@@ -23,6 +23,7 @@ from cliquegrowth.graphs import Graph
 from cliquegrowth.process import (
     _materialized_arrays,
     _scalar_kernel,
+    exp_weights,
     probs_from_exponents,
 )
 
@@ -369,6 +370,18 @@ def test_normalization_along_long_run(fig1):
         probs = probs_from_exponents(np.array(rows))
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
     assert exps == L.tolist()
+
+
+@pytest.mark.parametrize("shape", [(1,), (8,), (300,), (0, 3), (1, 8), (2048, 8),
+                                   (54, 300), (7, 1), (5, 3000)])
+def test_exp_weights_take_each_rows_own_maximum(shape):
+    # the reduceat maximum against numpy's row max, bit for bit, with rows
+    # whose maximum sits anywhere (ties included) and spreads up to 1e4
+    rng = np.random.default_rng(shape[-1])
+    x = np.round(rng.standard_normal(shape) * 10.0 ** rng.integers(0, 5, shape[:-1] + (1,)), 1)
+    want = np.exp(x - x.max(axis=-1, keepdims=True))
+    got = exp_weights(x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_critical_clique_invariance(fig1):
