@@ -91,7 +91,7 @@ def localisation_set(t: Trajectory, tail_fraction: float) -> tuple[int, ...]:
     if n == 0:
         raise ValueError("empty trajectory")
     tail = t.allocations[n - math.ceil(tail_fraction * n):]
-    return tuple(sorted(int(v) for v in np.unique(tail)))
+    return tuple(np.flatnonzero(np.bincount(tail)).tolist())
 
 
 def classify_outcome(g: Graph, s: Sequence[int]) -> str:
@@ -118,7 +118,7 @@ def c_matrix(g: Graph, lam: float, state: State, clique: Sequence[int]) -> np.nd
     if not is_clique(g, verts) or len(verts) < 2:
         raise ValueError(f"{tuple(g.labels[v] for v in verts)} is not a clique of size >= 2")
     x = state.counts
-    s = x @ g.adjacency_matrix[:, verts] + x[verts]
+    s = x[verts] + [x[list(g.adjacency[v])].sum() for v in verts]
     upper = np.triu_indices(len(verts), 1)
     out = np.zeros((len(verts), len(verts)), dtype=np.float64)
     out[upper] = lam * (s[upper[0]] - s[upper[1]])
@@ -166,8 +166,9 @@ def z_chain(t: Trajectory, g: Graph) -> ZChainPath:
 
 def onset_step(t: Trajectory, s: Sequence[int]) -> int:
     """Last 1-based step allocating outside `s`; 0 if the run never left it."""
-    outside = ~np.isin(t.allocations, list(s))
-    hits = np.flatnonzero(outside)
+    outside = np.ones(len(t.initial.counts), dtype=bool)
+    outside[list(s)] = False
+    hits = np.flatnonzero(outside[t.allocations])
     return int(hits[-1]) + 1 if len(hits) else 0
 
 

@@ -36,6 +36,8 @@ def _parse_counts(text: str | None, g: Graph) -> State:
             raise ValueError(f"bad counts item {item!r}: {exc}") from None
         if c < 0:
             raise ValueError(f"negative count in {item!r}")
+        if lab in label_counts:
+            raise ValueError(f"vertex {lab} is given twice in {text!r}")
         label_counts[lab] = c
     return State.from_label_counts(g, label_counts)
 
@@ -185,7 +187,7 @@ def _tie_args(text: str):
     if text == "lex":
         return None
     kind, _, seed = text.partition(":")
-    if kind == "rand" and seed:
+    if kind == "rand" and seed.isdecimal():
         return process.make_rng(int(seed))
     raise ValueError(f"bad tie-break {text!r}, expected lex or rand:SEED")
 

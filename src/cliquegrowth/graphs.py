@@ -3,10 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator
-
-import numpy as np
 
 __all__ = [
     "Graph",
@@ -64,21 +61,9 @@ class Graph:
             raise ValueError(f"unknown vertex label {label}") from None
 
     @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        """Read-only boolean (n, n) matrix, True at [u, v] iff u ~ v."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        degrees = [len(nbrs) for nbrs in self.adjacency]
-        rows = np.repeat(np.arange(self.n), degrees)
-        adj[rows, np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp,
-                              count=len(rows))] = True
-        adj.setflags(write=False)
-        return adj
-
-    @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
         """The neighbours of each vertex as an int bitset: bit u of entry v is
-        set iff u ~ v.  Built from the neighbour sets, so enumerating cliques
-        needs no n x n matrix."""
+        set iff u ~ v."""
         return tuple(sum(map((1).__lshift__, nbrs)) for nbrs in self.adjacency)
 
     def edge_labels(self) -> list[tuple[int, int]]:
@@ -97,28 +82,20 @@ class Graph:
 
         Duplicate edges are collapsed; self-loops are rejected.
         """
-        labels: list[int] = []
+        # label -> index; its keys are the labels in order of first appearance
         index: dict[int, int] = {}
-        adj: list[set[int]] = []
-
-        def intern(lab: int) -> int:
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-                adj.append(set())
-            return index[lab]
-
-        seen_any = False
+        edges: list[tuple[int, int]] = []
         for a, b in pairs:
             if a == b:
                 raise ValueError(f"self-loop {a}-{b} is not allowed")
-            u, v = intern(a), intern(b)
+            edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+        if not index:
+            raise ValueError("graph needs at least one edge")
+        adj: list[set[int]] = [set() for _ in index]
+        for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
-            seen_any = True
-        if not seen_any:
-            raise ValueError("graph needs at least one edge")
-        return Graph(tuple(labels), tuple(frozenset(s) for s in adj))
+        return Graph(tuple(index), tuple(map(frozenset, adj)))
 
 
 def parse_graph(text: str) -> Graph:
@@ -146,8 +123,6 @@ def parse_graph(text: str) -> Graph:
         if a == b:
             raise GraphParseError(line_no, f"self-loop {a} {b} is not allowed")
         pairs.append((a, b))
-    if not pairs:
-        raise ValueError("graph needs at least one edge")
     return Graph.from_edge_labels(pairs)
 
 
@@ -304,17 +279,13 @@ def d_sets(g: Graph, clique: OrderedClique) -> DPartition:
     verts = clique.vertices
     if not is_maximal_clique(g, verts):
         raise ValueError(f"{tuple(g.labels[v] for v in verts)} is not a maximal clique")
+    adj = g.adjacency_bits
     ds: list[frozenset[int]] = []
-    for k, vk in enumerate(verts):
-        prefix = verts[:k]
-        dk = frozenset(
-            v
-            for v in range(g.n)
-            if v != vk
-            and v not in g.adjacency[vk]
-            and all(v in g.adjacency[u] for u in prefix)
-        )
-        ds.append(dk)
+    common = (1 << g.n) - 1  # the vertices adjacent to every v_j, j < k
+    for vk in verts:
+        dk = common & ~adj[vk] & ~(1 << vk)
+        ds.append(frozenset(v for v in range(g.n) if dk >> v & 1))
+        common &= adj[vk]
     blocks = tuple(frozenset({vk}) | dk for vk, dk in zip(verts, ds))
     return DPartition(clique, tuple(ds), blocks)
 

@@ -168,20 +168,20 @@ def _materialized_arrays(p: RateParams, g: Graph):
     and column v of K peaks there (None if no column does), and the least
     e >= 0 for which K is a multiple of 2^-e (`_on_grid`)."""
     n = g.n
-    adj = g.adjacency_matrix
     alpha_vec = np.asarray(p.alpha, dtype=np.float64)
     if alpha_vec.ndim == 0:
         alpha_vec = np.full(n, alpha_vec)
     elif len(alpha_vec) != n:
         raise ValueError(f"alpha_v has length {len(alpha_vec)}, graph has {n} vertices")
+    beta_mat = np.zeros((n, n), dtype=np.float64)
     if isinstance(p.beta, tuple):
-        beta_mat = np.zeros((n, n), dtype=np.float64)
         for v, u, b in p.beta:
-            if not (0 <= v < n and 0 <= u < n and adj[v, u]):
+            if not (0 <= v < n and u in g.adjacency[v]):
                 raise ValueError(f"beta_vu defined for non-adjacent pair ({v}, {u})")
             beta_mat[v, u] = b
     else:
-        beta_mat = np.where(adj, p.beta, 0.0)
+        for v, nbrs in enumerate(g.adjacency):
+            beta_mat[v, list(nbrs)] = p.beta
     offset = np.zeros(n) if p.offset is None else np.asarray(p.offset, dtype=np.float64)
     if len(offset) != n:
         raise ValueError("base_offset_v length does not match the graph")
@@ -210,10 +210,14 @@ class State:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        with np.errstate(invalid="ignore"):
-            self.counts = counts.astype(np.int64)
-        if counts.ndim != 1 or not (self.counts == counts).all() or (self.counts < 0).any():
+        try:
+            counts = np.asarray(self.counts)
+            with np.errstate(invalid="ignore"):
+                self.counts = counts.astype(np.int64)
+            bad = counts.ndim != 1 or not (self.counts == counts).all() or (self.counts < 0).any()
+        except OverflowError:  # an integer past 64 bits
+            bad = True
+        if bad:
             raise ValueError("counts must be one non-negative integer per vertex")
 
     @staticmethod

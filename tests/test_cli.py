@@ -509,6 +509,27 @@ class TestBadInput:
         self.check_rejected(capsys, "final-clique", fig1_file, "--alpha", "1",
                             "--beta", "1", "--counts", "4:99999999999999999999")
 
+    def test_count_out_of_range_in_own_words(self, capsys, fig1_file):
+        err = self.check_rejected(capsys, "final-clique", fig1_file, "--alpha", "1",
+                                  "--beta", "1", "--counts", "5:99999999999999999999")
+        assert err == "error: counts must be one non-negative integer per vertex\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["final-clique", "--counts", "5:1,5:0"],
+        ["final-clique", "--counts", "5:0,4:2,5:1"],
+        ["simulate", "--x0", "4:3,4:3", "--steps", "5", "--seed", "1"]])
+    def test_label_given_twice(self, capsys, fig1_file, argv):
+        # the last value once won: 5:1,5:0 and 5:0,5:1 gave different cliques
+        err = self.check_rejected(capsys, argv[0], fig1_file, "--alpha", "1",
+                                  "--beta", "1", *argv[1:])
+        assert "given twice" in err
+
+    @pytest.mark.parametrize("tie", ["rand:abc", "rand:-1", "rand:"])
+    def test_bad_tie_seed_in_own_words(self, capsys, fig1_file, tie):
+        err = self.check_rejected(capsys, "final-clique", fig1_file, "--alpha", "1",
+                                  "--beta", "1", "--tie", tie)
+        assert err == f"error: bad tie-break {tie!r}, expected lex or rand:SEED\n"
+
     @pytest.mark.parametrize("rates", [["--alpha", "1e-300"], ["--alpha", "1e-8"],
                                        ["--alpha", "1", "--beta", "0.99999999999"]])
     def test_bounds_tiny_rates_give_zero(self, capsys, rates):

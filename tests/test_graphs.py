@@ -206,4 +206,12 @@ def test_partition_property_random_graphs():
         g = random_connected_graph(rng)
         for c in enumerate_maximal_cliques(g):
             for order in itertools.permutations(c):
-                assert validate_partition(d_sets(g, OrderedClique(order)), g)
+                part = d_sets(g, OrderedClique(order))
+                assert validate_partition(part, g)
+                # D_k by its definition: not v_k, not adjacent to v_k, and
+                # adjacent to every earlier v_j
+                for k, vk in enumerate(order):
+                    assert part.d_sets[k] == {
+                        v for v in range(g.n)
+                        if v != vk and v not in g.adjacency[vk]
+                        and all(v in g.adjacency[u] for u in order[:k])}

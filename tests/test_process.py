@@ -175,6 +175,12 @@ class TestState:
         with pytest.raises(ValueError, match="^counts must be one non-negative integer per vertex$"):
             State(counts)
 
+    @pytest.mark.parametrize("counts", [[0, 10**20], [10**30], [0, -10**20]])
+    def test_refuses_integers_past_64_bits(self, counts):
+        # numpy's OverflowError once came through in its own words
+        with pytest.raises(ValueError, match="^counts must be one non-negative integer per vertex$"):
+            State(counts)
+
     def test_label_counts_refused_alike(self):
         with pytest.raises(ValueError, match="one non-negative integer per vertex"):
             State.from_label_counts(complete_graph(3), {1: 1.5})
