@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, enumerate_maximal_cliques, is_clique, is_maximal_clique
+from .graphs import Graph, enumerate_maximal_cliques, is_clique, is_connected, is_maximal_clique
 from .process import (MAX_STEPS, REGIME_CLIQUE, REGIME_CRITICAL, RateParams,
                       State, Trajectory, run)
 
@@ -74,7 +74,7 @@ class LocalisationReport:
                             for r in self.per_replica],
             "aggregate": {
                 "clique_frequencies": {
-                    ",".join([names[v] for v in c]): f
+                    ",".join(map(names.__getitem__, c)): f
                     for c, f in self.clique_frequencies.items()
                 },
                 "single_vertex_frequency": self.single_vertex_frequency,
@@ -213,7 +213,11 @@ def monte_carlo_report(g: Graph, params: RateParams, x0: State, steps: int,
         raise ValueError("tail_fraction must be in (0, 1]")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    # enumerated first, so a graph with too many cliques runs no replica
+    # checked first, as run() checks it, so a disconnected graph lists no
+    # clique; enumerated before the replicas, so a graph with too many
+    # cliques runs none
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
     cliques = enumerate_maximal_cliques(g)
     job = partial(_replica_outcome_job, g, params, x0, steps, seed, tail_fraction)
     workers = min(jobs, replicas, os.cpu_count() or 1)

@@ -12,6 +12,7 @@ import io
 import math
 import sys
 from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -110,9 +111,10 @@ def _encode(o, nl: str, out: list) -> None:
     """Append the JSON text of the list, tuple or dict o to out, its
     closing bracket on a line indented as nl."""
     if isinstance(o, dict):
-        items = sorted(o.items())
-        labels = [_key(key) + ": " for key, _ in items]
-        o = [value for _, value in items]
+        keys = sorted(o)
+        o = list(map(o.__getitem__, keys))
+        key_text = encode_basestring_ascii if set(map(type, keys)) <= {str} else _key
+        labels = list(map(str.__add__, map(key_text, keys), repeat(": ")))
         start, end = "{", "}"
     elif isinstance(o, (list, tuple)):
         labels = None
@@ -122,10 +124,26 @@ def _encode(o, nl: str, out: list) -> None:
     if not o:
         out.append(start + end)
         return
-    text_of = _SCALAR_TEXT.get
-    texts = [text_of(type(item), _scalar)(item) for item in o]
     inner = nl + "  "
     sep = "," + inner
+    types = set(map(type, o))
+    if labels is None and types <= {list, tuple} and len(set(map(len, o))) == 1:
+        # rows of one width: if every entry is an int, or every one a
+        # finite float, one template writes them
+        flat = list(chain.from_iterable(o))
+        cells = set(map(type, flat))
+        spec = ("%d" if cells <= {int} else
+                "%r" if cells == {float} and all(map(math.isfinite, flat)) else None)
+        if spec:
+            width = len(o[0])
+            row = "[" + ",".join([inner + "  " + spec] * width) + inner + "]" if width else "[]"
+            out.append(start + inner + sep.join([row] * len(o)) % tuple(flat) + nl + end)
+            return
+    if types == {float} and all(map(math.isfinite, o)):
+        texts = list(map(float.__repr__, o))
+    else:
+        text_of = _SCALAR_TEXT.get
+        texts = [text_of(type(item), _scalar)(item) for item in o]
     if None not in texts:
         if labels:
             texts = list(map(str.__add__, labels, texts))

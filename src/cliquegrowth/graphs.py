@@ -1,8 +1,11 @@
 """Finite simple graphs, maximal-clique machinery, and ordered-clique partitions."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import eq
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -67,13 +70,14 @@ class Graph:
         return tuple(sum(map((1).__lshift__, nbrs)) for nbrs in self.adjacency)
 
     def edge_labels(self) -> list[tuple[int, int]]:
-        """All edges as label pairs, each sorted, list sorted."""
+        """All edges as label pairs, each sorted, list sorted: the vertices
+        in label order, each with its larger-labelled neighbours sorted."""
         labels = self.labels
         pairs: list[tuple[int, int]] = []
-        for a, nbrs in zip(labels, self.adjacency):
+        for a, nbrs in sorted(zip(labels, self.adjacency)):
             # each edge appears from both ends: keep it where a is smaller
-            pairs += [(a, b) for b in map(labels.__getitem__, nbrs) if a < b]
-        pairs.sort()
+            bs = sorted(map(labels.__getitem__, nbrs))
+            pairs += zip(repeat(a), bs[bisect_right(bs, a):])
         return pairs
 
     @staticmethod
@@ -82,20 +86,30 @@ class Graph:
 
         Duplicate edges are collapsed; self-loops are rejected.
         """
-        # label -> index; its keys are the labels in order of first appearance
-        index: dict[int, int] = {}
-        edges: list[tuple[int, int]] = []
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"self-loop {a}-{b} is not allowed")
-            edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
-        if not index:
-            raise ValueError("graph needs at least one edge")
-        adj: list[set[int]] = [set() for _ in index]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return Graph(tuple(index), tuple(map(frozenset, adj)))
+        pairs = list(pairs)
+        if not set(map(len, pairs)) <= {2}:
+            raise ValueError("every edge needs two vertex labels")
+        return _graph_of(list(chain.from_iterable(pairs)))
+
+
+def _graph_of(flat: list[int]) -> Graph:
+    """The graph of the edges flat[0]-flat[1], flat[2]-flat[3], ...; its
+    indices follow first appearance."""
+    heads, tails = flat[0::2], flat[1::2]
+    loops = list(map(eq, heads, tails))
+    if True in loops:
+        i = loops.index(True)
+        raise ValueError(f"self-loop {heads[i]}-{tails[i]} is not allowed")
+    if not flat:
+        raise ValueError("graph needs at least one edge")
+    labels = tuple(dict.fromkeys(flat))
+    index = dict(zip(labels, range(len(labels))))
+    ends = list(map(index.__getitem__, flat))
+    adj: list[set[int]] = [set() for _ in labels]
+    for u, v in zip(ends[0::2], ends[1::2]):
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(labels, tuple(map(frozenset, adj)))
 
 
 def parse_graph(text: str) -> Graph:
@@ -106,7 +120,23 @@ def parse_graph(text: str) -> Graph:
     edges collapse silently; a self-loop or an unreadable token is rejected
     with its line number.
     """
-    pairs: list[tuple[int, int]] = []
+    kept = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    # every line is checked at once; only a document that fails a check is
+    # read again line by line, to name its first bad line
+    flat = None
+    if set(map(len, map(str.split, kept))) <= {2}:
+        try:
+            flat = list(map(int, " ".join(kept).split()))
+        except ValueError:
+            pass
+    if flat is None or min(flat, default=0) < 0 or any(map(eq, flat[0::2], flat[1::2])):
+        _raise_first_bad_line(text)
+    return _graph_of(flat)
+
+
+def _raise_first_bad_line(text: str) -> None:
+    """Raise the GraphParseError of the first bad line of an edge-list
+    document."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -122,8 +152,6 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(line_no, f"vertex labels must be non-negative in {line!r}")
         if a == b:
             raise GraphParseError(line_no, f"self-loop {a} {b} is not allowed")
-        pairs.append((a, b))
-    return Graph.from_edge_labels(pairs)
 
 
 def complete_graph(m: int) -> Graph:

@@ -35,6 +35,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from typing import IO, Mapping, NamedTuple
 
 import numpy as np
@@ -180,8 +181,8 @@ def _materialized_arrays(p: RateParams, g: Graph):
                 raise ValueError(f"beta_vu defined for non-adjacent pair ({v}, {u})")
             beta_mat[v, u] = b
     else:
-        for v, nbrs in enumerate(g.adjacency):
-            beta_mat[v, list(nbrs)] = p.beta
+        beta_mat[np.repeat(np.arange(n), list(map(len, g.adjacency))),
+                 list(chain.from_iterable(g.adjacency))] = p.beta
     offset = np.zeros(n) if p.offset is None else np.asarray(p.offset, dtype=np.float64)
     if len(offset) != n:
         raise ValueError("base_offset_v length does not match the graph")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cliquegrowth import Graph, exponent_vector, parse_graph
+from cliquegrowth import Graph, GraphParseError, exponent_vector, parse_graph
 from cliquegrowth.process import _materialized_arrays, _numpy_kernel, _scalar_kernel
 
 # 8-vertex test graph with exactly six maximal cliques:
@@ -29,6 +29,38 @@ FIG1_EDGES = """\
 # maximal cliques, one vertex from each part.
 K222_EDGES = "".join(f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)
                      if (u + 1) // 2 != (v + 1) // 2)
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """The edge-list parser read line by line, one call per line and per
+    endpoint, interning each label at its first appearance: the reference
+    `parse_graph` agrees with, its graph or its error."""
+    index: dict[int, int] = {}
+    adj: list[set[int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise GraphParseError(line_no, f"expected two vertex labels, got {line!r}")
+        try:
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise GraphParseError(line_no, f"unreadable vertex label in {line!r}") from None
+        if a < 0 or b < 0:
+            raise GraphParseError(line_no, f"vertex labels must be non-negative in {line!r}")
+        if a == b:
+            raise GraphParseError(line_no, f"self-loop {a} {b} is not allowed")
+        for lab in (a, b):
+            if lab not in index:
+                index[lab] = len(index)
+                adj.append(set())
+        adj[index[a]].add(index[b])
+        adj[index[b]].add(index[a])
+    if not index:
+        raise ValueError("graph needs at least one edge")
+    return Graph(tuple(index), tuple(map(frozenset, adj)))
 
 
 @pytest.fixture(scope="session")

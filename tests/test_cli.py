@@ -11,7 +11,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from cliquegrowth import analysis, cli, graphs, oracle, process
@@ -110,6 +110,63 @@ def test_dump_writes_what_json_writes(doc):
             cli._dump(doc)
     else:
         assert cli._dump(doc) == want
+
+
+# entries of rows of one width: ints, those beyond 2^63 too, and finite
+# floats, for the one row template; then ints with bools, floats with NaN
+# and the infinities, or any JSON leaf
+ROW_INTS = st.one_of(st.integers(-2**70, 2**70), st.sampled_from([2**63, -2**63 - 1, 2**64]))
+
+
+def equal_rows(entries):
+    """Lists of rows of one width, 0 included; each row a list or a tuple."""
+    return st.integers(0, 4).flatmap(lambda width: st.lists(
+        st.one_of(st.lists(entries, min_size=width, max_size=width),
+                  st.lists(entries, min_size=width, max_size=width).map(tuple)),
+        max_size=30))
+
+
+# long runs of floats, all finite or with -0.0, NaN and the infinities
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL_OR_FINITE = st.one_of(FINITE, st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+ROW_DOCS = st.one_of(
+    equal_rows(ROW_INTS),
+    equal_rows(FINITE),
+    equal_rows(st.one_of(ROW_INTS, st.booleans())),
+    equal_rows(SPECIAL_OR_FINITE),
+    equal_rows(JSON_LEAVES),
+    st.lists(st.lists(ROW_INTS, max_size=4), max_size=30),
+    st.lists(FINITE, max_size=60),
+    st.lists(SPECIAL_OR_FINITE, max_size=60),
+)
+# the same inside dicts and tuples
+ROW_TREES = st.one_of(ROW_DOCS, st.dictionaries(TEXTS, ROW_DOCS, max_size=3),
+                      st.dictionaries(st.integers(), ROW_DOCS, max_size=3),
+                      st.lists(ROW_DOCS, max_size=3).map(tuple))
+
+
+@seed(0)
+@given(ROW_TREES)
+@example([[1, 2], [3, 4]])
+@example([[], []])
+@example(([2**64, -1],))
+@example([[True, 1], [0, False]])
+@example([[1], [1, 2]])
+@example([(1.0, 0.5), (-0.0, 1e300)])
+@example([[1.0, 2], [3.5, math.inf]])
+@example([1.5, -0.0, math.nan, 2.0])
+@example({"edges": [(1, 2), (1, 3)], "f": {"1,2": 0.5, "3": 1.0}})
+def test_dump_writes_rows_and_float_runs_as_json_does(doc):
+    """The writer's bulk paths (rows of one width holding only ints or only
+    finite floats, dicts with str keys, runs of finite floats) and what
+    falls back from them (bools, ragged rows, mixed rows, NaN and the
+    infinities) give json's text."""
+    assert cli._dump(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_refuses_a_numpy_int_in_a_row():
+    with pytest.raises(TypeError):
+        cli._dump([[1, np.int64(2)]])
 
 
 @pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, frozenset(), object(), np.float32(1.5)])
@@ -434,6 +491,20 @@ class TestBadInput:
         monkeypatch.setattr(graphs, "MAX_CLIQUES", 7)
         err = self.check_rejected(capsys, "cliques", str(path))
         assert "more than 7 maximal cliques" in err
+
+    def test_localize_disconnected_lists_no_clique(self, capsys, monkeypatch, tmp_path):
+        # K_{2,2,2} plus a disjoint edge: connectivity is checked before
+        # any maximal clique is listed
+        def no_cliques(g):
+            raise AssertionError("cliques were listed before connectivity was checked")
+
+        path = tmp_path / "split.edges"
+        path.write_text(K222_EDGES + "7 8\n")
+        monkeypatch.setattr(analysis, "enumerate_maximal_cliques", no_cliques)
+        err = self.check_rejected(capsys, "localize", str(path), "--alpha", "1",
+                                  "--beta", "1", "--steps", "20", "--replicas", "2",
+                                  "--seed", "1")
+        assert err == "error: graph must be connected\n"
 
     def test_localize_jobs_zero(self, capsys, fig1_file):
         self.check_rejected(capsys, "localize", fig1_file, "--alpha", "1",

@@ -1,8 +1,11 @@
 import itertools
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed
+from hypothesis import strategies as st
 
 from cliquegrowth import (
     GraphParseError,
@@ -20,7 +23,56 @@ from cliquegrowth.graphs import DPartition, Graph
 
 from cliquegrowth import graphs
 
-from conftest import K222_EDGES, idx, labs
+from conftest import K222_EDGES, idx, labs, reference_parse_graph
+
+
+# labels: small ones, so that edges repeat, and spellings int() reads as
+# non-negative; then tokens it does not read, or reads as negative
+LABELS = st.one_of(st.integers(0, 6).map(str), st.sampled_from(["+5", "1_0", "01", "-0", "\u0663"]))
+BAD_TOKENS = st.one_of(st.integers(-10, -1).map(str),
+                       st.sampled_from(["x", "1.5", "0x1", "_1", "\u00bd"]))
+# separators inside a line, and line breaks: str.split and str.splitlines
+# both split on \x0c and \x1c, so a pad of \x0c ends its line early;
+# \u00a0 and \u3000 are spaces, not breaks
+SPACES = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000"])
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"])
+PADS = st.sampled_from(["", " ", "\t", "\x0c"])
+
+
+@st.composite
+def edge_lines(draw, bad: bool):
+    """One line: an edge row (most often), a blank or comment line, or, if
+    `bad`, a row of one or three tokens, a row with a token int() rejects or
+    reads as negative, or a self-loop."""
+    kinds = ["row"] * 4 + ["blank", "comment"] + (["arity", "token", "loop"] if bad else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blank":
+        return draw(PADS)
+    if kind == "comment":
+        return draw(PADS) + draw(st.sampled_from(["#", "# 1 2", "#x y z", "#\t3 3"]))
+    if kind == "arity":
+        tokens = draw(st.lists(LABELS, min_size=1, max_size=3).filter(lambda t: len(t) != 2))
+    elif kind == "token":
+        tokens = draw(st.permutations([draw(LABELS), draw(BAD_TOKENS)]))
+    elif kind == "loop":
+        tokens = [draw(LABELS)] * 2
+    else:
+        tokens = draw(st.lists(LABELS, min_size=2, max_size=2, unique=True))
+    line = tokens[0]
+    for token in tokens[1:]:
+        line += draw(SPACES) + token
+    return draw(PADS) + line + draw(PADS)
+
+
+@st.composite
+def edge_documents(draw):
+    """An edge-list document of up to 12 lines, each ended by a break of
+    its own, the last one optionally not; half the documents may hold bad
+    lines."""
+    bad = draw(st.booleans())
+    lines = draw(st.lists(edge_lines(bad), max_size=12))
+    text = "".join(line + draw(BREAKS) for line in lines)
+    return text[:-1] if lines and draw(st.booleans()) else text
 
 
 def random_connected_graph(rng, max_n=10):
@@ -79,6 +131,45 @@ class TestParse:
 
     def test_indices_by_first_appearance(self, fig1):
         assert fig1.labels == (1, 2, 3, 4, 5, 7, 6, 8)
+
+    def test_agrees_with_the_line_by_line_reader(self):
+        """`parse_graph` gives the graph of `reference_parse_graph` (labels,
+        indices and adjacency), or its exception with the same type, message
+        and line number, on documents mixing rows and duplicate edges, blank
+        and comment lines, line breaks str.splitlines knows besides \\n,
+        odd separators and spellings, and each kind of bad line; its edge echo
+        is the globally sorted edge list."""
+        seen = Counter()
+
+        @seed(0)
+        @given(edge_documents())
+        @example("")
+        @example("# only a comment\n\n")
+        @example("+5 1_0\r\n01\t2\x0c\n3\x1c4 5\u00a0 6\n")
+        def check(text):
+            try:
+                want = reference_parse_graph(text)
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as err:
+                    parse_graph(text)
+                assert str(err.value) == str(exc)
+                assert getattr(err.value, "line_no", None) == getattr(exc, "line_no", None)
+                # a parse error counts under the first word after its line number
+                seen[str(exc).partition(": ")[2].split(" ")[0] or str(exc)] += 1
+                return
+            g = parse_graph(text)
+            assert (g.labels, g.adjacency) == (want.labels, want.adjacency)
+            assert g.edge_labels() == sorted(
+                (a, b) for a, nbrs in zip(want.labels, want.adjacency)
+                for b in (want.labels[u] for u in nbrs) if a < b)
+            seen["graph"] += 1
+
+        check()
+        # every outcome is drawn: graphs, and each of the five errors
+        assert seen["graph"] >= 20
+        for kind in ("expected", "unreadable", "vertex", "self-loop",
+                     "graph needs at least one edge"):
+            assert seen[kind] >= 5, seen
 
 
 class TestConnectivity:
