@@ -264,7 +264,7 @@ def cmd_exact(args) -> str:
         weights = oracle.q_measure(g, params, x0, clique, args.horizon,
                                    budget=args.budget)
         doc = {"operation": "exact", "inputs": inputs,
-               "value": float(np.add.accumulate(weights)[-1]),
+               "value": float(np.add.accumulate(weights, out=weights)[-1]),
                "n_paths": len(weights),
                "certified_bound": False, "tail_tol": None}
     return _dump(doc)

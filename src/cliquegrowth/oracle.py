@@ -47,9 +47,9 @@ def _start_exponents(params: RateParams, g: Graph, x0: State,
                      vertices: Sequence[int], horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The exponents at x0, and as row i the increment of one allocation at
     vertices[i] (column vertices[i] of K), once `check_reach` passes.  Refuses
-    horizons whose last level of count vectors over `vertices`, or a
-    binomial table of `_level_table` (under (horizon + 2) x m cells), would
-    exceed MAX_CELLS cells."""
+    horizons whose last level of count vectors over `vertices`, or the
+    (horizon + 2) x m cells that bound `_level_table`'s index arrays and a
+    singleton's levels, would exceed MAX_CELLS cells."""
     m = len(vertices)
     if max(math.comb(horizon + m - 1, m - 1), horizon + 2) * m > MAX_CELLS:
         raise ValueError(f"the horizon-{horizon} levels need more than {MAX_CELLS} array cells")
@@ -63,39 +63,27 @@ def _level_table(m: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The count vectors of total `top` over m parts in descending
     lexicographic order, one per row, and up: up[r, i] is the row of
     comps[r] + e_i among the vectors of total top + 1."""
-    # binom[a + 1, p] = C(a + p, p), the number of count vectors of total a
-    # over p + 1 parts; row 0 stands for a = -1 and holds 0.  By Pascal's
-    # rule column p is the running sum of column p - 1.  No entry exceeds
-    # C(top + m - 1, m - 1), the size of this level, which _start_exponents
-    # keeps under MAX_CELLS, so int64 sums are exact.
-    binom = np.zeros((top + 2, m), dtype=np.int64)
-    binom[1:, 0] = 1
-    for p in range(1, m):
-        np.cumsum(binom[:, p - 1], out=binom[:, p])
-    # Unrank: of the vectors with total `rest` over parts j..m-1, those
-    # with part j above rest - t number binom[t, p], p = m-1-j parts after
-    # j, so part j is rest - t for the largest t with binom[t, p] <= rank.
-    comps = np.empty((binom[-1, -1], m), dtype=np.int64)
-    rank = np.arange(len(comps))
-    rest = np.full(len(comps), top)
-    for j, p in enumerate(range(m - 1, 0, -1)):
-        t = np.searchsorted(binom[:, p], rank, side="right") - 1
-        comps[:, j] = rest - t
-        rank -= binom[t, p]
-        rest = t
-    comps[:, -1] = rest
-    # The rank of a vector among those of total top+1 counts, for each
-    # position j < m-1, the vectors equal to it before j and larger at j.
-    # For comps + e_i that term is `before` for j < i and `after` for
-    # j >= i, where its prefix sums are one larger.
-    parts_after = np.arange(m - 1, 0, -1)
-    prefix = np.cumsum(comps[:, :-1], axis=1)
-    before = binom[top + 1 - prefix, parts_after]
-    after = binom[top - prefix, parts_after]
-    up = np.zeros((len(comps), m), dtype=np.int64)
-    np.cumsum(before, axis=1, out=up[:, 1:])
-    up[:, :-1] += np.cumsum(after[:, ::-1], axis=1)[:, ::-1]
-    return comps, up
+    # Built part by part from the last.  ys lists the vectors y of total
+    # at most `top` over the last p parts, by total `tot` (ascending) and
+    # within one total in descending order; up[r, i] is the row of
+    # ys[r] + e_i in the same list run one total further.  Over p + 1 parts
+    # block t of the list is (t - tot[r], ys[r]) for the rows r with
+    # tot[r] <= t, and one more allocation moves a vector to block t + 1:
+    # at the new part to the same r, at part i of y to y's up row.
+    ys = np.zeros((1, 0), dtype=np.int64)
+    tot = np.zeros(1, dtype=np.int64)
+    up = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(m - 1):
+        start = np.zeros(top + 2, dtype=np.int64)
+        np.cumsum(np.searchsorted(tot, np.arange(top + 1), side="right"), out=start[1:])
+        t = np.repeat(np.arange(top + 1), np.diff(start))
+        rows = np.arange(start[-1]) - start[t]
+        ys = np.column_stack((t - tot[rows], ys[rows]))
+        up = start[t + 1, None] + np.column_stack((rows, up[rows]))
+        tot = t
+    # part 0 takes what y leaves of `top`; the vectors of total top + 1
+    # start with these, part 0 one larger, in the same order
+    return np.column_stack((top - tot, ys)), np.column_stack((np.arange(len(tot)), up))
 
 
 def _composition_levels(m: int, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -245,7 +233,7 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
         mass = nxt
         if not mass.any():
             return 0.0
-    return float(np.add.accumulate(mass)[-1])
+    return float(np.add.accumulate(mass, out=mass)[-1])
 
 
 def p11_bound(n_vertices: int, alpha: float, r: int) -> float:

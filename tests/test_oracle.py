@@ -182,7 +182,7 @@ class TestConfinement:
 
     def test_singleton_levels_bounded(self, fig1):
         # one count vector per level: the levels count against the budget,
-        # and the (horizon + 2) x 1 binomial table against MAX_CELLS
+        # and the (horizon + 2) x 1 cells that bound them against MAX_CELLS
         p = RateParams.uniform(1.0, 1.0)
         c = OrderedClique(idx(fig1, 1))
         with pytest.raises(ValueError, match="budget"):
@@ -257,7 +257,8 @@ def compositions_descending(m, total):
 
 
 @pytest.mark.parametrize("m, horizon",
-                         [(m, h) for m in range(1, 7) for h in range(1, 13)] + [(4, 30)])
+                         [(m, h) for m in range(1, 7) for h in range(1, 13)]
+                         + [(4, 30), (7, 6), (8, 5), (3, 40), (2, 200)])
 def test_composition_levels_match_enumeration(m, horizon):
     levels = list(oracle._composition_levels(m, horizon))
     assert len(levels) == horizon
