@@ -24,10 +24,12 @@ alpha < beta, never freezes: the count differences inside the final clique
 form a positive-recurrent chain, and the run walks a table of the kernel's
 laws keyed by d = L - max L (`_DifferenceChain`).
 
-Every path draws a leading run of a block's uniforms, leaves the run's one
-exponent array as the kernel would, and names the kernel steps that follow
-before it draws again.  On every path, allocations, final exponents and the
-uniforms consumed are those of the kernels alone.
+Every path draws a leading run of a block's uniforms and names the kernel
+steps that follow before it draws again; it reads the run's one exponent
+array but never writes it.  The kernels advance that array in place, step
+by step; after each walk `_allocate` adds the columns of its picks in one
+step, exact in any order on the grid.  On every path, allocations, final
+exponents and the uniforms consumed are those of the kernels alone.
 """
 from __future__ import annotations
 
@@ -368,17 +370,15 @@ def _on_grid(exps0: np.ndarray, grid: int, reach: float) -> bool:
 
 class _Law(NamedTuple):
     """A frozen law (`_frozen_law`): the set C (ascending), its weights'
-    partial sums cum, its safe flags, the mask of the vertices off C, and
-    K[:, C]."""
+    partial sums cum, its safe flags, and the mask of the vertices off C."""
 
     C: np.ndarray
     cum: np.ndarray
     safe: np.ndarray
     tail: np.ndarray
-    KC: np.ndarray
 
 
-def _frozen_law(exps: np.ndarray, K: np.ndarray, peaked: np.ndarray,
+def _frozen_law(exps: np.ndarray, peaked: np.ndarray,
                 last: _Law | None = None) -> _Law | None:
     """The law of the next steps at exponents exps if it is frozen, else
     None.  Its set C carries all float weight exp(L - max L) but a tail
@@ -396,7 +396,7 @@ def _frozen_law(exps: np.ndarray, K: np.ndarray, peaked: np.ndarray,
 
     C is the smallest such set (`_top_part`).  It lies inside every such
     set, so it is searched for first inside the C of `last`, a law found
-    before, whose safe flags and K[:, C] still hold if C is the same; then
+    before, whose safe flags still hold if C is the same; then
     inside the vertices weighing 2^-56 or more, which are in every such
     set; then among all vertices.
     """
@@ -405,7 +405,7 @@ def _frozen_law(exps: np.ndarray, K: np.ndarray, peaked: np.ndarray,
     if last is not None:
         C = _top_part(w, last.C, np.add.reduce(w, where=last.tail))
         if C is last.C:
-            return _Law(C, np.add.accumulate(w.take(C)), last.safe, last.tail, last.KC)
+            return _Law(C, np.add.accumulate(w.take(C)), last.safe, last.tail)
     if C is None:
         heavy = w >= FROZEN_TAIL
         # a safe vertex's column peaks on every heavy vertex: a cheap test
@@ -420,7 +420,7 @@ def _frozen_law(exps: np.ndarray, K: np.ndarray, peaked: np.ndarray,
         return None
     tail = np.ones(len(w), dtype=bool)
     tail[C] = False
-    return _Law(C, np.add.accumulate(w.take(C)), safe, tail, K.take(C, axis=1))
+    return _Law(C, np.add.accumulate(w.take(C)), safe, tail)
 
 
 def _top_part(w: np.ndarray, C: np.ndarray, below: float):
@@ -453,20 +453,20 @@ class _Frozen:
     first unsafe pick, which it still draws, or at a uniform of 0.0, whose
     one step the kernel takes; the next walk then tests again at once, so an
     early exit costs one test and no kernel chunk.  A law that still holds
-    after the last uniform it was given is kept for the next walk.
+    after the last uniform it was given is kept for the next walk.  A walk
+    reads the run's exponents L only to test for a law.
     """
 
-    def __init__(self, L: np.ndarray, K: np.ndarray, peaked: np.ndarray):
-        self.L, self.K, self.peaked = L, K, peaked
+    def __init__(self, L: np.ndarray, peaked: np.ndarray):
+        self.L, self.peaked = L, peaked
         self.law = self.last = None
 
     def walk(self, us: np.ndarray):
         """(vertices, kernel steps) for a leading run of the uniforms us:
         the law's picks up to and with the first unsafe one, scanned in
-        windows growing from FREEZE_CHUNK; their columns, exact in any
-        order, are added to L."""
+        windows growing from FREEZE_CHUNK."""
         if self.law is None:
-            self.law = _frozen_law(self.L, self.K, self.peaked, self.last)
+            self.law = _frozen_law(self.L, self.peaked, self.last)
             if self.law is None:
                 return (), FREEZE_CHUNK
         law = self.last = self.law
@@ -483,7 +483,6 @@ class _Frozen:
             parts.append(pick)
             start, size = start + size, 8 * size
         picks = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self.L += law.KC @ np.bincount(picks, minlength=len(law.C))
         if len(picks) < len(us) or not law.safe[picks[-1]]:
             self.law = None
         return law.C[picks], int(len(picks) < len(us) and us[len(picks)] == 0.0)
@@ -508,12 +507,14 @@ class _DifferenceChain:
     The walk carries a bound on the tail's exponents; a link adds to it its
     rise, the largest tail entry of K[:, v] less the step's shift.  A state
     holds while the bound stays below its threshold, its smallest live
-    exponent less `gap`.  The state is re-derived from the exact exponents
-    L = L0 + K x (exact on the grid) when the bound reaches it, after a
+    exponent less `gap`.  A walk ends when the bound reaches it, after a
     uniform of 0.0, and on entering a state whose live set holds a gap wide
-    enough to cut there (threshold -inf).  A re-derived state cuts its tail
-    at the first gap of at least gap + CHAIN_CUT_SLACK down from the top,
-    above CHAIN_LIVE_FLOOR, so the bound starts that far below its threshold.
+    enough to cut there (threshold -inf); the next walk first re-derives the
+    state from the run's exact exponents L = L0 + K x, to which `_allocate`
+    has added the walk's picks.  A re-derived state cuts its tail at the
+    first gap of at least gap + CHAIN_CUT_SLACK down from the top, above
+    CHAIN_LIVE_FLOOR, so the bound starts that far below its threshold and
+    the walk draws at least one step.
 
     A walk hands one step to the kernel at a uniform of 0.0, whose first
     positive weight may lie in the tail, and the rest of the run once the
@@ -531,12 +532,14 @@ class _DifferenceChain:
 
     def walk(self, us: np.ndarray):
         """(vertices, kernel steps) for a leading run of the uniforms us, up
-        to a uniform of 0.0 (one kernel step, and a state re-derived on the
-        next walk) or a full table (`state` None: the kernel takes the rest
-        of the run, MAX_STEPS), leaving L exact after the picks."""
+        to the bound reaching its threshold (no kernel step), a uniform of
+        0.0 (one kernel step) or a full table (`state` None: the kernel
+        takes the rest of the run, MAX_STEPS)."""
         picks: list[int] = []
         append = picks.append
-        s, bound, synced, k = self.state, self.bound, 0, 0
+        s, bound, k = self.state, self.bound, 0
+        if s is not None and bound >= s[3]:
+            s, bound = self.state, self.bound = self._resync()
         if s is None:
             return picks, MAX_STEPS
         cum, total, links, thr, _ = s
@@ -545,13 +548,7 @@ class _DifferenceChain:
                 bound, k = math.inf, 1
                 break
             if bound >= thr:
-                self._sync(picks[synced:])
-                synced = len(picks)
-                s, bound = self._resync()
-                if s is None:
-                    k = MAX_STEPS
-                    break
-                cum, total, links, thr, _ = s
+                break
             # u * total < total, as in the kernel, so pos is a live position
             pos = bisect_right(cum, u * total)
             v, nxt, rise = links[pos]
@@ -559,19 +556,13 @@ class _DifferenceChain:
             if nxt is None:
                 nxt, rise = self._successor(s, pos)
                 if nxt is None:
-                    s, k = None, MAX_STEPS  # v is the kernel's pick, synced below
+                    s, k = None, MAX_STEPS  # v is the kernel's pick
                     break
             bound += rise
             s = nxt
             cum, total, links, thr, _ = s
-        self._sync(picks[synced:])
         self.state, self.bound = s, bound
         return picks, k
-
-    def _sync(self, picks: list) -> None:
-        """Add the columns of `picks` to L: exact on the grid, in any order."""
-        if picks:
-            self.L += self.K @ np.bincount(picks, minlength=len(self.L))
 
     def _resync(self):
         """(state of the exact exponents L, largest tail exponent); the
@@ -651,8 +642,9 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     where a column of K peaks on its diagonal, on either kernel, else the
     difference chain on the scalar kernel's graphs.  In each block of
     uniforms, each walk of the path is followed by the kernel steps it names.
-    All advance one exponent array L; the scalar kernel and the chain share
-    one memo of np.exp weights.
+    The kernels advance the one exponent array L in place; a walk only
+    reads it, and the columns of its picks are added here.  The scalar
+    kernel and the chain share one memo of np.exp weights.
     """
     L = exponent_vector(params, g, x0)
     K, _, supports, peaked, grid = _materialized_arrays(params, g)
@@ -665,7 +657,7 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
         draw = partial(_numpy_kernel, L, supports)
     path = None
     if exact and peaked is not None:
-        path = _Frozen(L, K, peaked)
+        path = _Frozen(L, peaked)
     elif exact and scalar:
         path = _DifferenceChain(L, K, memo)
     out = np.empty(steps, dtype=np.int64)
@@ -675,6 +667,11 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
         i = 0
         while i < len(us):
             picks, k = path.walk(us[i:]) if path else ((), len(us))
+            if len(picks):
+                # the path's picks, exact in any order on the grid
+                counts = np.bincount(picks, minlength=len(L))
+                hit = counts.nonzero()[0]
+                L += K.take(hit, axis=1) @ counts.take(hit)
             out[done:done + len(picks)] = picks
             done, i = done + len(picks), i + len(picks)
             k = min(k, len(us) - i)

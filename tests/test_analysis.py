@@ -104,6 +104,11 @@ class TestLocalisationSet:
         with pytest.raises(ValueError):
             localisation_set(t, 0.5)
 
+    def test_zero_fraction_rejected(self, fig1):
+        t = make_traj(fig1, [0, 1])
+        with pytest.raises(ValueError, match=r"^tail_fraction must be in \(0, 1\]$"):
+            localisation_set(t, 0)
+
 
 class TestClassify:
     def test_maximal_clique(self, fig1):
@@ -196,6 +201,12 @@ class TestLlnDeviation:
         t = make_traj(g, [0] * 3000)
         dev = lln_deviation(t, (0, 1, 2), n0=1000)
         assert dev == pytest.approx(2 * (3 - 1) / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("n0", [0, 61], ids=["zero", "past-horizon"])
+    def test_n0_outside_the_run_rejected(self, n0):
+        t = make_traj(complete_graph(3), [0, 1, 2] * 20)
+        with pytest.raises(ValueError, match=r"^need 0 < n0 <= horizon$"):
+            lln_deviation(t, (0, 1, 2), n0=n0)
 
 
 class TestZChain:

@@ -585,6 +585,21 @@ class TestBadInput:
                                   "--beta", "1", "--counts", "5:99999999999999999999")
         assert err == "error: counts must be one non-negative integer per vertex\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        (["final-clique", "GRAPH", "--alpha", "1", "--beta", "1", "--counts", "5"],
+         "error: bad counts item '5': invalid literal for int() with base 10: ''\n"),
+        (["final-clique", "GRAPH", "--alpha", "1", "--beta", "1", "--counts", "5:-1"],
+         "error: negative count in '5:-1'\n"),
+        (["simulate", "GRAPH", "--alpha", "1", "--beta", "1", "--steps", "5", "--seed", "-1"],
+         "error: seed and stream must be non-negative\n"),
+        (["drift", "--m", "1000002", "--alpha", "1", "--beta", "2", "--shell", "0:1"],
+         "error: m - 1 exceeds the enumeration budget 1000000\n")],
+        ids=["counts-item", "negative-count", "negative-seed", "m-over-budget"])
+    def test_refusals_in_own_words(self, capsys, fig1_file, argv, line):
+        err = self.check_rejected(capsys, *(fig1_file if a == "GRAPH" else a
+                                            for a in argv))
+        assert err == line
+
     @pytest.mark.parametrize("argv", [
         ["final-clique", "--counts", "5:1,5:0"],
         ["final-clique", "--counts", "5:0,4:2,5:1"],

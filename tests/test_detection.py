@@ -177,3 +177,10 @@ class TestCheckProperties:
     def test_fails_on_non_maximal(self, fig1, params):
         s = State.zeros(fig1.n)
         assert not check_final_properties(fig1, params, s, OrderedClique(idx(fig1, 4, 5)))
+
+
+def test_one_vertex_graph_refused(params):
+    g = Graph((1,), (frozenset(),))
+    with pytest.raises(ValueError) as refused:
+        final_maximal_clique(g, params, State.zeros(1))
+    assert str(refused.value) == "graph needs at least two vertices"

@@ -13,6 +13,7 @@ from cliquegrowth import (
     complete_graph,
     d_sets,
     enumerate_maximal_cliques,
+    is_clique,
     is_connected,
     is_maximal_clique,
     parse_graph,
@@ -283,6 +284,18 @@ class TestDSets:
                          tuple(frozenset({v}) | d for v, d in zip(part.clique, ds)))
         assert not validate_partition(bad, fig1)
 
+    def test_clique_vertex_in_d_set_invalid(self, fig1):
+        part = d_sets(fig1, OrderedClique(idx(fig1, 2, 1)))
+        ds = (part.d_sets[0], part.d_sets[1] | {fig1.index(2)})
+        bad = DPartition(part.clique, ds,
+                         tuple(frozenset({v}) | d for v, d in zip(part.clique, ds)))
+        assert not validate_partition(bad, fig1)
+
+    def test_blocks_out_of_order_invalid(self, fig1):
+        part = d_sets(fig1, OrderedClique(idx(fig1, 2, 1)))
+        bad = DPartition(part.clique, part.d_sets, part.blocks[::-1])
+        assert not validate_partition(bad, fig1)
+
     def test_missing_vertex_invalid(self, fig1):
         part = d_sets(fig1, OrderedClique(idx(fig1, 1, 2)))
         ds = (part.d_sets[0] - {fig1.index(8)}, part.d_sets[1])
@@ -306,3 +319,21 @@ def test_partition_property_random_graphs():
                         v for v in range(g.n)
                         if v != vk and v not in g.adjacency[vk]
                         and all(v in g.adjacency[u] for u in order[:k])}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph.from_edge_labels([(1,)]), "every edge needs two vertex labels"),
+    (lambda: Graph.from_edge_labels([(1, 2), (3, 3)]), "self-loop 3-3 is not allowed"),
+    (lambda: complete_graph(1), "complete_graph needs m >= 2"),
+    (lambda: path_graph(1), "path_graph needs m >= 2"),
+    (lambda: OrderedClique((1, 1)), "clique vertices must be distinct")],
+    ids=["one-label-edge", "self-loop", "complete-1", "path-1", "repeated-clique-vertex"])
+def test_constructors_refuse_in_own_words(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_repeated_vertex_is_no_clique(fig1):
+    v = fig1.index(4)
+    assert is_clique(fig1, [v, fig1.index(5)]) and not is_clique(fig1, [v, v])

@@ -775,3 +775,29 @@ class TestShellEnumeration:
             drift_shell_max(3, np.ones(2), 1e308, 0, 3)
         with pytest.raises(ValueError, match="overflows"):
             z_drift(3, np.ones(2), 1e308, [2, -2])
+
+
+def fig1_call(oracle_call, horizon):
+    """`oracle_call` on fig1 at alpha = beta = 1 from zero counts, on the
+    clique (4, 5, 6), at `horizon`."""
+    def call(fig1):
+        c = OrderedClique(idx(fig1, 4, 5, 6))
+        return oracle_call(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n), c,
+                           horizon=horizon)
+    return call
+
+
+@pytest.mark.parametrize("call, message", [
+    (fig1_call(q_measure, 0), "horizon must be >= 1"),
+    (fig1_call(confinement_prob, -1), "horizon must be >= 0"),
+    (lambda fig1: epsilon_n(8, 1.0, 0, 5), "need m >= 1 and horizon >= 1"),
+    (lambda fig1: z_transition_probs(3, [1, 1], 1.0, [0]), "need z of length m-1"),
+    (lambda fig1: drift_shell_max(3, [1, 1], 1.0, 3, 1), "need 0 <= c0 <= c1"),
+    (lambda fig1: negative_drift_radius(3, [1, 1], 1.0, threshold=-100, c_max=3),
+     "no radius up to 3 gives drift <= -100")],
+    ids=["q-horizon-0", "confine-horizon-negative", "epsilon-m-0", "z-length",
+         "shell-reversed", "no-radius"])
+def test_refusals_in_own_words(fig1, call, message):
+    with pytest.raises(ValueError) as refused:
+        call(fig1)
+    assert str(refused.value) == message

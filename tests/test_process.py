@@ -307,6 +307,12 @@ class TestSampling:
             # first entry carries no mass once it underflows
             assert first((-800.0, 5.0, 1.0), kernel) == 1
 
+    @pytest.mark.parametrize("key", [(-1,), (1, -1)], ids=["seed", "stream"])
+    def test_negative_seed_or_stream_refused(self, key):
+        with pytest.raises(ValueError) as refused:
+            make_rng(*key)
+        assert str(refused.value) == "seed and stream must be non-negative"
+
     def test_identical_seeds_identical_sequences(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
         t1 = run(fig1, p, State.zeros(fig1.n), 2000, seed=9)

@@ -21,7 +21,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cliquegrowth import (Graph, RateParams, State, complete_graph, exponent_vector, is_connected,
-                          process, run)
+                          path_graph, process, run)
 from cliquegrowth.process import _allocate, _DifferenceChain, _numpy_kernel, _scalar_kernel
 
 from conftest import drive_kernel, scalar_pairs
@@ -158,10 +158,11 @@ class Tally:
     Three internals are counted too: the tests for a frozen law and the laws
     they find (`entries`), the chain's misses, and its re-syncs (those
     leaving a tail as `tails`).  The last exponent array `exponent_vector`
-    returned, the run's, is `exponents`, which the kernels and the fast
-    paths advance in place.  A frozen law's exit is `unsafe` when its last
-    pick is unsafe (the law draws that step itself; `unsafe_at_block_end` if
-    that is the last uniform it was given) and `zero` at a uniform of 0.0."""
+    returned, the run's, is `exponents`, which the kernels advance in place
+    and to which `_allocate` adds the fast paths' picks.  A frozen law's
+    exit is `unsafe` when its last pick is unsafe (the law draws that step
+    itself; `unsafe_at_block_end` if that is the last uniform it was given)
+    and `zero` at a uniform of 0.0."""
 
     def __init__(self):
         self.kernel_steps = self.fast_steps = self.entries = self.tests = 0
@@ -201,6 +202,8 @@ class Tally:
         def counted(chain, us):
             live = chain.state is not None
             picks, k = original(chain, us)
+            # a walk that neither draws nor names a kernel step stalls `_allocate`
+            assert len(picks) or k
             self.chain_steps += len(picks)
             self.chain_zeros += k == 1
             self.handbacks += live and chain.state is None
@@ -319,21 +322,19 @@ def test_frozen_law_cuts_where_the_sorted_weights_do(case):
     cut a search over every cut of the sorted weights finds, whether it
     searches all vertices, the heavy ones, or inside the C of a law found a
     few allocations before; its safe flags are `peaked` on C, and its
-    partial sums and K[:, C] are C's."""
+    partial sums are C's."""
     exps, later, peaked = case
-    K = np.arange(len(exps) ** 2, dtype=np.float64).reshape(len(exps), -1)
-    last = process._frozen_law(exps, K, peaked)
+    last = process._frozen_law(exps, peaked)
     for x, prior in ((exps, None), (later, last)):
         w = np.exp(x - x.max())
         C = smallest_cut(w.tolist())
         safe = peaked[np.ix_(C, C)].all(axis=0)
-        law = process._frozen_law(x, K, peaked, prior)
+        law = process._frozen_law(x, peaked, prior)
         if not safe.any():
             assert law is None
             continue
         assert law.C.tolist() == C and law.safe.tolist() == safe.tolist()
         assert law.cum.tolist() == np.cumsum(w[C]).tolist()
-        assert (law.KC == K[:, C]).all()
         assert law.tail.tolist() == [j not in C for j in range(len(x))]
 
 
@@ -635,7 +636,9 @@ def test_difference_chain_states_hold_the_kernel_sums():
         chain = _DifferenceChain(L, K, memo)
         for step in range(len(uniforms)):
             u = uniforms[step:step + 1]
-            if chain.walk(u)[1] == 1:  # a uniform of 0.0: the kernel takes it
+            picks, k = chain.walk(u)
+            L += K @ np.bincount(picks, minlength=g.n)  # as `_allocate` adds them
+            if k == 1:  # a uniform of 0.0: the kernel takes it
                 _scalar_kernel(L, pairs, memo, u.tolist())
             if chain.state is None:
                 break
@@ -657,6 +660,55 @@ def test_difference_chain_states_hold_the_kernel_sums():
     # 7,405 states audited, 5,651 of them with a tail, in these 60 examples
     # drawn from seed 0
     assert len(audited) >= 5000 and sum(audited) >= 4000
+
+
+def floor_chain():
+    """A difference chain on the path of 16 vertices at alpha = 1, beta = 2,
+    started from exponents 45 apart (gap + CHAIN_CUT_SLACK is about 50.6)."""
+    g = path_graph(16)
+    params = RateParams.uniform(1.0, 2.0, -45.0 * np.arange(16))
+    x0 = State.zeros(16)
+    return g, params, x0, _DifferenceChain(exponent_vector(params, g, x0),
+                                           params.interaction_matrix(g), {})
+
+
+def test_difference_chain_cut_stops_at_the_live_floor():
+    """`_cut` looks for a gap only above CHAIN_LIVE_FLOOR: exponents 45
+    apart keep all 16 live, even with a gap of 55 below -600, where the scan
+    has stopped; 55 apart they are cut at the first gap.  A state whose live
+    set reaches below the floor above a tail has threshold -inf: a walk
+    ends on entering it, and the next walk re-derives the state."""
+    chain = floor_chain()[3]
+    spaced = [-45.0 * i for i in range(16)]
+    assert chain._cut(spaced) == list(range(16))
+    assert chain._cut(spaced[:15] + [spaced[14] - 55.0]) == list(range(16))
+    assert chain._cut([-55.0 * i for i in range(16)]) == [0]
+    assert chain._state(tuple(spaced[:15]) + (-math.inf,))[3] == -math.inf
+
+
+def test_difference_chain_matches_kernel_past_the_live_floor():
+    """From exponents 45 apart on the path of 16 vertices, the chain's cuts
+    stop at the live floor (4 times on these uniforms) and the run still
+    gives the scalar kernel's allocations and exponents."""
+    g, params, x0, _ = floor_chain()
+    uniforms = np.random.default_rng(3).random(3000)
+    want, L_want = drive_kernel(_scalar_kernel, params, g, x0, uniforms.tolist())
+    stops, cut = [], _DifferenceChain._cut
+
+    def counted(chain, d):
+        live = cut(chain, d)
+        # a cut keeps nothing below the floor, and a scan that meets no gap
+        # tests every coordinate but the last against it: two live ones
+        # below it mean the scan stopped there
+        stops.append(sum(d[j] < process.CHAIN_LIVE_FLOOR for j in live) >= 2)
+        return live
+
+    tally = Tally()
+    with tally.installed(), patch.object(_DifferenceChain, "_cut", counted):
+        got = _allocate(params, g, x0, StubRng(uniforms), len(uniforms), True)
+    assert got.tolist() == want.tolist()
+    assert (tally.exponents == L_want).all()
+    assert tally.chain_steps > 0 and sum(stops) >= 1
 
 
 def test_difference_chain_hits_its_table(fig1):
