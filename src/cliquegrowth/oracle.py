@@ -16,8 +16,8 @@ import numpy as np
 
 from .detection import check_final_properties
 from .graphs import Graph, OrderedClique, d_sets, is_clique
-from .process import (EXP_UNDERFLOW, RateParams, State, check_reach,
-                      exp_weights, exponent_vector, probs_from_exponents)
+from .process import (EXP_UNDERFLOW, RateParams, State, column_sum, exp_weights,
+                      exponent_vector, on_grid, probs_from_exponents)
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -36,27 +36,33 @@ __all__ = [
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 # Array cells (rows times columns) the exact tools evaluate at once: levels
-# and shells are scored in row blocks of this many floats per scratch array.
+# and shells are scored in blocks of this many floats per scratch array.
 BLOCK_CELLS = 1 << 14
+# A block's laws are columns of an (n, rows) array.  Over fewer vertices the
+# array is C-ordered, so that a block is a few whole-column numpy calls;
+# from this many on it is the F-ordered transpose of one count vector per
+# row, since a transposed copy off the exact grid then costs more than it
+# saves (measured crossover, see CHANGES.md).
+ROW_LAYOUT_MIN_N = 64
 # Most cells (rows times columns) of one enumeration array: a level of count
 # vectors, a drift shell or its size table.  As int64 that is 800 MB.
 MAX_CELLS = 10**8
 
 
-def _start_exponents(params: RateParams, g: Graph, x0: State,
-                     vertices: Sequence[int], horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents at x0, and as row i the increment of one allocation at
-    vertices[i] (column vertices[i] of K), once `check_reach` passes.  Refuses
-    horizons whose last level of count vectors over `vertices`, or the
-    (horizon + 2) x m cells that bound `_level_table`'s index arrays and a
-    singleton's levels, would exceed MAX_CELLS cells."""
+def _start_exponents(params: RateParams, g: Graph, x0: State, vertices: Sequence[int],
+                     horizon: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The exponents at x0, as row i the increment of one allocation at
+    vertices[i] (column vertices[i] of K), and whether the exponents of the
+    horizon stay on the exact grid (`on_grid`), once `check_reach` passes.
+    Refuses horizons whose last level of count vectors over `vertices`, or
+    the (horizon + 2) x m cells that bound `_level_table`'s index arrays and
+    a singleton's levels, would exceed MAX_CELLS cells."""
     m = len(vertices)
     if max(math.comb(horizon + m - 1, m - 1), horizon + 2) * m > MAX_CELLS:
         raise ValueError(f"the horizon-{horizon} levels need more than {MAX_CELLS} array cells")
     exps0 = exponent_vector(params, g, x0)
     deltas = params.interaction_matrix(g).T[list(vertices)]
-    check_reach(exps0, deltas, horizon)
-    return exps0, deltas
+    return exps0, deltas, on_grid(params, g, exps0, deltas, horizon)
 
 
 def _level_table(m: int, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,19 +121,36 @@ def _composition_levels(m: int, horizon: int) -> Iterator[tuple[np.ndarray, np.n
         yield comps, table_up[:rows]
 
 
-def _level_weights(exps0: np.ndarray, deltas: np.ndarray,
-                   comps: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Per block of rows of `comps`: (rows, w, total), where w = exp(L - max L)
-    row by row at the exponents L = exps0 + comp @ deltas of each count
-    vector, and total (a column) the row sums of w."""
+def _exponents(exps0: np.ndarray, deltas: np.ndarray, comps: np.ndarray,
+               exact: bool) -> np.ndarray:
+    """The exponents exps0 + comp @ deltas of each row of `comps`, one
+    column per count vector, laid out as ROW_LAYOUT_MIN_N says."""
+    by_row = len(exps0) >= ROW_LAYOUT_MIN_N
+    if exact and not by_row:
+        # on the exact grid every sum is a float, in any order: one product
+        exps = deltas.T @ comps.T.astype(np.float64)
+        exps += exps0[:, None]
+        return exps
+    if exact:
+        exps = comps.astype(np.float64) @ deltas
+    else:
+        # a stack of vector-matrix products: per count vector the same
+        # arithmetic as comp @ deltas on one vector
+        exps = (comps[:, None, :].astype(np.float64) @ deltas)[:, 0]
+    exps += exps0
+    return exps.T if by_row else np.ascontiguousarray(exps.T)
+
+
+def _level_weights(exps0: np.ndarray, deltas: np.ndarray, comps: np.ndarray,
+                   exact: bool) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Per block of rows of `comps`: (rows, w, total), where w holds one
+    column per count vector, exp(L - max L) at its `_exponents` L, and
+    total the column sums of w."""
     step = max(1, BLOCK_CELLS // len(exps0))
     for start in range(0, len(comps), step):
         rows = slice(start, start + step)
-        # a stack of vector-matrix products: per row the same arithmetic
-        # as comp @ deltas on one count vector
-        exps = exps0 + (comps[rows, None, :].astype(np.float64) @ deltas)[:, 0]
-        w = exp_weights(exps)
-        yield rows, w, w.sum(axis=1, keepdims=True)
+        w = exp_weights(_exponents(exps0, deltas, comps[rows], exact))
+        yield rows, w, column_sum(w)
 
 
 def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
@@ -167,18 +190,16 @@ def q_measure(g: Graph, params: RateParams, x0: State, clique: OrderedClique,
                          "is not a final maximal clique for this state")
     part = d_sets(g, clique)
     block_idx = [np.fromiter(sorted(b), dtype=np.intp) for b in part.blocks]
-    exps0, deltas = _start_exponents(params, g, x0, clique.vertices, horizon)
+    exps0, deltas, exact = _start_exponents(params, g, x0, clique.vertices, horizon)
 
     # weights[p]: weight of path prefix p; comp[p]: its count vector's row
     weights = np.ones(1)
     comp = np.zeros(1, dtype=np.int64)
     for depth, (comps, up) in enumerate(_composition_levels(m, horizon), 1):
         masses = np.empty((len(comps), m))
-        for rows, w, total in _level_weights(exps0, deltas, comps):
+        for rows, w, total in _level_weights(exps0, deltas, comps, exact):
             for k, b in enumerate(block_idx):
-                # take() keeps the rows C-contiguous, so each row sums in
-                # the order of a 1-D sum (w[:, b] would be column-major)
-                masses[rows, k] = w.take(b, axis=1).sum(axis=1) / total[:, 0]
+                masses[rows, k] = column_sum(w[b]) / total
         # scale the gathered block masses in place: the same products as
         # weights[:, None] * masses[comp] without a second m^depth array
         gathered = masses[comp]
@@ -201,11 +222,12 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
 
     Each level is one array of count vectors, a prefix of a table of a
     later level (`_composition_levels`).  A vector's mass is the sum of its
-    predecessors' contributions, added in the order of the predecessors in
-    the level (allocation at position m-1 first), and the last level is
-    summed left to right.  Once a level's mass is all zero it stays zero, so
-    the result 0.0 is returned there; the tables grow in doubling steps, so
-    a DP that stops at level k has built none past level 2k + 1.
+    predecessors' contributions, added by one `np.bincount` in the order of
+    the predecessors in the level (allocation at position m-1 first), and
+    the last level is summed left to right.  Once a level's mass is all
+    zero it stays zero, so the result 0.0 is returned there; the tables grow
+    in doubling steps, so a DP that stops at level k has built none past
+    level 2k + 1.
     """
     verts = clique.vertices
     if not verts or not is_clique(g, verts):
@@ -219,18 +241,21 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
             f"C({horizon}+{m}-1,{m}-1) states or {horizon} levels exceed the DP budget {budget}")
     if horizon == 0:
         return 1.0
-    exps0, deltas = _start_exponents(params, g, x0, verts, horizon)
-    vert_idx = np.fromiter(verts, dtype=np.intp)
+    exps0, deltas, exact = _start_exponents(params, g, x0, verts, horizon)
+    rev_idx = np.fromiter(reversed(verts), dtype=np.intp)
 
     mass = np.ones(1)
     for k, (comps, up) in enumerate(_composition_levels(m, horizon)):
-        p_in = np.empty((len(comps), m))
-        for rows, w, total in _level_weights(exps0, deltas, comps):
-            p_in[rows] = w[:, vert_idx] / total
-        nxt = np.zeros(math.comb(k + m, m - 1))
-        for i in range(m - 1, -1, -1):
-            nxt[up[:, i]] += mass * p_in[:, i]
-        mass = nxt
+        # p_in[j, r]: the chance that vector r's next allocation is at
+        # position m-1-j
+        p_in = np.empty((m, len(comps)))
+        for rows, w, total in _level_weights(exps0, deltas, comps, exact):
+            np.divide(w[rev_idx], total, out=p_in[:, rows])
+        p_in *= mass
+        # bincount adds in flat order, position m-1's contributions first:
+        # each vector of the next level sums its predecessors from m-1 down
+        mass = np.bincount(up[:, ::-1].ravel(order="F"), weights=p_in.ravel(),
+                           minlength=math.comb(k + m, m - 1))
         if not mass.any():
             return 0.0
     return float(np.add.accumulate(mass, out=mass)[-1])
@@ -343,17 +368,20 @@ def _check_logits(log_a: np.ndarray, lam: float, reach: float) -> None:
         raise ValueError(f"lam * {reach:g} overflows a float; use a smaller rate or shell")
 
 
-def _z_probs_rows(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
-    """Transition law of the difference chain at each row of z."""
-    logits = np.empty((len(z), len(log_a) + 1))
-    logits[:, :-1] = log_a - lam * z
-    logits[:, -1] = 0.0
+def _z_probs(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
+    """Transition law of the difference chain at each row of z, one law
+    per column."""
+    logits = np.zeros((len(log_a) + 1, len(z)))
+    logits[:-1] = log_a[:, None] - lam * z.T
     return probs_from_exponents(logits)
 
 
 def _drift_rows(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
-    """Drift of sum z_i^2 at each row of z (see `z_drift`)."""
-    p = _z_probs_rows(log_a, lam, z)
+    """Drift of sum z_i^2 at each row of z (see `z_drift`).  The laws come
+    one per column from `_z_probs`; the expectation is a dot product per
+    state on their transposed copy, one law per row, since another order of
+    its adds moves the maximizer among tied states."""
+    p = _z_probs(log_a, lam, z).T.copy()
     up = 2.0 * z + 1.0
     down = np.sum(1.0 - 2.0 * z, axis=1)
     # a stack of dot products: per row the same arithmetic as p[:-1] @ up
@@ -379,7 +407,7 @@ def z_transition_probs(m: int, a, lam: float, z) -> np.ndarray:
     W = 1 + sum_i a_i e^(-lam z_i).  Computed in log-space.
     """
     log_a, z = _chain_point(m, a, lam, z)
-    return _z_probs_rows(log_a, lam, z)[0]
+    return _z_probs(log_a, lam, z)[:, 0]
 
 
 def z_drift(m: int, a, lam: float, z) -> float:

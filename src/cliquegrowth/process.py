@@ -169,7 +169,7 @@ def _materialized_arrays(p: RateParams, g: Graph):
     values) of each column K[:, v], which one allocation at v adds, and for
     the fast paths peaked, with peaked[u, v] saying K[u, v] equals K[v, v]
     and column v of K peaks there (None if no column does), and the least
-    e >= 0 for which K is a multiple of 2^-e (`_on_grid`)."""
+    e >= 0 for which K is a multiple of 2^-e (`on_grid`)."""
     n = g.n
     alpha_vec = np.asarray(p.alpha, dtype=np.float64)
     if alpha_vec.ndim == 0:
@@ -269,20 +269,43 @@ def transition_probs(params: RateParams, g: Graph, state: State) -> np.ndarray:
 
 
 def exp_weights(exponents: np.ndarray) -> np.ndarray:
-    """exp(L - max L) along the last axis: one weight vector per row of a
-    2-D array.  Each row's maximum is one segment of a `reduceat` over the
-    flat array: exact like `max(axis=-1)`, about twice as fast on rows of 8
-    and no slower on rows of 300."""
-    flat = exponents.ravel()
-    top = np.maximum.reduceat(flat, np.arange(0, flat.size, exponents.shape[-1]))
-    return np.exp(exponents - top.reshape(*exponents.shape[:-1], 1))
+    """exp(L - max L) along axis 0: one weight vector per column of a 2-D
+    array, in its memory order, so that a C-ordered block of laws is a few
+    whole-column ufunc calls."""
+    w = exponents - exponents.max(axis=0)
+    return np.exp(w, out=w)
+
+
+def column_sum(w: np.ndarray) -> np.ndarray:
+    """Sums along axis 0, each with the bits of numpy's sum of its column
+    as one contiguous row.  Below 8 rows numpy adds in order from 0.0 either
+    way.  A C-ordered w of 8 to 128 rows and at least as many columns is
+    added by whole rows as numpy adds a row of that length: eight
+    interleaved partial sums, their tree, then the rest in order, from 0.0,
+    so that zeros sum to 0.0, never -0.0.  Otherwise it sums the rows of
+    w's transpose, a view when w is F-ordered; a copy of a w with more rows
+    than columns, or more than 128, costs less than that many slices."""
+    n = len(w)
+    if n < 8 or w.ndim == 1:
+        return w.sum(axis=0)
+    if not w.flags.c_contiguous or n > min(128, w.shape[1]):
+        return np.ascontiguousarray(w.T).sum(axis=1)
+    end = n - n % 8
+    part = w[:8]
+    for i in range(8, end, 8):
+        part = part + w[i:i + 8]
+    pairs = part[0::2] + part[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in w[end:]:
+        total += row
+    return total + 0.0
 
 
 def probs_from_exponents(exponents: np.ndarray) -> np.ndarray:
-    """`exp_weights` normalized along the last axis: one probability vector
-    per row of a 2-D array."""
+    """The softmax along axis 0: `exp_weights` over its `column_sum`, one
+    probability vector per column of a 2-D array."""
     w = exp_weights(exponents)
-    return w / w.sum(axis=-1, keepdims=True)
+    return w / column_sum(w)
 
 
 def check_reach(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> float:
@@ -355,14 +378,16 @@ def _numpy_kernel(L: np.ndarray, supports, uniforms: list) -> list:
     return picks
 
 
-def _on_grid(exps0: np.ndarray, grid: int, reach: float) -> bool:
-    """The run's exponents stay exact: K and exps0 are multiples of 2^-e
-    with 2 reach 2^e < 2^52 (`check_reach`'s reach of the run), so that every
-    exponent, sum and difference on any path of the run is a float.  K is a
-    multiple of 2^-e for every e >= `grid` (`_materialized_arrays`), so only
-    exps0 is checked here."""
-    e = min(51 - math.frexp(reach)[1], 64)
-    if e < grid:
+def on_grid(params: RateParams, g: Graph, exps0: np.ndarray, deltas: np.ndarray,
+            horizon: int) -> bool:
+    """Whether `horizon` steps adding entries of `deltas`, entries of K, to
+    the exponents exps0 stay exact, once `check_reach` passes: K and exps0 are
+    multiples of 2^-e with 2 reach 2^e < 2^52 (`check_reach`'s reach), so
+    that every exponent, sum and difference on any path of `horizon` steps
+    is a float.  K is a multiple of 2^-e for every e at or above its grid
+    (`_materialized_arrays`), so only exps0 is checked here."""
+    e = min(51 - math.frexp(check_reach(exps0, deltas, horizon))[1], 64)
+    if e < _materialized_arrays(params, g)[4]:
         return False
     scaled = exps0 * 2.0**e
     return bool((scaled == np.rint(scaled)).all())
@@ -386,7 +411,7 @@ def _frozen_law(exps: np.ndarray, peaked: np.ndarray,
     index order; safe[i] says column K[:, C[i]] is constant on C and no
     larger off it (`peaked` on C).
 
-    With exact exponents (`_on_grid`), an allocation at a safe vertex
+    With exact exponents (`on_grid`), an allocation at a safe vertex
     adds one constant to C's exponents and no more to the others, so C's
     weights stay bitwise the same and the tail only shrinks.  Each kernel
     partial sum is then a partial sum of C, since adding the tail does not
@@ -489,7 +514,7 @@ class _Frozen:
 
 
 class _DifferenceChain:
-    """The scalar kernel's picks on the exact grid (`_on_grid`), one table
+    """The scalar kernel's picks on the exact grid (`on_grid`), one table
     lookup a step, for runs that cannot freeze.
 
     On the grid the kernel's law depends only on d = L - max L, which it
@@ -638,7 +663,7 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     or the numpy kernel (the two agree bit for bit), once `check_reach` passes.
     Uniform 0 selects the first vertex with positive weight.
 
-    A run on the exact grid (`_on_grid`) has one fast path: the frozen law
+    A run on the exact grid (`on_grid`) has one fast path: the frozen law
     where a column of K peaks on its diagonal, on either kernel, else the
     difference chain on the scalar kernel's graphs.  In each block of
     uniforms, each walk of the path is followed by the kernel steps it names.
@@ -647,8 +672,8 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     kernel and the chain share one memo of np.exp weights.
     """
     L = exponent_vector(params, g, x0)
-    K, _, supports, peaked, grid = _materialized_arrays(params, g)
-    exact = _on_grid(L, grid, check_reach(L, K, steps))
+    K, _, supports, peaked, _ = _materialized_arrays(params, g)
+    exact = on_grid(params, g, L, K, steps)
     memo: dict[float, float] = {}
     if scalar:
         pairs = [list(zip(idx.tolist(), val.tolist())) for idx, val in supports]

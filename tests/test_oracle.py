@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from decimal import Decimal, localcontext
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -551,20 +552,23 @@ def ref_drift_shell_max(m, a, lam, c0, c1):
 @st.composite
 def oracle_cases(draw):
     """A connected graph (random spanning tree plus random extra edges),
-    uniform or general-mode parameters (all integers, or reals), a start
-    state, a random clique grown from a random vertex, and a horizon."""
+    uniform or general-mode parameters (all integers, all multiples of 1/8,
+    or reals), a start state, a random clique grown from a random vertex,
+    and a horizon."""
     n = draw(st.integers(2, 9))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=n * 3))
     edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
     g = Graph.from_edge_labels(sorted(edges))
-    integral = draw(st.booleans())
+    kind = draw(st.sampled_from(["integral", "dyadic", "real"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def values(size):
-        if integral:
+        if kind == "integral":
             return rng.integers(-1, 4, size).astype(np.float64)
+        if kind == "dyadic":
+            return rng.integers(-8, 24, size) / 8.0
         return rng.uniform(-0.5, 2.5, size)
 
     if draw(st.booleans()):
@@ -582,7 +586,7 @@ def oracle_cases(draw):
     while common and len(verts) < size:
         verts.append(int(rng.choice(sorted(common))))
         common &= g.adjacency[verts[-1]]
-    return g, params, integral, x0, OrderedClique(tuple(verts)), int(rng.integers(0, 7))
+    return g, params, kind, x0, OrderedClique(tuple(verts)), int(rng.integers(0, 7))
 
 
 def assert_same(got, want, exact):
@@ -595,12 +599,14 @@ def assert_same(got, want, exact):
 @given(oracle_cases())
 def test_level_oracles_match_reference(case):
     """Level-at-a-time DP and path measure against the per-state loops:
-    identical values when every exponent is an integer, within 1e-13
-    relative otherwise, and the q paths in the same order."""
-    g, params, integral, x0, clique, horizon = case
+    identical values when every exponent is an integer or a multiple of
+    1/8, within 1e-13 relative otherwise, and the q paths in the same
+    order."""
+    g, params, kind, x0, clique, horizon = case
+    exact = kind != "real"
     assert is_clique(g, clique.vertices)
     assert_same(confinement_prob(g, params, x0, clique, horizon),
-                ref_confinement_prob(g, params, x0, clique, horizon), integral)
+                ref_confinement_prob(g, params, x0, clique, horizon), exact)
 
     final = final_maximal_clique(g, params, x0)
     hq = max(1, horizon)
@@ -611,7 +617,65 @@ def test_level_oracles_match_reference(case):
     assert list(want) == list(itertools.product(range(len(final)), repeat=hq))
     assert len(got) == len(want)
     for mass_got, mass in zip(got.tolist(), want.values()):
-        assert_same(mass_got, mass, integral)
+        assert_same(mass_got, mass, exact)
+
+
+@given(oracle_cases().filter(lambda case: case[2] != "real"))
+def test_one_product_matches_stacked_products_on_grid(case):
+    """On the exact grid a level's exponents are one matrix product; they
+    equal the per-vector products of the path off the grid bit for bit, at
+    every level, in both layouts, with offsets, start counts and negative
+    general-mode entries."""
+    g, params, _, x0, clique, horizon = case
+    horizon = max(horizon, 1)
+    exps0, deltas, exact = oracle._start_exponents(params, g, x0, clique.vertices, horizon)
+    assert exact
+    for min_n in (oracle.ROW_LAYOUT_MIN_N, 1):
+        with patch.object(oracle, "ROW_LAYOUT_MIN_N", min_n):
+            for comps, _ in oracle._composition_levels(len(clique), horizon):
+                one = oracle._exponents(exps0, deltas, comps, True)
+                stacked = oracle._exponents(exps0, deltas, comps, False)
+                assert one.shape == stacked.shape == (g.n, len(comps))
+                assert one.tobytes() == stacked.tobytes()
+
+
+@given(oracle_cases())
+def test_layouts_give_the_same_bits(case):
+    """The DP and the path measure, with every block's laws C-ordered (as
+    on graphs under ROW_LAYOUT_MIN_N vertices) and F-ordered (one count
+    vector per row, as on larger graphs): identical results, on and off the
+    exact grid."""
+    g, params, _, x0, clique, horizon = case
+    final = final_maximal_clique(g, params, x0)
+    hq = max(1, horizon)
+    while len(final) ** hq > 729:
+        hq -= 1
+    want = (confinement_prob(g, params, x0, clique, horizon).hex(),
+            q_measure(g, params, x0, final, hq).tobytes())
+    with patch.object(oracle, "ROW_LAYOUT_MIN_N", 1):
+        got = (confinement_prob(g, params, x0, clique, horizon).hex(),
+               q_measure(g, params, x0, final, hq).tobytes())
+    assert got == want
+
+
+def test_layouts_give_the_same_bits_off_the_grid(fig1):
+    # at h = 12 one product per level instead of the stacked products would
+    # move the last bit of both values
+    c = OrderedClique(idx(fig1, 2, 3, 4, 5))
+    for p in (RateParams.uniform(0.7, 1.3), RateParams.uniform(0.3, 0.7)):
+        want = confinement_prob(fig1, p, State.zeros(fig1.n), c, 12).hex()
+        with patch.object(oracle, "ROW_LAYOUT_MIN_N", 1):
+            assert confinement_prob(fig1, p, State.zeros(fig1.n), c, 12).hex() == want
+
+
+def test_one_product_rule_is_off_beside_the_grid(fig1):
+    # 0.7 and 1.3 are no multiples of a power of two; 1e200 rates are
+    # integers, but a horizon's reach is far past 2^52
+    c = idx(fig1, 2, 3, 4, 5)
+    for p in (RateParams.uniform(0.7, 1.3), RateParams.uniform(1e200, 1e200)):
+        assert not oracle._start_exponents(p, fig1, State.zeros(fig1.n), c, 100)[2]
+    assert oracle._start_exponents(RateParams.uniform(1.0, 1.0), fig1,
+                                   State.zeros(fig1.n), c, 100)[2]
 
 
 @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(0, 5),

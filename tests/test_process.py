@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliquegrowth import (
@@ -23,6 +23,7 @@ from cliquegrowth.graphs import Graph
 from cliquegrowth.process import (
     _materialized_arrays,
     _scalar_kernel,
+    column_sum,
     exp_weights,
     probs_from_exponents,
 )
@@ -379,21 +380,57 @@ def test_normalization_along_long_run(fig1):
             for j, k in pairs[v]:
                 exps[j] += k
             rows.append(list(exps))
-        probs = probs_from_exponents(np.array(rows))
-        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+        # one law per column: the visited states' exponents transposed
+        probs = probs_from_exponents(np.array(rows).T)
+        assert np.abs(probs.sum(axis=0) - 1.0).max() <= 1e-12
     assert exps == L.tolist()
 
 
 @pytest.mark.parametrize("shape", [(1,), (8,), (300,), (0, 3), (1, 8), (2048, 8),
                                    (54, 300), (7, 1), (5, 3000)])
 def test_exp_weights_take_each_rows_own_maximum(shape):
-    # the reduceat maximum against numpy's row max, bit for bit, with rows
-    # whose maximum sits anywhere (ties included) and spreads up to 1e4
+    # laws given one per row, weighed one per column (axis 0) on their
+    # transpose, against numpy's row max, bit for bit, with rows whose
+    # maximum sits anywhere (ties included) and spreads up to 1e4
     rng = np.random.default_rng(shape[-1])
     x = np.round(rng.standard_normal(shape) * 10.0 ** rng.integers(0, 5, shape[:-1] + (1,)), 1)
     want = np.exp(x - x.max(axis=-1, keepdims=True))
-    got = exp_weights(x)
+    got = exp_weights(x.T).T
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # and the softmax of each column has the bits of the row's own
+    probs = probs_from_exponents(x.T).T
+    assert probs.tobytes() == (want / want.sum(axis=-1, keepdims=True)).tobytes()
+
+
+@given(st.integers(1, 600), st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
+@example(7, 3, False, 0)
+@example(8, 3, True, 0)
+@example(128, 0, True, 0)
+@example(129, 3, True, 0)
+@example(600, 3, False, 0)
+def test_column_sum_adds_as_numpy_adds_a_row(width, columns, square, seed):
+    # every column of width w, summed along axis 0, against numpy's sum of
+    # the same numbers as one contiguous row, bit for bit: in order below
+    # 8, eight partial sums up to 128 rows with at least as many columns
+    # (square), a transposed copy otherwise; and an F-ordered array by its
+    # transpose; with magnitudes over 16 decades, so that the order shows,
+    # and zeros of both signs
+    if square:
+        columns += width
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((width, columns)) * 10.0 ** rng.integers(-8, 8, (width, columns))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    want = x.T.copy().sum(axis=1)
+    for layout in (x, np.asfortranarray(x)):
+        got = column_sum(layout)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for row in x.T:
+        one = np.ascontiguousarray(row)
+        assert np.asarray(column_sum(one)).tobytes() == one.sum().tobytes()
+    # all zeros: numpy's sum starts from 0.0, so -0.0 sums to 0.0
+    zeros = np.full(x.shape, -0.0)
+    assert column_sum(zeros).tobytes() == zeros.T.copy().sum(axis=1).tobytes()
 
 
 def test_critical_clique_invariance(fig1):

@@ -630,8 +630,8 @@ def test_difference_chain_states_hold_the_kernel_sums():
     def check(case):
         g, params, x0, uniforms = case
         L = exponent_vector(params, g, x0)
-        K, _, supports, _, grid = process._materialized_arrays(params, g)
-        assert process._on_grid(L, grid, process.check_reach(L, K, len(uniforms)))
+        K, _, supports, _, _ = process._materialized_arrays(params, g)
+        assert process.on_grid(params, g, L, K, len(uniforms))
         pairs, memo = scalar_pairs(supports), {}
         chain = _DifferenceChain(L, K, memo)
         for step in range(len(uniforms)):
