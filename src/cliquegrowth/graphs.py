@@ -324,17 +324,15 @@ def validate_partition(part: DPartition, g: Graph) -> bool:
     1. every D-set is disjoint from the clique vertices;
     2. the D-sets are pairwise disjoint;
     3. the blocks {v_k} + D_{v_k} cover the vertex set exactly.
+
+    Once the clique and the D-sets cover the n vertices, 1 and 2 hold
+    exactly when their sizes add up to n: a union is as large as the sum of
+    its parts only if they are pairwise disjoint.
     """
     verts = part.clique.vertices
     cset = set(verts)
     if len(cset) != len(verts) or len(part.d_sets) != len(verts):
         return False
-    if any(cset & d for d in part.d_sets):
-        return False
-    for i in range(len(part.d_sets)):
-        for j in range(i + 1, len(part.d_sets)):
-            if part.d_sets[i] & part.d_sets[j]:
-                return False
     expected_blocks = tuple(
         frozenset({vk}) | dk for vk, dk in zip(verts, part.d_sets)
     )

@@ -431,22 +431,23 @@ def _sphere_size(dim: int, radius: int) -> int:
                for k in range(1, min(dim, radius) + 1))
 
 
-def _l1_sphere(dim: int, radius: int) -> np.ndarray:
-    """All integer vectors of exact l1 norm `radius` in `dim` >= 1
-    coordinates, one per row.
+def _l1_sphere(dim: int, c0: int, c1: int) -> np.ndarray:
+    """All integer vectors of l1 norm c0..c1 in `dim` >= 1 coordinates, one
+    per row, radius by radius.
 
-    The order is that of the recursive enumeration: the first coordinate
-    ascending from -radius, each followed by every completion of the
-    remaining norm in the same order, and a last coordinate r before -r.
+    Within a radius the order is that of the recursive enumeration: the
+    first coordinate ascending from -radius, each followed by every
+    completion of the remaining norm in the same order, and a last
+    coordinate r before -r.
     """
     # sizes[k, r]: vectors of l1 norm r in k coordinates
-    sizes = np.zeros((dim + 1, radius + 1), dtype=np.int64)
+    sizes = np.zeros((dim + 1, c1 + 1), dtype=np.int64)
     sizes[0, 0] = 1
     for k in range(1, dim + 1):
         sizes[k] = sizes[k - 1]
         sizes[k, 1:] += 2 * np.cumsum(sizes[k - 1])[:-1]
-    out = np.empty((sizes[dim, radius], dim), dtype=np.int64)
-    rest = np.array([radius])  # norm left after each prefix, prefixes in order
+    out = np.empty((sizes[dim, c0:].sum(), dim), dtype=np.int64)
+    rest = np.arange(c0, c1 + 1)  # norm left after each prefix, an empty one per radius
     for j in range(dim - 1):
         # each prefix is followed by every value -rest..rest at column j
         n_vals = 2 * rest + 1
@@ -466,37 +467,37 @@ def _l1_sphere(dim: int, radius: int) -> np.ndarray:
 
 def _check_scan(log_a: np.ndarray, lam: float, c0: int, c1: int) -> int:
     """Number of states with c0 <= l1 norm <= c1, counted before any is
-    built; refuses scans over DEFAULT_ENUM_BUDGET states, a shell or size
-    table of `_l1_sphere` over MAX_CELLS cells, and rates at which the
-    logits of the outer shell would overflow."""
+    built; refuses scans over DEFAULT_ENUM_BUDGET states, an array of the
+    states or a size table of `_l1_sphere` over MAX_CELLS cells, and rates
+    at which the logits of the outer shell would overflow."""
     _check_logits(log_a, lam, c1)
     dim = len(log_a)
     if (dim + 1) * (c1 + 1) > MAX_CELLS:
         raise ValueError(f"the shell {c0}:{c1} needs a size table of over {MAX_CELLS} cells")
     count = 0
     for radius in range(c0, c1 + 1):
-        size = _sphere_size(dim, radius)
-        count += size
-        if count > DEFAULT_ENUM_BUDGET or size * dim > MAX_CELLS:
+        count += _sphere_size(dim, radius)
+        if count > DEFAULT_ENUM_BUDGET or count * dim > MAX_CELLS:
             raise ValueError(
                 f"the shell {c0}:{c1} in {dim} dimensions has more than "
                 f"{DEFAULT_ENUM_BUDGET} states or {MAX_CELLS} array cells")
     return count
 
 
-def _shell_max(log_a: np.ndarray, lam: float,
-               radius: int) -> tuple[float, np.ndarray]:
-    """Maximum drift over the l1 shell of `radius`, and the first state in
-    enumeration order that attains it, scored in row blocks."""
-    shell = _l1_sphere(len(log_a), radius)
+def _scan_max(log_a: np.ndarray, lam: float, c0: int, c1: int) -> tuple[float, np.ndarray, int]:
+    """Maximum drift over the shells c0..c1, the first state in enumeration
+    order that attains it, and the number of states: the scan is checked
+    (`_check_scan`), built as one array and scored in row blocks."""
+    count = _check_scan(log_a, lam, c0, c1)
+    states = _l1_sphere(len(log_a), c0, c1)
     step = max(1, BLOCK_CELLS // (len(log_a) + 1))
-    best, best_z = -math.inf, shell[0]
-    for start in range(0, len(shell), step):
-        d = _drift_rows(log_a, lam, shell[start:start + step].astype(np.float64))
+    best, best_z = -math.inf, states[0]
+    for start in range(0, count, step):
+        d = _drift_rows(log_a, lam, states[start:start + step].astype(np.float64))
         i = int(d.argmax())
         if d[i] > best:
-            best, best_z = float(d[i]), shell[start + i]
-    return best, best_z
+            best, best_z = float(d[i]), states[start + i]
+    return best, best_z, count
 
 
 def drift_shell_max(m: int, a, lam: float, c0: int, c1: int) -> tuple[float, tuple[int, ...], int]:
@@ -509,12 +510,7 @@ def drift_shell_max(m: int, a, lam: float, c0: int, c1: int) -> tuple[float, tup
     log_a = _chain_log_coefficients(m, a, lam)
     if c0 < 0 or c1 < c0:
         raise ValueError("need 0 <= c0 <= c1")
-    count = _check_scan(log_a, lam, c0, c1)
-    best, best_z = -math.inf, None
-    for radius in range(c0, c1 + 1):
-        top, z = _shell_max(log_a, lam, radius)
-        if top > best:
-            best, best_z = top, z
+    best, best_z, count = _scan_max(log_a, lam, c0, c1)
     return best, tuple(best_z.tolist()), count
 
 
@@ -528,8 +524,7 @@ def negative_drift_radius(m: int, a, lam: float, threshold: float = -0.1,
     tops = [-math.inf]  # tops[r]: max drift over the shell of radius r
     for c in range(1, c_max + 1):
         while len(tops) <= c + width:
-            _check_scan(log_a, lam, len(tops), len(tops))
-            tops.append(_shell_max(log_a, lam, len(tops))[0])
+            tops.append(_scan_max(log_a, lam, len(tops), len(tops))[0])
         if max(tops[c:c + width + 1]) <= threshold:
             return c
     raise ValueError(f"no radius up to {c_max} gives drift <= {threshold}")

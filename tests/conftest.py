@@ -31,6 +31,21 @@ K222_EDGES = "".join(f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)
                      if (u + 1) // 2 != (v + 1) // 2)
 
 
+# Graphs whose automorphisms move every maximal clique to every other, and
+# every vertex to every other: the cycle C_n (its n edges), the Petersen
+# graph (15 edges; outer 5-cycle 1-5, spokes i-(i+5), inner pentagram
+# 6-10) and the complete tripartite K_{3,3,3} (27 triangles).
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edge_labels((i, i % n + 1) for i in range(1, n + 1))
+
+
+PETERSEN = Graph.from_edge_labels(
+    [(i, i % 5 + 1) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)]
+    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+K333 = Graph.from_edge_labels((u, v) for u in range(1, 10) for v in range(u + 1, 10)
+                              if (u - 1) // 3 != (v - 1) // 3)
+
+
 def reference_parse_graph(text: str) -> Graph:
     """The edge-list parser read line by line, one call per line and per
     endpoint, interning each label at its first appearance: the reference

@@ -35,6 +35,7 @@ from cliquegrowth import (
     final_maximal_clique,
     lln_deviation,
     localisation_set,
+    monte_carlo_report,
     negative_drift_radius,
     p11_bound,
     parse_graph,
@@ -51,7 +52,7 @@ from cliquegrowth.analysis import onset_step
 from cliquegrowth.graphs import Graph
 from cliquegrowth.process import State as _State
 
-from conftest import FIG1_EDGES, idx
+from conftest import FIG1_EDGES, K333, PETERSEN, cycle_graph, idx
 
 ZERO = lambda g: State.zeros(g.n)
 
@@ -467,3 +468,54 @@ def test_criterion_11_determinism(tmp_path):
     json.loads(l1)  # well-formed document
     _report(11, "determinism", ok,
             f"simulate {len(s1)} bytes, localize {len(l1)} bytes, jobs-invariant")
+
+
+# Criterion 15: 600 replicas x 1000 steps per graph and regime, seed 15,
+# fixed before the criterion was first run.  C_70 runs on the numpy kernel.
+SYMMETRIC_GRAPHS = {"C_8": cycle_graph(8), "Petersen": PETERSEN,
+                    "K_{3,3,3}": K333, "C_70": cycle_graph(70)}
+
+
+def _uniform_winner_chi2(g, params, kind):
+    """Pooled Pearson statistic of the winners of the runs of `kind`
+    (clique or single_vertex) against the uniform law over the maximal
+    cliques or the vertices of g, its limit (the upper 1e-6 quantile), and
+    the fraction of runs of that kind."""
+    report = monte_carlo_report(g, params, ZERO(g), 1000, 600, seed=15)
+    cells = (enumerate_maximal_cliques(g) if kind == "clique"
+             else [(v,) for v in range(g.n)])
+    hits = dict.fromkeys(cells, 0)
+    for out in report.per_replica:
+        if out.classification == kind:
+            hits[out.localisation_set] += 1
+    decided = sum(hits.values())
+    expected = decided / len(cells)
+    stat = sum((h - expected) ** 2 / expected for h in hits.values())
+    return stat, _chi2_upper_quantile(len(cells) - 1, 1e-6), decided / 600
+
+
+def test_criterion_15_uniform_winner_on_symmetric_graphs():
+    """From zero counts on a graph whose automorphisms move every maximal
+    clique (every vertex) to every other, each is equally likely to win: at
+    alpha = beta = 1 over the maximal cliques, at (1, 0.5) over the
+    vertices.  Pooled chi-square against uniform over the decided runs,
+    with the 1e-6 limit of criterion 06."""
+    ok, details = True, []
+    for name, g in SYMMETRIC_GRAPHS.items():
+        for beta, kind in ((1.0, "clique"), (0.5, "single_vertex")):
+            stat, limit, decided = _uniform_winner_chi2(g, RateParams.uniform(1.0, beta), kind)
+            ok &= stat <= limit and decided >= 0.9
+            details.append(f"{name} (1, {beta:g}) chi2 = {stat:.1f}/{limit:.1f}")
+    _report(15, "uniform winner on symmetric graphs", ok, "; ".join(details))
+
+
+def test_criterion_15_fails_with_one_interaction_dropped():
+    # K with one entry dropped, beta[0, u] = 0 for a neighbour u of vertex
+    # 0, breaks the symmetry: the clique statistic on K_{3,3,3} passes its
+    # limit, 118.5 against 76.2 (112-150 at seeds 11-13)
+    u0 = min(K333.adjacency[0])
+    dropped = RateParams.general(
+        [1.0] * K333.n, {(v, u): 0.0 if (v, u) == (0, u0) else 1.0
+                         for v in range(K333.n) for u in K333.adjacency[v]})
+    stat, limit, _ = _uniform_winner_chi2(K333, dropped, "clique")
+    assert stat > limit

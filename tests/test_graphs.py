@@ -321,6 +321,54 @@ def test_partition_property_random_graphs():
                         and all(v in g.adjacency[u] for u in order[:k])}
 
 
+def ref_validate_partition(part, g):
+    """The three partition identities checked as they read, after the
+    D-set count and the blocks: every D-set misses the clique, the D-sets
+    are pairwise disjoint, and the blocks cover the vertex set."""
+    verts, ds = part.clique.vertices, part.d_sets
+    if len(ds) != len(verts) or part.blocks != tuple(
+            frozenset({v}) | d for v, d in zip(verts, ds)):
+        return False
+    misses_clique = all(not set(verts) & d for d in ds)
+    pairwise_disjoint = all(not a & b for a, b in itertools.combinations(ds, 2))
+    covers = set().union(*part.blocks) == set(range(g.n))
+    return misses_clique and pairwise_disjoint and covers
+
+
+@st.composite
+def partitions(draw):
+    """A D-partition of a random connected graph, and up to three edits:
+    a vertex (in range or just outside it) added to or removed from a
+    D-set, a D-set dropped or appended, or the blocks left as they were
+    before the edits."""
+    g = random_connected_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 7)
+    order = draw(st.permutations(draw(st.sampled_from(enumerate_maximal_cliques(g)))))
+    part = d_sets(g, OrderedClique(tuple(order)))
+    ds, stale = list(part.d_sets), False
+    edits = st.tuples(st.sampled_from(["add", "remove", "drop", "append", "stale"]),
+                      st.integers(0, len(ds) - 1), st.integers(-1, g.n))
+    for kind, k, v in draw(st.lists(edits, max_size=3)):
+        if kind == "add":
+            ds[k % len(ds)] |= {v}
+        elif kind == "remove":
+            ds[k % len(ds)] -= {v}
+        elif kind == "drop" and len(ds) > 1:
+            ds.pop()
+        elif kind == "append":
+            ds.append(frozenset({v}))
+        stale |= kind == "stale"
+    blocks = part.blocks if stale else tuple(
+        frozenset({u}) | d for u, d in zip(order, ds))
+    return DPartition(part.clique, tuple(ds), blocks), g
+
+
+@given(partitions())
+def test_partition_verdict_matches_identities(case):
+    # the count of the parts stands in for both disjointness identities
+    part, g = case
+    assert validate_partition(part, g) == ref_validate_partition(part, g)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Graph.from_edge_labels([(1,)]), "every edge needs two vertex labels"),
     (lambda: Graph.from_edge_labels([(1, 2), (3, 3)]), "self-loop 3-3 is not allowed"),

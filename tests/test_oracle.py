@@ -705,20 +705,30 @@ def test_drift_scan_matches_reference(m, seed, c0, extra, symmetric):
 
 
 def test_row_blocks_do_not_change_results(fig1, monkeypatch):
-    # one- or two-row blocks against one block per level or shell; a = 1
-    # gives tied maxima that straddle blocks
+    # one- to three-row blocks against one block per level or scan; a = 1
+    # gives tied maxima that fall in different blocks
     p = RateParams.uniform(0.7, 1.3)
     x0 = State.from_label_counts(fig1, {2: 1})
     c = OrderedClique(idx(fig1, 2, 3, 4, 5))
+    a, lam, c0, c1 = np.ones(3), 0.8, 4, 7
 
     def results():
         return (confinement_prob(fig1, p, x0, c, 8),
                 q_measure(fig1, p, x0, final_maximal_clique(fig1, p, x0), 6).tolist(),
-                drift_shell_max(4, np.ones(3), 0.8, 4, 6))
+                drift_shell_max(4, a, lam, c0, c1))
 
     whole = results()
-    monkeypatch.setattr(oracle, "BLOCK_CELLS", 8)
-    assert results() == whole
+    for cells in (8, 12):
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", cells)
+        assert results() == whole
+    # at 12 cells the scan's blocks hold three rows: one straddles the
+    # boundary of shells 6 and 7, and its tied maxima lie in three blocks
+    step = 12 // 4
+    ends = np.cumsum([oracle._sphere_size(3, r) for r in range(c0, c1 + 1)])
+    assert (ends % step).any()
+    drifts = np.array([z_drift(4, a, lam, z) for z in oracle._l1_sphere(3, c0, c1)])
+    tied = np.flatnonzero(drifts == whole[2][0])
+    assert len(set((tied // step).tolist())) == 3
 
 
 # Reference product series: the two loops that summed the factors
@@ -788,11 +798,26 @@ def test_product_series_matches_references(n_vertices, alpha, beta_frac, m,
 
 class TestShellEnumeration:
     def test_rows_in_recursive_order(self):
+        # a range of shells is the shells c0..c1 one after another
         for dim in range(1, 6):
-            for radius in range(9):
-                want = [list(z) for z in ref_iter_l1_sphere(dim, radius)]
-                assert oracle._l1_sphere(dim, radius).tolist() == want
-                assert oracle._sphere_size(dim, radius) == len(want)
+            for c0 in range(9):
+                for c1 in range(c0, 9):
+                    want = [list(z) for r in range(c0, c1 + 1)
+                            for z in ref_iter_l1_sphere(dim, r)]
+                    assert oracle._l1_sphere(dim, c0, c1).tolist() == want
+                    assert sum(oracle._sphere_size(dim, r)
+                               for r in range(c0, c1 + 1)) == len(want)
+
+    def test_range_over_cell_limit_refused(self, monkeypatch):
+        # in two dimensions shells 0..4 hold 1, 4, 8, 12 and 16 states: at
+        # 50 cells each shell fits, shells 0..3 (25 states) fit, and 0..4
+        # (41 states, 82 cells) do not
+        monkeypatch.setattr(oracle, "MAX_CELLS", 50)
+        a = np.ones(2)
+        assert [drift_shell_max(3, a, 1.0, r, r)[2] for r in range(5)] == [1, 4, 8, 12, 16]
+        with pytest.raises(ValueError, match="or 50 array cells"):
+            drift_shell_max(3, a, 1.0, 0, 4)
+        assert drift_shell_max(3, a, 1.0, 0, 3)[2] == 25
 
     def test_scan_over_budget_refused(self):
         # 4r states at radius r in two dimensions: 250000 is exactly the budget
