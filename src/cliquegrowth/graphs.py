@@ -299,11 +299,15 @@ class DPartition:
 
     clique: OrderedClique
     d_sets: tuple[frozenset[int], ...]
-    blocks: tuple[frozenset[int], ...]
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks {v_k} union D_{v_k}, in clique order."""
+        return tuple(frozenset({vk}) | dk for vk, dk in zip(self.clique, self.d_sets))
 
 
 def d_sets(g: Graph, clique: OrderedClique) -> DPartition:
-    """Compute the D-sets and blocks for an ordered maximal clique."""
+    """Compute the D-sets for an ordered maximal clique."""
     verts = clique.vertices
     if not is_maximal_clique(g, verts):
         raise ValueError(f"{tuple(g.labels[v] for v in verts)} is not a maximal clique")
@@ -314,8 +318,7 @@ def d_sets(g: Graph, clique: OrderedClique) -> DPartition:
         dk = common & ~adj[vk] & ~(1 << vk)
         ds.append(frozenset(v for v in range(g.n) if dk >> v & 1))
         common &= adj[vk]
-    blocks = tuple(frozenset({vk}) | dk for vk, dk in zip(verts, ds))
-    return DPartition(clique, tuple(ds), blocks)
+    return DPartition(clique, tuple(ds))
 
 
 def validate_partition(part: DPartition, g: Graph) -> bool:
@@ -325,20 +328,11 @@ def validate_partition(part: DPartition, g: Graph) -> bool:
     2. the D-sets are pairwise disjoint;
     3. the blocks {v_k} + D_{v_k} cover the vertex set exactly.
 
-    Once the clique and the D-sets cover the n vertices, 1 and 2 hold
-    exactly when their sizes add up to n: a union is as large as the sum of
-    its parts only if they are pairwise disjoint.
+    Once the clique and its D-sets, one per clique vertex, cover the n
+    vertices, 1 and 2 hold exactly when their sizes add up to n: a union is
+    as large as the sum of its parts only if they are pairwise disjoint.
     """
     verts = part.clique.vertices
-    cset = set(verts)
-    if len(cset) != len(verts) or len(part.d_sets) != len(verts):
-        return False
-    expected_blocks = tuple(
-        frozenset({vk}) | dk for vk, dk in zip(verts, part.d_sets)
-    )
-    if part.blocks != expected_blocks:
-        return False
-    covered = cset.union(*part.d_sets) if part.d_sets else cset
-    if covered != set(range(g.n)):
-        return False
-    return len(verts) + sum(len(d) for d in part.d_sets) == g.n
+    return (len(part.d_sets) == len(verts)
+            and set(verts).union(*part.d_sets) == set(range(g.n))
+            and len(verts) + sum(map(len, part.d_sets)) == g.n)

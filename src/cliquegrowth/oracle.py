@@ -16,12 +16,11 @@ import numpy as np
 
 from .detection import check_final_properties
 from .graphs import Graph, OrderedClique, d_sets, is_clique
-from .process import (EXP_UNDERFLOW, RateParams, State, column_sum, exp_weights,
+from .process import (EXP_UNDERFLOW, MAX_CELLS, RateParams, State, column_sum, exp_weights,
                       exponent_vector, on_grid, probs_from_exponents)
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
-    "MAX_CELLS",
     "q_measure",
     "confinement_prob",
     "p11_bound",
@@ -44,16 +43,13 @@ BLOCK_CELLS = 1 << 14
 # row, since a transposed copy off the exact grid then costs more than it
 # saves (measured crossover, see CHANGES.md).
 ROW_LAYOUT_MIN_N = 64
-# Most cells (rows times columns) of one enumeration array: a level of count
-# vectors, a drift shell or its size table.  As int64 that is 800 MB.
-MAX_CELLS = 10**8
 
 
 def _start_exponents(params: RateParams, g: Graph, x0: State, vertices: Sequence[int],
                      horizon: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """The exponents at x0, as row i the increment of one allocation at
     vertices[i] (column vertices[i] of K), and whether the exponents of the
-    horizon stay on the exact grid (`on_grid`), once `check_reach` passes.
+    horizon stay on the exact grid (`on_grid`, which refuses an overflow).
     Refuses horizons whose last level of count vectors over `vertices`, or
     the (horizon + 2) x m cells that bound `_level_table`'s index arrays and
     a singleton's levels, would exceed MAX_CELLS cells."""

@@ -3,7 +3,7 @@
 One particle is allocated per step; vertex v is chosen with probability
 proportional to exp(L_v) where L_v is a linear function of the current counts
 in the closed neighbourhood of v.  A run that could overflow the exponents on
-some path of its length is refused before its first step (`check_reach`),
+some path of its length is refused before its first step (`on_grid`),
 even if the sampled path would not: the exact oracles' rule for a horizon.
 
 `run` keeps the exponents L = offset + K x, with K = diag(alpha) + beta, and
@@ -34,6 +34,7 @@ exponents and the uniforms consumed are those of the kernels alone.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -54,6 +55,7 @@ __all__ = [
     "run",
     "write_trajectory_csv",
     "MAX_STEPS",
+    "MAX_CELLS",
 ]
 
 REGIME_SINGLE_VERTEX = "single_vertex"
@@ -85,6 +87,9 @@ CHAIN_LIVE_FLOOR = -600.0
 CHAIN_CUT_SLACK = 8.0
 # Most steps one run takes: its int64 allocations array is then 800 MB.
 MAX_STEPS = 10**8
+# Most cells of one array: a graph's n x n arrays, a level of count vectors,
+# a drift shell or its size table.  As int64 that is 800 MB.
+MAX_CELLS = 10**8
 # Trajectory CSV rows joined into one string per write.
 CSV_BLOCK = 1 << 16
 
@@ -109,6 +114,11 @@ class RateParams:
         if not all(np.isfinite(np.asarray(f, dtype=np.float64)).all()
                    for f in (self.alpha, self.beta, self.offset or ())):
             raise ValueError("rate parameters must be finite")
+        for v, u, _ in self.beta if isinstance(self.beta, tuple) else ():
+            try:
+                operator.index(v), operator.index(u)
+            except TypeError:
+                raise ValueError(f"beta_vu pair ({v}, {u}) needs integer vertex indices") from None
 
     @staticmethod
     def uniform(alpha: float, beta: float,
@@ -169,8 +179,11 @@ def _materialized_arrays(p: RateParams, g: Graph):
     values) of each column K[:, v], which one allocation at v adds, and for
     the fast paths peaked, with peaked[u, v] saying K[u, v] equals K[v, v]
     and column v of K peaks there (None if no column does), and the least
-    e >= 0 for which K is a multiple of 2^-e (`on_grid`)."""
+    e >= 0 for which K is a multiple of 2^-e (`on_grid`).  Refuses a graph
+    whose n x n arrays would exceed MAX_CELLS cells."""
     n = g.n
+    if n * n > MAX_CELLS:
+        raise ValueError(f"a graph of {n} vertices needs more than {MAX_CELLS} array cells")
     alpha_vec = np.asarray(p.alpha, dtype=np.float64)
     if alpha_vec.ndim == 0:
         alpha_vec = np.full(n, alpha_vec)
@@ -308,16 +321,6 @@ def probs_from_exponents(exponents: np.ndarray) -> np.ndarray:
     return w / column_sum(w)
 
 
-def check_reach(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> float:
-    """Refuse `horizon` steps adding entries of `deltas` to the exponents exps0
-    unless 2 (|exps0|max + horizon |deltas|max), a bound on |L_i - L_j|, is
-    finite; return the reach |exps0|max + horizon |deltas|max, a bound on |L_i|."""
-    reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
-    if not np.isfinite(2.0 * reach):
-        raise ValueError(f"rate exponents could turn non-finite within {horizon} steps")
-    return reach
-
-
 def _scalar_kernel(L: np.ndarray, pairs, memo: dict, uniforms: list) -> list:
     """One vertex per uniform, advancing the exponent array L in place;
     `pairs[v]` lists column K[:, v]'s support as (index, value) pairs.
@@ -381,12 +384,17 @@ def _numpy_kernel(L: np.ndarray, supports, uniforms: list) -> list:
 def on_grid(params: RateParams, g: Graph, exps0: np.ndarray, deltas: np.ndarray,
             horizon: int) -> bool:
     """Whether `horizon` steps adding entries of `deltas`, entries of K, to
-    the exponents exps0 stay exact, once `check_reach` passes: K and exps0 are
-    multiples of 2^-e with 2 reach 2^e < 2^52 (`check_reach`'s reach), so
-    that every exponent, sum and difference on any path of `horizon` steps
-    is a float.  K is a multiple of 2^-e for every e at or above its grid
-    (`_materialized_arrays`), so only exps0 is checked here."""
-    e = min(51 - math.frexp(check_reach(exps0, deltas, horizon))[1], 64)
+    the exponents exps0 stay exact.  Refuses the steps unless 2 reach, a
+    bound on |L_i - L_j|, is finite, where the reach |exps0|max + horizon
+    |deltas|max bounds |L_i|.  They are exact if K and exps0 are multiples
+    of 2^-e with 2 reach 2^e < 2^52, so that every exponent, sum and
+    difference on any path of `horizon` steps is a float.  K is a multiple
+    of 2^-e for every e at or above its grid (`_materialized_arrays`), so
+    only exps0 is checked here."""
+    reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
+    if not np.isfinite(2.0 * reach):
+        raise ValueError(f"rate exponents could turn non-finite within {horizon} steps")
+    e = min(51 - math.frexp(reach)[1], 64)
     if e < _materialized_arrays(params, g)[4]:
         return False
     scaled = exps0 * 2.0**e
@@ -660,7 +668,7 @@ class _DifferenceChain:
 def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
               scalar: bool) -> np.ndarray:
     """Allocations for `steps` uniforms of rng.random from x0, by the scalar
-    or the numpy kernel (the two agree bit for bit), once `check_reach` passes.
+    or the numpy kernel (the two agree bit for bit), once `on_grid` passes.
     Uniform 0 selects the first vertex with positive weight.
 
     A run on the exact grid (`on_grid`) has one fast path: the frozen law
@@ -750,7 +758,7 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
 
     Rejects disconnected graphs (the localisation statements assume
     connectivity) and, before the first step, runs that could overflow on
-    some path of `steps` allocations (`check_reach`), even if not on this one.
+    some path of `steps` allocations (`on_grid`), even if not on this one.
     Deterministic given (seed, stream).
     """
     if not 0 <= steps <= MAX_STEPS:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -96,13 +97,21 @@ def json_containers(inner):
 JSON_DOCS = json_containers(st.recursive(JSON_LEAVES, json_containers, max_leaves=12))
 
 
+class Text(str):
+    """A str subclass, which `_dump` writes by its `str` branches rather
+    than by its table of exact types."""
+
+
 @given(JSON_DOCS)
+@example([Text("a\u00e9")])
+@example({Text("b"): [Text("x")], Text("a"): None})
 def test_dump_writes_what_json_writes(doc):
     """`cli._dump` gives json.dumps(doc, sort_keys=True, indent=2) + newline
     for any JSON document: nested dicts, lists and tuples, escaped and
-    non-ASCII keys and strings, bools, None, big ints, and floats with -0.0,
-    the smallest subnormal, NaN and the infinities.  Where json refuses a
-    document (keys of kinds it cannot sort together), so does `_dump`."""
+    non-ASCII keys and strings, str subclasses, bools, None, big ints, and
+    floats with -0.0, the smallest subnormal, NaN and the infinities.
+    Where json refuses a document (keys of kinds it cannot sort together),
+    so does `_dump`."""
     try:
         want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     except TypeError:
@@ -178,6 +187,15 @@ def test_dump_refuses_what_json_refuses(bad):
             json.dumps(doc, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             cli._dump(doc)
+
+
+def test_dump_refuses_a_tuple_key_as_json_does():
+    doc = {(1, 2): 3}
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._dump(doc)
+    assert str(got.value) == str(want.value)
 
 
 class TestCliques:
@@ -416,6 +434,32 @@ class TestBadInput:
                     assert (code, err) == (0, "") and out
                 else:
                     self.check_rejected(capsys, *argv)
+
+    def test_graph_over_cell_limit(self, capsys, tmp_path):
+        # a path of 10,001 vertices needs dense n x n arrays of over
+        # MAX_CELLS cells: refused before any is made, where 10,000 would
+        # build arrays of about 3 GB.  Its cliques are still listed.
+        n = 10001
+        assert n * n > process.MAX_CELLS >= (n - 1) ** 2
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(1, n)))
+        rates = [str(path), "--alpha", "1", "--beta", "1"]
+        tracemalloc.start()
+        try:
+            for argv in (["simulate", *rates, "--steps", "10", "--seed", "1"],
+                         ["localize", *rates, "--steps", "10", "--replicas", "1", "--seed", "1"],
+                         ["exact", *rates, "--clique", "1,2", "--horizon", "3"],
+                         ["exact", *rates, "--clique", "1,2", "--horizon", "3", "--mode", "q"],
+                         ["final-clique", *rates]):
+                err = self.check_rejected(capsys, *argv)
+                assert err == (f"error: a graph of {n} vertices needs more than "
+                               f"{process.MAX_CELLS} array cells\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+        code, out, _ = run_main(capsys, "cliques", str(path))
+        assert code == 0 and out.count("\n") == n - 1
 
     def test_drift_m_below_two(self, capsys):
         self.check_rejected(capsys, "drift", "--m", "1", "--alpha", "1",

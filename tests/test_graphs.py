@@ -185,6 +185,9 @@ class TestConnectivity:
         g = Graph(labels=(1,), adjacency=(frozenset(),))
         assert is_connected(g)
 
+    def test_no_vertices(self):
+        assert is_connected(Graph(labels=(), adjacency=()))
+
 
 class TestMaximalCliques:
     def test_fig1_has_exactly_six(self, fig1):
@@ -280,27 +283,26 @@ class TestDSets:
         part = d_sets(fig1, OrderedClique(idx(fig1, 2, 1)))
         ds = list(part.d_sets)
         ds[1] = ds[1] | ds[0]  # duplicate a vertex across D-sets
-        bad = DPartition(part.clique, tuple(ds),
-                         tuple(frozenset({v}) | d for v, d in zip(part.clique, ds)))
+        bad = DPartition(part.clique, tuple(ds))
         assert not validate_partition(bad, fig1)
 
     def test_clique_vertex_in_d_set_invalid(self, fig1):
         part = d_sets(fig1, OrderedClique(idx(fig1, 2, 1)))
         ds = (part.d_sets[0], part.d_sets[1] | {fig1.index(2)})
-        bad = DPartition(part.clique, ds,
-                         tuple(frozenset({v}) | d for v, d in zip(part.clique, ds)))
+        bad = DPartition(part.clique, ds)
         assert not validate_partition(bad, fig1)
 
-    def test_blocks_out_of_order_invalid(self, fig1):
-        part = d_sets(fig1, OrderedClique(idx(fig1, 2, 1)))
-        bad = DPartition(part.clique, part.d_sets, part.blocks[::-1])
-        assert not validate_partition(bad, fig1)
+    def test_blocks_follow_clique_order(self, fig1):
+        for c in enumerate_maximal_cliques(fig1):
+            for order in itertools.permutations(c):
+                part = d_sets(fig1, OrderedClique(order))
+                assert part.blocks == tuple(
+                    {vk} | part.d_sets[k] for k, vk in enumerate(order))
 
     def test_missing_vertex_invalid(self, fig1):
         part = d_sets(fig1, OrderedClique(idx(fig1, 1, 2)))
         ds = (part.d_sets[0] - {fig1.index(8)}, part.d_sets[1])
-        bad = DPartition(part.clique, ds,
-                         tuple(frozenset({v}) | d for v, d in zip(part.clique, ds)))
+        bad = DPartition(part.clique, ds)
         assert not validate_partition(bad, fig1)
 
 
@@ -323,11 +325,10 @@ def test_partition_property_random_graphs():
 
 def ref_validate_partition(part, g):
     """The three partition identities checked as they read, after the
-    D-set count and the blocks: every D-set misses the clique, the D-sets
-    are pairwise disjoint, and the blocks cover the vertex set."""
+    D-set count: every D-set misses the clique, the D-sets are pairwise
+    disjoint, and the blocks cover the vertex set."""
     verts, ds = part.clique.vertices, part.d_sets
-    if len(ds) != len(verts) or part.blocks != tuple(
-            frozenset({v}) | d for v, d in zip(verts, ds)):
+    if len(ds) != len(verts):
         return False
     misses_clique = all(not set(verts) & d for d in ds)
     pairwise_disjoint = all(not a & b for a, b in itertools.combinations(ds, 2))
@@ -339,13 +340,12 @@ def ref_validate_partition(part, g):
 def partitions(draw):
     """A D-partition of a random connected graph, and up to three edits:
     a vertex (in range or just outside it) added to or removed from a
-    D-set, a D-set dropped or appended, or the blocks left as they were
-    before the edits."""
+    D-set, or a D-set dropped or appended."""
     g = random_connected_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 7)
     order = draw(st.permutations(draw(st.sampled_from(enumerate_maximal_cliques(g)))))
     part = d_sets(g, OrderedClique(tuple(order)))
-    ds, stale = list(part.d_sets), False
-    edits = st.tuples(st.sampled_from(["add", "remove", "drop", "append", "stale"]),
+    ds = list(part.d_sets)
+    edits = st.tuples(st.sampled_from(["add", "remove", "drop", "append"]),
                       st.integers(0, len(ds) - 1), st.integers(-1, g.n))
     for kind, k, v in draw(st.lists(edits, max_size=3)):
         if kind == "add":
@@ -356,10 +356,7 @@ def partitions(draw):
             ds.pop()
         elif kind == "append":
             ds.append(frozenset({v}))
-        stale |= kind == "stale"
-    blocks = part.blocks if stale else tuple(
-        frozenset({u}) | d for u, d in zip(order, ds))
-    return DPartition(part.clique, tuple(ds), blocks), g
+    return DPartition(part.clique, tuple(ds)), g
 
 
 @given(partitions())

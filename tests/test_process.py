@@ -124,6 +124,19 @@ class TestRateParams:
         with pytest.raises(ValueError):
             p.arrays(fig1)
 
+    @pytest.mark.parametrize("pair", [(1.0, 2), (0, 1.5)])
+    def test_beta_pair_needs_integer_indices(self, fig1, pair):
+        # a float index was a TypeError traceback, a fractional one a
+        # "non-adjacent pair"
+        with pytest.raises(ValueError) as err:
+            RateParams.general([1.0] * 8, {pair: 1.0}).interaction_matrix(fig1)
+        assert str(err.value) == f"beta_vu pair {pair} needs integer vertex indices"
+
+    def test_beta_pair_takes_numpy_indices(self, fig1):
+        p = RateParams.general([1.0] * 8, {(np.int64(0), np.int64(1)): 2.0})
+        want = RateParams.general([1.0] * 8, {(0, 1): 2.0})
+        assert p.interaction_matrix(fig1).tobytes() == want.interaction_matrix(fig1).tobytes()
+
     def test_three_fields(self):
         p = RateParams.uniform(0.7, 1.3)
         assert (p.alpha, p.beta, p.offset) == (0.7, 1.3, None)

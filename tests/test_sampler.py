@@ -499,7 +499,11 @@ def per_run_path(params, g, x0, steps, scalar):
         return peaked if peaked.any() and on_grid(exps0, K, reach) else None
 
     exps0, K = exponent_vector(params, g, x0), params.interaction_matrix(g)
-    reach = process.check_reach(exps0, K, steps)
+    # a bound on |L_i| over every path of `steps` allocations; twice it
+    # bounds |L_i - L_j|, which must be finite
+    reach = float(np.abs(exps0).max()) + steps * float(np.abs(K).max())
+    if not np.isfinite(2.0 * reach):
+        raise ValueError(f"rate exponents could turn non-finite within {steps} steps")
     if peaked_columns(exps0, K, reach) is not None:
         return "frozen"
     return "chain" if scalar and on_grid(exps0, K, reach) else None
