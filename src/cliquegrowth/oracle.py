@@ -58,7 +58,7 @@ def _start_exponents(params: RateParams, g: Graph, x0: State, vertices: Sequence
         raise ValueError(f"the horizon-{horizon} levels need more than {MAX_CELLS} array cells")
     exps0 = exponent_vector(params, g, x0)
     deltas = params.interaction_matrix(g).T[list(vertices)]
-    return exps0, deltas, on_grid(params, g, exps0, deltas, horizon)
+    return exps0, deltas, on_grid(exps0, deltas, horizon)
 
 
 def _level_table(m: int, top: int) -> tuple[np.ndarray, np.ndarray]:

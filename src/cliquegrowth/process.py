@@ -13,16 +13,16 @@ exp(L - max L).  Small graphs use a pure-Python kernel with memoized `np.exp`
 weights, larger ones a numpy kernel; both give the same allocations bit for
 bit, so the output depends only on (seed, stream), never on the kernel.
 
-A run whose exponents stay exact (K and L0 multiples of one 2^-e with
-2 reach 2^e < 2^52) may draw most of its steps by one fast path, chosen
-once per run.  Where a column of K peaks on its diagonal, the run can
-freeze, and on either kernel it draws a frozen law (`_Frozen`): a set C
-holding all float weight but a negligible tail, whose safe vertices leave
-the law bitwise unchanged, so their draws take one `searchsorted`.  A
-small-graph run with no peaked column, such as the clique regime
-alpha < beta, never freezes: the count differences inside the final clique
-form a positive-recurrent chain, and the run walks a table of the kernel's
-laws keyed by d = L - max L (`_DifferenceChain`).
+A run whose exponents stay exact (`on_grid`: L0 and K's nonzero entries
+multiples of one 2^-e with 2 reach 2^e < 2^52) may draw most of its steps
+by one fast path, chosen once per run.  Where a column of K peaks on its
+diagonal, the run can freeze, and on either kernel it draws a frozen law
+(`_Frozen`): a set C holding all float weight but a negligible tail, whose
+safe vertices leave the law bitwise unchanged, so their draws take one
+`searchsorted`.  A small-graph run with no peaked column, such as the
+clique regime alpha < beta, never freezes: the count differences inside
+the final clique form a positive-recurrent chain, and the run walks a
+table of the kernel's laws keyed by d = L - max L (`_DifferenceChain`).
 
 Every path draws a leading run of a block's uniforms and names the kernel
 steps that follow before it draws again; it reads the run's one exponent
@@ -176,10 +176,10 @@ def _offset_tuple(offset) -> tuple[float, ...] | None:
 @lru_cache(maxsize=64)
 def _materialized_arrays(p: RateParams, g: Graph):
     """Once per (params, g), read-only: K, the offset, the support (indices,
-    values) of each column K[:, v], which one allocation at v adds, and for
-    the fast paths peaked, with peaked[u, v] saying K[u, v] equals K[v, v]
-    and column v of K peaks there (None if no column does), and the least
-    e >= 0 for which K is a multiple of 2^-e (`on_grid`).  Refuses a graph
+    values) of each column K[:, v], which one allocation at v adds, for the
+    fast paths peaked, with peaked[u, v] saying K[u, v] equals K[v, v] and
+    column v of K peaks there (None if no column does), and the supports'
+    values end to end, K's nonzero entries (`on_grid`).  Refuses a graph
     whose n x n arrays would exceed MAX_CELLS cells."""
     n = g.n
     if n * n > MAX_CELLS:
@@ -211,12 +211,7 @@ def _materialized_arrays(p: RateParams, g: Graph):
         a.setflags(write=False)
     ends = np.cumsum(nonzero.sum(axis=1)).tolist()
     supports = tuple((idx[a:b], val[a:b]) for a, b in zip([0] + ends, ends))
-    # each nonzero entry is M 2^(x - 53) with M an integer; M & -M is its
-    # lowest set bit, so `low` is the entry's lowest set bit's exponent
-    m, x = np.frexp(val)
-    M = np.ldexp(m, 53).astype(np.int64)
-    low = np.frexp(M & -M)[1] + x - 54
-    return K, offset, supports, peaked if peaked.any() else None, -int(np.min(low, initial=0))
+    return K, offset, supports, peaked if peaked.any() else None, val
 
 
 @dataclass
@@ -257,9 +252,13 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Replica i of a multi-replica experiment uses stream=i, giving independent
     streams that are reproducible from the single master seed.
     """
-    if seed < 0 or stream < 0:
+    try:
+        key = [operator.index(seed), operator.index(stream)]
+    except TypeError:
+        raise ValueError(f"seed and stream must be integers, not {seed!r} and {stream!r}") from None
+    if min(key) < 0:
         raise ValueError("seed and stream must be non-negative")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def exponent_vector(params: RateParams, g: Graph, state: State) -> np.ndarray:
@@ -381,24 +380,19 @@ def _numpy_kernel(L: np.ndarray, supports, uniforms: list) -> list:
     return picks
 
 
-def on_grid(params: RateParams, g: Graph, exps0: np.ndarray, deltas: np.ndarray,
-            horizon: int) -> bool:
-    """Whether `horizon` steps adding entries of `deltas`, entries of K, to
-    the exponents exps0 stay exact.  Refuses the steps unless 2 reach, a
-    bound on |L_i - L_j|, is finite, where the reach |exps0|max + horizon
-    |deltas|max bounds |L_i|.  They are exact if K and exps0 are multiples
-    of 2^-e with 2 reach 2^e < 2^52, so that every exponent, sum and
-    difference on any path of `horizon` steps is a float.  K is a multiple
-    of 2^-e for every e at or above its grid (`_materialized_arrays`), so
-    only exps0 is checked here."""
-    reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max())
+def on_grid(exps0: np.ndarray, deltas: np.ndarray, horizon: int) -> bool:
+    """Whether `horizon` steps adding entries of `deltas` to the exponents
+    exps0 stay exact.  Refuses the steps unless 2 reach, a bound on
+    |L_i - L_j|, is finite, where the reach |exps0|max + horizon
+    |deltas|max bounds |L_i|.  They are exact if exps0 and deltas are
+    multiples of 2^-e with 2 reach 2^e < 2^52, so that every exponent, sum
+    and difference on any path of `horizon` steps is a float."""
+    reach = float(np.abs(exps0).max()) + horizon * float(np.abs(deltas).max(initial=0.0))
     if not np.isfinite(2.0 * reach):
         raise ValueError(f"rate exponents could turn non-finite within {horizon} steps")
     e = min(51 - math.frexp(reach)[1], 64)
-    if e < _materialized_arrays(params, g)[4]:
-        return False
-    scaled = exps0 * 2.0**e
-    return bool((scaled == np.rint(scaled)).all())
+    # fmod is exact, and unlike x 2^e it cannot overflow
+    return e >= 0 and not any(np.fmod(x, 2.0**-e).any() for x in (exps0, deltas))
 
 
 class _Law(NamedTuple):
@@ -680,8 +674,8 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     kernel and the chain share one memo of np.exp weights.
     """
     L = exponent_vector(params, g, x0)
-    K, _, supports, peaked, _ = _materialized_arrays(params, g)
-    exact = on_grid(params, g, L, K, steps)
+    K, _, supports, peaked, entries = _materialized_arrays(params, g)
+    exact = on_grid(L, entries, steps)
     memo: dict[float, float] = {}
     if scalar:
         pairs = [list(zip(idx.tolist(), val.tolist())) for idx, val in supports]
@@ -736,6 +730,8 @@ class Trajectory:
 
     def counts_at(self, n: int) -> np.ndarray:
         """Counts after the first n allocations."""
+        if not 0 <= n <= self.n_steps:
+            raise ValueError(f"step {n} is outside the run's steps 0..{self.n_steps}")
         counts = self.initial.counts.copy()
         if n:
             np.add.at(counts, self.allocations[:n], 1)
@@ -743,9 +739,11 @@ class Trajectory:
 
     def count_paths(self, vertices) -> np.ndarray:
         """Running counts, shape (n_steps+1, len(vertices)); row 0 is initial."""
-        verts = list(vertices)
+        verts, n = list(vertices), len(self.initial.counts)
         out = np.empty((self.n_steps + 1, len(verts)), dtype=np.int64)
         for j, v in enumerate(verts):
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} is outside the graph's vertices 0..{n - 1}")
             out[0, j] = self.initial.counts[v]
             np.cumsum(self.allocations == v, out=out[1:, j])
             out[1:, j] += self.initial.counts[v]

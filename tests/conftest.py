@@ -1,3 +1,4 @@
+import random
 from functools import partial
 
 import numpy as np
@@ -81,6 +82,21 @@ def reference_parse_graph(text: str) -> Graph:
 @pytest.fixture(scope="session")
 def fig1() -> Graph:
     return parse_graph(FIG1_EDGES)
+
+
+def sparse_edges(n: int, extra: int) -> list[tuple[int, int]]:
+    """A connected graph's edges on labels 1..n: the path 1-2-...-n, then
+    `extra` pairs of distinct vertices drawn by random.Random(1) (a repeated
+    pair is one edge).  The tier-1 workflow writes sparse2000.edges by the
+    same recipe."""
+    rng = random.Random(1)
+    return ([(v, v + 1) for v in range(1, n)]
+            + [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(extra)])
+
+
+@pytest.fixture(scope="session")
+def sparse2000() -> Graph:
+    return Graph.from_edge_labels(sparse_edges(2000, 8000))
 
 
 def idx(g: Graph, *labels: int) -> tuple[int, ...]:

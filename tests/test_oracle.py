@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliquegrowth import (
@@ -26,6 +26,7 @@ from cliquegrowth import (
     is_clique,
     negative_drift_radius,
     p11_bound,
+    parse_graph,
     q_measure,
     run,
     single_vertex_bound,
@@ -36,7 +37,7 @@ from cliquegrowth import (
 
 from cliquegrowth import oracle
 
-from conftest import idx
+from conftest import FIG1_EDGES, idx
 
 
 def brute_force_confinement(g, params, x0, verts, horizon):
@@ -620,12 +621,24 @@ def test_level_oracles_match_reference(case):
         assert_same(mass_got, mass, exact)
 
 
+# fig1 in general mode with alpha 0.7 at label 1 and 1.0 elsewhere, beta 1 on
+# every edge: only column 1 of K is off the exact grid, and the clique
+# {2,3,4,5} never adds it
+FIG1_OFF = parse_graph(FIG1_EDGES)
+OFF_PARAMS = RateParams.general(
+    [0.7 if lab == 1 else 1.0 for lab in FIG1_OFF.labels],
+    {(v, u): 1.0 for v in range(FIG1_OFF.n) for u in FIG1_OFF.adjacency[v]})
+OFF_CLIQUE = OrderedClique(idx(FIG1_OFF, 2, 3, 4, 5))
+
+
 @given(oracle_cases().filter(lambda case: case[2] != "real"))
+@example((FIG1_OFF, OFF_PARAMS, "real", State.zeros(FIG1_OFF.n), OFF_CLIQUE, 12))
 def test_one_product_matches_stacked_products_on_grid(case):
     """On the exact grid a level's exponents are one matrix product; they
     equal the per-vector products of the path off the grid bit for bit, at
     every level, in both layouts, with offsets, start counts and negative
-    general-mode entries."""
+    general-mode entries, and where a column the clique never adds is off
+    the grid."""
     g, params, _, x0, clique, horizon = case
     horizon = max(horizon, 1)
     exps0, deltas, exact = oracle._start_exponents(params, g, x0, clique.vertices, horizon)
@@ -666,6 +679,14 @@ def test_layouts_give_the_same_bits_off_the_grid(fig1):
         want = confinement_prob(fig1, p, State.zeros(fig1.n), c, 12).hex()
         with patch.object(oracle, "ROW_LAYOUT_MIN_N", 1):
             assert confinement_prob(fig1, p, State.zeros(fig1.n), c, 12).hex() == want
+
+
+def test_column_off_grid_outside_the_clique_keeps_the_value():
+    # the exponents the DP reads are on the grid, so taking them as one
+    # product moves no bit of the value found with stacked products
+    x0 = State.zeros(FIG1_OFF.n)
+    value = confinement_prob(FIG1_OFF, OFF_PARAMS, x0, OFF_CLIQUE, 30)
+    assert value.hex() == "0x1.52184a10cba5ep-3"
 
 
 def test_one_product_rule_is_off_beside_the_grid(fig1):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,20 @@ class TestSampling:
             make_rng(*key)
         assert str(refused.value) == "seed and stream must be non-negative"
 
+    @pytest.mark.parametrize("key", [(1.5,), (1, 2.0)], ids=["seed", "stream"])
+    def test_float_seed_or_stream_refused(self, key):
+        # a float once drew what its integer part draws
+        with pytest.raises(ValueError, match="must be integers"):
+            make_rng(*key)
+
+    def test_numpy_integer_seed_draws_as_its_int(self, fig1):
+        assert make_rng(np.int64(3), np.int64(1)).random() == make_rng(3, 1).random()
+        p = RateParams.uniform(1.0, 1.0)
+        with pytest.raises(ValueError, match="must be integers"):
+            run(fig1, p, State.zeros(fig1.n), 10, 1.9)
+        want = run(fig1, p, State.zeros(fig1.n), 10, 1).allocations
+        assert (run(fig1, p, State.zeros(fig1.n), 10, np.int64(1)).allocations == want).all()
+
     def test_identical_seeds_identical_sequences(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
         t1 = run(fig1, p, State.zeros(fig1.n), 2000, seed=9)
@@ -368,6 +383,18 @@ class TestRun:
         paths = t.count_paths(range(fig1.n))
         assert (np.diff(paths, axis=0) >= 0).all()
 
+    @pytest.mark.parametrize("step", [-1, 11, 99])
+    def test_counts_at_refuses_steps_outside_the_run(self, fig1, step):
+        t = run(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n), 10, seed=1)
+        with pytest.raises(ValueError, match=f"step {step} is outside the run's steps 0..10"):
+            t.counts_at(step)
+
+    @pytest.mark.parametrize("vertex", [-1, 8])
+    def test_count_paths_refuses_vertices_outside_the_graph(self, fig1, vertex):
+        t = run(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n), 10, seed=1)
+        with pytest.raises(ValueError, match=f"vertex {vertex} is outside the graph's vertices 0..7"):
+            t.count_paths([0, vertex])
+
     def test_replay_reproduces_final_state(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
         t = run(fig1, p, State.zeros(fig1.n), 1000, seed=5)
@@ -375,6 +402,22 @@ class TestRun:
         for v in t.allocations:
             counts[v] += 1
         assert (counts == t.final_counts()).all()
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (1.0, 2.0), (0.3, 0.7)])
+def test_run_does_no_n_by_n_work_once_the_cache_is_warm(sparse2000, alpha, beta):
+    """Once K and its supports are built for (params, g), a run's memory
+    peak stays below a quarter of one n x n float64 array: no step of it,
+    `on_grid` included, scans the dense K."""
+    g, p = sparse2000, RateParams.uniform(alpha, beta)
+    _materialized_arrays(p, g)
+    tracemalloc.start()
+    try:
+        run(g, p, State.zeros(g.n), 1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8 // 4
 
 
 def test_normalization_along_long_run(fig1):

@@ -484,7 +484,7 @@ def test_frozen_path_only_where_exact(fig1):
 
 def per_run_path(params, g, x0, steps, scalar):
     """The path chosen from K and the start exponents anew for each run, as
-    `_peaked_columns` and `_on_grid` did before the facts of K alone were
+    `_peaked_columns` and `_on_grid` did before K's peaked columns were
     cached per (params, g)."""
     def on_grid(exps0, K, reach):
         e = min(51 - math.frexp(reach)[1], 64)
@@ -536,10 +536,11 @@ def grid_edge_cases(draw):
 
 
 def test_path_is_chosen_as_by_per_run_facts(fig1):
-    """The peaked columns and grid of K, computed once per (params, g),
-    choose each run's path as the per-run tests of K and the start
-    exponents did, on both kernels; among the runs, fig1 at rates 1 + 2^-30,
-    on the grid for 100 steps and off it for 2^25."""
+    """The peaked columns of K, computed once per (params, g), and
+    `on_grid` on the start exponents and K's nonzero entries choose each
+    run's path as the per-run tests of K and the start exponents did, on
+    both kernels; among the runs, fig1 at rates 1 + 2^-30, on the grid for
+    100 steps and off it for 2^25."""
     seen = Counter()
     fine = RateParams.uniform(1 + 2**-30, 1 + 2**-30)
 
@@ -635,7 +636,7 @@ def test_difference_chain_states_hold_the_kernel_sums():
         g, params, x0, uniforms = case
         L = exponent_vector(params, g, x0)
         K, _, supports, _, _ = process._materialized_arrays(params, g)
-        assert process.on_grid(params, g, L, K, len(uniforms))
+        assert process.on_grid(L, K, len(uniforms))
         pairs, memo = scalar_pairs(supports), {}
         chain = _DifferenceChain(L, K, memo)
         for step in range(len(uniforms)):
