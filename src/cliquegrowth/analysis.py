@@ -131,6 +131,8 @@ def lln_deviation(t: Trajectory, clique: Sequence[int], n0: int = 1) -> float:
     for the m vertices of `clique`: the distance of the occupation
     frequencies from uniform over the whole path, not at one time."""
     verts = list(clique)
+    if not verts or len(set(verts)) < len(verts):
+        raise ValueError("need one or more distinct clique vertices")
     n = t.n_steps
     if not 0 < n0 <= n:
         raise ValueError("need 0 < n0 <= horizon")

@@ -67,21 +67,11 @@ def _dump(doc: dict | list) -> str:
     return "".join(out)
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _scalar(o) -> str | None:
-    """The JSON text of a str, None, bool, int or float as json writes it:
-    strings by json's own ASCII escaper, ints by int.__repr__, floats by
-    float.__repr__ (NaN and the infinities as NaN, Infinity, -Infinity);
-    None for anything else."""
+    """The one rule for the JSON text of a value that is not a list, tuple
+    or dict, as json writes it: strings by json's ASCII escaper, None and
+    the bools as null, true, false, ints by int.__repr__, floats by
+    float.__repr__ or as NaN, Infinity, -Infinity; None for anything else."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -93,23 +83,17 @@ def _scalar(o) -> str | None:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _float_text(o)
+        return (float.__repr__(o) if math.isfinite(o) else
+                "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
     return None
-
-
-def _no_text(_) -> None:
-    return None
-
-
-# `_scalar` by exact type, which most values have
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
-                bool: _scalar, type(None): _scalar,
-                list: _no_text, tuple: _no_text, dict: _no_text}
 
 
 def _encode(o, nl: str, out: list) -> None:
     """Append the JSON text of the list, tuple or dict o to out, its
-    closing bracket on a line indented as nl."""
+    closing bracket on a line indented as nl.  Rows of one width of only
+    ints or only finite floats take one row template, runs of exact ints or
+    finite floats their type's __repr__, and every other entry `_scalar`;
+    a container is written recursively."""
     if isinstance(o, dict):
         keys = sorted(o)
         o = list(map(o.__getitem__, keys))
@@ -139,11 +123,12 @@ def _encode(o, nl: str, out: list) -> None:
             row = "[" + ",".join([inner + "  " + spec] * width) + inner + "]" if width else "[]"
             out.append(start + inner + sep.join([row] * len(o)) % tuple(flat) + nl + end)
             return
-    if types == {float} and all(map(math.isfinite, o)):
+    if types == {int}:
+        texts = list(map(int.__repr__, o))
+    elif types == {float} and all(map(math.isfinite, o)):
         texts = list(map(float.__repr__, o))
     else:
-        text_of = _SCALAR_TEXT.get
-        texts = [text_of(type(item), _scalar)(item) for item in o]
+        texts = list(map(_scalar, o))
     if None not in texts:
         if labels:
             texts = list(map(str.__add__, labels, texts))
@@ -162,14 +147,12 @@ def _encode(o, nl: str, out: list) -> None:
 
 def _key(key) -> str:
     """A dict key's JSON text: a str quoted, a None, bool, int or float as
-    its JSON text in quotes."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
+    its `_scalar` text in quotes; json's TypeError for any other key."""
     text = _scalar(key)
     if text is None:
         raise TypeError(f"keys must be str, int, float, bool or None, "
                         f"not {key.__class__.__name__}")
-    return encode_basestring_ascii(text)
+    return text if isinstance(key, str) else encode_basestring_ascii(text)
 
 
 def _labels(g: Graph, verts) -> list[int]:
@@ -251,22 +234,20 @@ def cmd_exact(args) -> str:
     params = RateParams.uniform(args.alpha, args.beta)
     x0 = State.zeros(g.n)
     clique = _parse_clique(args.clique, g)
-    inputs = {"graph": _graph_echo(args.graph, g), "alpha": args.alpha,
-              "beta": args.beta, "clique": _labels(g, clique.vertices),
-              "horizon": args.horizon, "mode": args.mode,
-              "budget": args.budget}
+    doc = {"operation": "exact",
+           "inputs": {"graph": _graph_echo(args.graph, g), "alpha": args.alpha,
+                      "beta": args.beta, "clique": _labels(g, clique.vertices),
+                      "horizon": args.horizon, "mode": args.mode,
+                      "budget": args.budget},
+           "certified_bound": False, "tail_tol": None}
     if args.mode == "confine":
-        value = oracle.confinement_prob(g, params, x0, clique, args.horizon,
-                                        budget=args.budget)
-        doc = {"operation": "exact", "inputs": inputs,
-               "value": value, "certified_bound": False, "tail_tol": None}
+        doc["value"] = oracle.confinement_prob(g, params, x0, clique, args.horizon,
+                                               budget=args.budget)
     else:
         weights = oracle.q_measure(g, params, x0, clique, args.horizon,
                                    budget=args.budget)
-        doc = {"operation": "exact", "inputs": inputs,
-               "value": float(np.add.accumulate(weights, out=weights)[-1]),
-               "n_paths": len(weights),
-               "certified_bound": False, "tail_tol": None}
+        doc["value"] = float(np.add.accumulate(weights, out=weights)[-1])
+        doc["n_paths"] = len(weights)
     return _dump(doc)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from typing import Iterator, Sequence
 
@@ -260,6 +261,10 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
 def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
     """Lower bound 1/(1 + |V| e^(-alpha r)) on the in-vertex-given-in-block
     conditional probability after r own-vertex allocations."""
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise ValueError(f"r counts allocations, so it must be an integer, not {r!r}") from None
     if n_vertices < 1 or not 0 < alpha < math.inf or r < 0:
         raise ValueError("need n_vertices >= 1, a positive finite alpha, r >= 0")
     return 1.0 / (1.0 + n_vertices * math.exp(-alpha * r))

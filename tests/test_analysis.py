@@ -208,6 +208,13 @@ class TestLlnDeviation:
         with pytest.raises(ValueError, match=r"^need 0 < n0 <= horizon$"):
             lln_deviation(t, (0, 1, 2), n0=n0)
 
+    # an empty list divided by m = 0; a repeated vertex counted twice
+    @pytest.mark.parametrize("clique", [(), (1, 1), (0, 2, 0)], ids=["empty", "repeat", "repeat-apart"])
+    def test_empty_or_repeated_clique_rejected(self, clique):
+        t = make_traj(complete_graph(3), [0, 1, 2] * 20)
+        with pytest.raises(ValueError, match=r"^need one or more distinct clique vertices$"):
+            lln_deviation(t, clique)
+
 
 class TestZChain:
     def test_alternating_on_k2(self):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from pathlib import Path
 from unittest.mock import patch
 
@@ -98,8 +99,16 @@ JSON_DOCS = json_containers(st.recursive(JSON_LEAVES, json_containers, max_leave
 
 
 class Text(str):
-    """A str subclass, which `_dump` writes by its `str` branches rather
-    than by its table of exact types."""
+    """A str subclass, which `_dump` writes by `_scalar`'s `str` branch and
+    by `_key`, not by the escaper it maps over dicts whose keys are all
+    exactly str."""
+
+
+class Small(IntEnum):
+    """An int subclass, which json writes by int.__repr__: its members leave
+    the run of exact ints."""
+
+    ONE = 1
 
 
 @given(JSON_DOCS)
@@ -145,6 +154,7 @@ ROW_DOCS = st.one_of(
     equal_rows(SPECIAL_OR_FINITE),
     equal_rows(JSON_LEAVES),
     st.lists(st.lists(ROW_INTS, max_size=4), max_size=30),
+    st.lists(ROW_INTS, max_size=60),
     st.lists(FINITE, max_size=60),
     st.lists(SPECIAL_OR_FINITE, max_size=60),
 )
@@ -165,11 +175,18 @@ ROW_TREES = st.one_of(ROW_DOCS, st.dictionaries(TEXTS, ROW_DOCS, max_size=3),
 @example([[1.0, 2], [3.5, math.inf]])
 @example([1.5, -0.0, math.nan, 2.0])
 @example({"edges": [(1, 2), (1, 3)], "f": {"1,2": 0.5, "3": 1.0}})
+@example([1, 2**64, -3])
+@example([True, 1, 0])
+@example([1, 2.0])
+@example([1, Small.ONE, 2])
+@example({1.5: 0, 2.5: 1})
+@example({True: 1})
 def test_dump_writes_rows_and_float_runs_as_json_does(doc):
     """The writer's bulk paths (rows of one width holding only ints or only
-    finite floats, dicts with str keys, runs of finite floats) and what
-    falls back from them (bools, ragged rows, mixed rows, NaN and the
-    infinities) give json's text."""
+    finite floats, dicts with str keys, runs of exact ints or of finite
+    floats) and what falls back from them (bools, int subclasses, ragged
+    rows, mixed rows, non-str keys, NaN and the infinities) give json's
+    text."""
     assert cli._dump(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

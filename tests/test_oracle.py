@@ -292,6 +292,15 @@ class TestP11Bound:
         with pytest.raises(ValueError, match="need n_vertices"):
             p11_bound(n_vertices, alpha, r)
 
+    # r counts allocations: a NaN gave nan, 2.5 a bound between two counts
+    @pytest.mark.parametrize("r", [float("nan"), 2.5, 2.0, "2"])
+    def test_non_integer_r_rejected(self, r):
+        with pytest.raises(ValueError, match="must be an integer"):
+            p11_bound(3, 1.0, r)
+
+    def test_numpy_int_r_accepted(self):
+        assert p11_bound(3, 1.0, np.int64(2)) == p11_bound(3, 1.0, 2)
+
 
 def decimal_product(n_vertices, rate, start, m=1):
     """(prod_{r >= start} 1/(1 + |V| e^(-rate r)))^m to 40 digits, from
