@@ -5,6 +5,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+import operator
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -84,12 +85,19 @@ class Graph:
     def from_edge_labels(pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from labelled edges; indices follow first appearance.
 
-        Duplicate edges are collapsed; self-loops are rejected.
+        Duplicate edges are collapsed; self-loops and labels that are not
+        integers are rejected.
         """
         pairs = list(pairs)
         if not set(map(len, pairs)) <= {2}:
             raise ValueError("every edge needs two vertex labels")
-        return _graph_of(list(chain.from_iterable(pairs)))
+        flat = []
+        for label in chain.from_iterable(pairs):
+            try:
+                flat.append(operator.index(label))
+            except TypeError:
+                raise ValueError(f"vertex label {label!r} is not an integer") from None
+        return _graph_of(flat)
 
 
 def _graph_of(flat: list[int]) -> Graph:

@@ -261,13 +261,20 @@ def confinement_prob(g: Graph, params: RateParams, x0: State,
 def p11_bound(n_vertices: int, alpha: float, r: int) -> float:
     """Lower bound 1/(1 + |V| e^(-alpha r)) on the in-vertex-given-in-block
     conditional probability after r own-vertex allocations."""
-    try:
-        r = operator.index(r)
-    except TypeError:
-        raise ValueError(f"r counts allocations, so it must be an integer, not {r!r}") from None
+    n_vertices = _integer(n_vertices, "n_vertices counts vertices")
+    r = _integer(r, "r counts allocations")
     if n_vertices < 1 or not 0 < alpha < math.inf or r < 0:
         raise ValueError("need n_vertices >= 1, a positive finite alpha, r >= 0")
     return 1.0 / (1.0 + n_vertices * math.exp(-alpha * r))
+
+
+def _integer(x, what: str) -> int:
+    """x as an int, for a count or size: a ValueError saying `what` x is
+    if operator.index refuses it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what}, so it must be an integer, not {x!r}") from None
 
 
 def _log_product_tail(n_vertices: int, rate: float, start: int,
@@ -277,6 +284,7 @@ def _log_product_tail(n_vertices: int, rate: float, start: int,
     exp(-m sum) is 0.0.  For stop = inf a certified upper bound: the geometric
     tail bound is added once below tail_tol, and the sum is rounded up once
     for every rounding before it; inf if 1 - e^(-rate) is 0.0."""
+    n_vertices = _integer(n_vertices, "n_vertices counts vertices")
     if n_vertices < 1 or not 0 < rate < math.inf:
         raise ValueError("need n_vertices >= 1 and a positive finite rate")
     infinite = stop == math.inf
@@ -305,6 +313,7 @@ def _log_product_tail(n_vertices: int, rate: float, start: int,
 def epsilon_n(n_vertices: int, alpha: float, m: int, horizon: int) -> float:
     """Finite product (prod_{r=1}^{horizon-1} 1/(1+|V| e^(-alpha r)))^m, exact
     up to rounding (no tail, no tolerance) at any horizon."""
+    m = _integer(m, "m is a clique size")
     if m < 1 or horizon < 1:
         raise ValueError("need m >= 1 and horizon >= 1")
     return math.exp(-m * _log_product_tail(n_vertices, alpha, 1, stop=horizon))
@@ -325,6 +334,7 @@ def epsilon_lower_bound(n_vertices: int, alpha: float, m: int,
     each vertex's first allocation adds the r = 0 factor 1/(1+|V|), so the
     bound there is this value divided by (1+|V|)^m.
     """
+    m = _integer(m, "m is a clique size")
     if m < 1:
         raise ValueError("need m >= 1")
     return _exp_lower(m * _log_product_tail(n_vertices, alpha, 1, tail_tol))

@@ -173,9 +173,10 @@ def _offset_tuple(offset) -> tuple[float, ...] | None:
     return None if offset is None else tuple(float(c) for c in offset)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _materialized_arrays(p: RateParams, g: Graph):
-    """Once per (params, g), read-only: K, the offset, the support (indices,
+    """For the last (params, g) asked, the one that a command, a replica or
+    an oracle call reads, kept read-only: K, the offset, the support (indices,
     values) of each column K[:, v], which one allocation at v adds, for the
     fast paths peaked, with peaked[u, v] saying K[u, v] equals K[v, v] and
     column v of K peaks there (None if no column does), and the supports'
@@ -548,8 +549,10 @@ class _DifferenceChain:
     table holds CHAIN_MAX_CELLS cells.
     """
 
-    def __init__(self, L: np.ndarray, K: np.ndarray, memo: dict):
-        self.L, self.K, self.memo = L, K, memo
+    def __init__(self, L: np.ndarray, K: np.ndarray):
+        # the np.exp weights of keys: a state adds at most one per live
+        # vertex, and four cells, so CHAIN_MAX_CELLS bounds this memo too
+        self.L, self.K, self.memo = L, K, {}
         # n weights below e^-gap of the smallest live weight sum to less
         # than 2^-56 of it, with a margin of e for np.exp's rounding
         self.gap = 56 * math.log(2) + math.log(len(L)) + 1.0
@@ -624,13 +627,10 @@ class _DifferenceChain:
         live = [j for j, x in enumerate(key) if x > -math.inf]
         cum, total = [], 0.0
         for j in live:
-            if key[j] >= EXP_UNDERFLOW:
-                w = self.memo.get(key[j])
-                if w is None:
-                    w = float(np.exp(key[j]))
-                    if len(self.memo) < EXP_MEMO_MAX:
-                        self.memo[key[j]] = w
-                total += w
+            w = self.memo.get(key[j])
+            if w is None:
+                w = self.memo[key[j]] = float(np.exp(key[j]))
+            total += w
             cum.append(total)
         low = min(key[j] for j in live)
         tail = len(live) < len(key)
@@ -670,23 +670,21 @@ def _allocate(params: RateParams, g: Graph, x0: State, rng, steps: int,
     difference chain on the scalar kernel's graphs.  In each block of
     uniforms, each walk of the path is followed by the kernel steps it names.
     The kernels advance the one exponent array L in place; a walk only
-    reads it, and the columns of its picks are added here.  The scalar
-    kernel and the chain share one memo of np.exp weights.
+    reads it, and the columns of its picks are added here.
     """
     L = exponent_vector(params, g, x0)
     K, _, supports, peaked, entries = _materialized_arrays(params, g)
     exact = on_grid(L, entries, steps)
-    memo: dict[float, float] = {}
     if scalar:
         pairs = [list(zip(idx.tolist(), val.tolist())) for idx, val in supports]
-        draw = partial(_scalar_kernel, L, pairs, memo)
+        draw = partial(_scalar_kernel, L, pairs, {})
     else:
         draw = partial(_numpy_kernel, L, supports)
     path = None
     if exact and peaked is not None:
         path = _Frozen(L, peaked)
     elif exact and scalar:
-        path = _DifferenceChain(L, K, memo)
+        path = _DifferenceChain(L, K)
     out = np.empty(steps, dtype=np.int64)
     done = 0
     while done < steps:

@@ -369,10 +369,14 @@ def test_partition_verdict_matches_identities(case):
 @pytest.mark.parametrize("build, message", [
     (lambda: Graph.from_edge_labels([(1,)]), "every edge needs two vertex labels"),
     (lambda: Graph.from_edge_labels([(1, 2), (3, 3)]), "self-loop 3-3 is not allowed"),
+    # a float label was echoed as given but named as an int in a clique
+    (lambda: Graph.from_edge_labels([(1.5, 2), (2, 3), (3, 1.5)]),
+     "vertex label 1.5 is not an integer"),
     (lambda: complete_graph(1), "complete_graph needs m >= 2"),
     (lambda: path_graph(1), "path_graph needs m >= 2"),
     (lambda: OrderedClique((1, 1)), "clique vertices must be distinct")],
-    ids=["one-label-edge", "self-loop", "complete-1", "path-1", "repeated-clique-vertex"])
+    ids=["one-label-edge", "self-loop", "non-integer-label", "complete-1", "path-1",
+         "repeated-clique-vertex"])
 def test_constructors_refuse_in_own_words(build, message):
     with pytest.raises(ValueError) as refused:
         build()

@@ -301,6 +301,13 @@ class TestP11Bound:
     def test_numpy_int_r_accepted(self):
         assert p11_bound(3, 1.0, np.int64(2)) == p11_bound(3, 1.0, 2)
 
+    # |V| counts vertices: 2.5 gave a bound for no graph
+    def test_non_integer_n_vertices_rejected(self):
+        with pytest.raises(ValueError) as refused:
+            p11_bound(2.5, 1.0, 1)
+        assert str(refused.value) == "n_vertices counts vertices, so it must be an integer, not 2.5"
+        assert p11_bound(np.int64(3), 1.0, 2) == p11_bound(3, 1.0, 2)
+
 
 def decimal_product(n_vertices, rate, start, m=1):
     """(prod_{r >= start} 1/(1 + |V| e^(-rate r)))^m to 40 digits, from
@@ -364,6 +371,19 @@ class TestEpsilonBound:
         assert epsilon_n(v, a, m, 3) == pytest.approx(want, abs=1e-15)
         assert epsilon_n(v, a, m, 1) == 1.0
 
+    # m is a clique size: 2.5 raised the m = 1 product to that power
+    def test_non_integer_m_rejected(self):
+        with pytest.raises(ValueError) as refused:
+            epsilon_lower_bound(3, 1.0, 2.5)
+        assert str(refused.value) == "m is a clique size, so it must be an integer, not 2.5"
+        assert epsilon_lower_bound(3, 1.0, np.int64(2)) == epsilon_lower_bound(3, 1.0, 2)
+
+    def test_finite_horizon_product_refuses_non_integer_m(self):
+        with pytest.raises(ValueError) as refused:
+            epsilon_n(3, 1.0, 2.5, 10)
+        assert str(refused.value) == "m is a clique size, so it must be an integer, not 2.5"
+        assert epsilon_n(3, 1.0, np.int64(2), 10) == epsilon_n(3, 1.0, 2, 10)
+
 
 class TestSingleVertexBound:
     def test_first_factor(self):
@@ -380,6 +400,12 @@ class TestSingleVertexBound:
     def test_requires_beta_below_alpha(self):
         with pytest.raises(ValueError):
             single_vertex_bound(8, 1.0, 1.0)
+
+    def test_non_integer_n_vertices_rejected(self):
+        with pytest.raises(ValueError) as refused:
+            single_vertex_bound(2.5, 1.0, 0.5)
+        assert str(refused.value) == "n_vertices counts vertices, so it must be an integer, not 2.5"
+        assert single_vertex_bound(np.int64(8), 2.0, 1.0) == single_vertex_bound(8, 2.0, 1.0)
 
 
 class TestZTransitionProbs:

@@ -420,6 +420,23 @@ def test_run_does_no_n_by_n_work_once_the_cache_is_warm(sparse2000, alpha, beta)
     assert peak < g.n * g.n * 8 // 4
 
 
+def test_runs_at_many_rates_keep_one_set_of_arrays(sparse2000):
+    """A sweep of (alpha, beta) on one graph keeps the n x n arrays of the
+    last rates only: after 200-step runs at 8 rate pairs, the memory still
+    held is below two n x n float64 arrays."""
+    g = sparse2000
+    rates = [(1.0, 1.0), (1.0, 2.0), (0.3, 0.7), (0.5, 0.5),
+             (2.0, 1.0), (0.7, 1.3), (1.0, 0.5), (0.25, 0.75)]
+    tracemalloc.start()
+    try:
+        for alpha, beta in rates:
+            run(g, RateParams.uniform(alpha, beta), State.zeros(g.n), 200, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * g.n * g.n * 8
+
+
 def test_normalization_along_long_run(fig1):
     # probability vector sums to 1 within 1e-12 at every visited state, taken
     # from the exponents the scalar kernel (the one run() uses on fig1) keeps

@@ -204,6 +204,9 @@ class Tally:
             picks, k = original(chain, us)
             # a walk that neither draws nor names a kernel step stalls `_allocate`
             assert len(picks) or k
+            # a state adds at most one memoized weight per live vertex and
+            # four cells, so the table's cap bounds the memo
+            assert 4 * len(chain.memo) <= chain.cells
             self.chain_steps += len(picks)
             self.chain_zeros += k == 1
             self.handbacks += live and chain.state is None
@@ -638,7 +641,7 @@ def test_difference_chain_states_hold_the_kernel_sums():
         K, _, supports, _, _ = process._materialized_arrays(params, g)
         assert process.on_grid(L, K, len(uniforms))
         pairs, memo = scalar_pairs(supports), {}
-        chain = _DifferenceChain(L, K, memo)
+        chain = _DifferenceChain(L, K)
         for step in range(len(uniforms)):
             u = uniforms[step:step + 1]
             picks, k = chain.walk(u)
@@ -674,7 +677,7 @@ def floor_chain():
     params = RateParams.uniform(1.0, 2.0, -45.0 * np.arange(16))
     x0 = State.zeros(16)
     return g, params, x0, _DifferenceChain(exponent_vector(params, g, x0),
-                                           params.interaction_matrix(g), {})
+                                           params.interaction_matrix(g))
 
 
 def test_difference_chain_cut_stops_at_the_live_floor():
