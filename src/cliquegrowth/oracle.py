@@ -314,6 +314,7 @@ def epsilon_n(n_vertices: int, alpha: float, m: int, horizon: int) -> float:
     """Finite product (prod_{r=1}^{horizon-1} 1/(1+|V| e^(-alpha r)))^m, exact
     up to rounding (no tail, no tolerance) at any horizon."""
     m = _integer(m, "m is a clique size")
+    horizon = _integer(horizon, "horizon counts steps")
     if m < 1 or horizon < 1:
         raise ValueError("need m >= 1 and horizon >= 1")
     return math.exp(-m * _log_product_tail(n_vertices, alpha, 1, stop=horizon))

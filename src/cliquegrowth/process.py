@@ -90,7 +90,7 @@ MAX_STEPS = 10**8
 # Most cells of one array: a graph's n x n arrays, a level of count vectors,
 # a drift shell or its size table.  As int64 that is 800 MB.
 MAX_CELLS = 10**8
-# Trajectory CSV rows joined into one string per write.
+# Trajectory CSV rows encoded as one byte table per write.
 CSV_BLOCK = 1 << 16
 
 
@@ -561,17 +561,17 @@ class _DifferenceChain:
         self.state, self.bound = self._resync()
 
     def walk(self, us: np.ndarray):
-        """(vertices, kernel steps) for a leading run of the uniforms us, up
-        to the bound reaching its threshold (no kernel step), a uniform of
-        0.0 (one kernel step) or a full table (`state` None: the kernel
-        takes the rest of the run, MAX_STEPS)."""
+        """(vertices as an int64 array, kernel steps) for a leading run of
+        the uniforms us, up to the bound reaching its threshold (no kernel
+        step), a uniform of 0.0 (one kernel step) or a full table (`state`
+        None: the kernel takes the rest of the run, MAX_STEPS)."""
         picks: list[int] = []
         append = picks.append
         s, bound, k = self.state, self.bound, 0
         if s is not None and bound >= s[3]:
             s, bound = self.state, self.bound = self._resync()
         if s is None:
-            return picks, MAX_STEPS
+            return np.empty(0, dtype=np.int64), MAX_STEPS
         cum, total, links, thr, _ = s
         for u in us.tolist():
             if u == 0.0:
@@ -592,7 +592,7 @@ class _DifferenceChain:
             s = nxt
             cum, total, links, thr, _ = s
         self.state, self.bound = s, bound
-        return picks, k
+        return np.fromiter(picks, np.int64, len(picks)), k
 
     def _resync(self):
         """(state of the exact exponents L, largest tail exponent); the
@@ -767,11 +767,30 @@ def run(g: Graph, params: RateParams, x0: State, steps: int,
 
 
 def write_trajectory_csv(fh: IO[str], t: Trajectory, g: Graph) -> None:
-    """Write `step,vertex` rows (1-based steps, vertex labels)."""
-    labels = [str(lab) for lab in g.labels]
+    """Write `step,vertex` rows (1-based steps, vertex labels).
+
+    Each block of CSV_BLOCK rows is one uint8 table, a row's cells its step's
+    digits right-aligned, a comma, its label's bytes left-aligned and a
+    newline, written as the table's nonzero cells: a step's leading cells
+    and a label's padding are zero, and no label holds a NUL."""
+    texts = [str(lab) for lab in g.labels]
+    width = max(map(len, texts))
+    labels = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
     fh.write("step,vertex\n")
-    # one joined string per CSV_BLOCK rows: a whole run's row strings at once
-    # would hold about 60 bytes a row
     for start in range(0, t.n_steps, CSV_BLOCK):
-        block = t.allocations[start:start + CSV_BLOCK].tolist()
-        fh.write("".join([f"{i},{labels[v]}\n" for i, v in enumerate(block, start + 1)]))
+        block = t.allocations[start:start + CSV_BLOCK]
+        stop = start + len(block)
+        digits = len(str(stop))
+        cells = np.empty((len(block), digits + width + 2), dtype=np.uint8)
+        # steps are at most MAX_STEPS < 2^32, and uint32 divides faster
+        x = np.arange(start + 1, stop + 1, dtype=np.uint32)
+        for c in range(digits - 1, -1, -1):
+            x, r = np.divmod(x, 10)
+            cells[:, c] = r + ord("0")
+            # the steps below 10^(digits - 1 - c), a prefix of the ascending
+            # block, have no digit in this cell
+            cells[:max(10 ** (digits - 1 - c) - start - 1, 0), c] = 0
+        cells[:, digits] = ord(",")
+        cells[:, digits + 1:-1] = labels[block]
+        cells[:, -1] = ord("\n")
+        fh.write(cells[cells != 0].tobytes().decode("ascii"))

@@ -79,6 +79,14 @@ def reference_parse_graph(text: str) -> Graph:
     return Graph(tuple(index), tuple(map(frozenset, adj)))
 
 
+def reference_write_trajectory_csv(fh, t, g: Graph) -> None:
+    """The trajectory CSV one f-string per row: the reference
+    `write_trajectory_csv` agrees with, byte for byte."""
+    labels = [str(lab) for lab in g.labels]
+    fh.write("step,vertex\n")
+    fh.write("".join(f"{i},{labels[v]}\n" for i, v in enumerate(t.allocations.tolist(), 1)))
+
+
 @pytest.fixture(scope="session")
 def fig1() -> Graph:
     return parse_graph(FIG1_EDGES)

@@ -100,6 +100,13 @@ CLI_PINS = [
      ["simulate", K3, "--alpha", "1", "--beta", "2", "--steps", "50000",
       "--seed", "1"],
      "97665a4ee2fc7ed3586a01bf69d7c86f220bb97c06ee0801be12b90e9676dbf2"),
+    # labels of one to three digits over 150,000 rows: the CSV crosses a
+    # block of 65,536 rows and the step 10^5; recorded from the writer that
+    # formatted one row at a time
+    ("simulate-sparse-long",
+     ["simulate", SPARSE, "--alpha", "1", "--beta", "1", "--steps", "150000",
+      "--seed", "3"],
+     "871b510c2ddf916696b80a9a794f3d6c5cfeb58035cb2eb5ad97d53f76f947db"),
     ("zchain-k3",
      ["zchain", "--m", "3", "--alpha", "1", "--beta", "2", "--steps", "20000",
       "--seed", "5"],

@@ -384,6 +384,15 @@ class TestEpsilonBound:
         assert str(refused.value) == "m is a clique size, so it must be an integer, not 2.5"
         assert epsilon_n(3, 1.0, np.int64(2), 10) == epsilon_n(3, 1.0, 2, 10)
 
+    # a horizon of 10.5 or NaN reached `range` and raised a TypeError there
+    @pytest.mark.parametrize("horizon", [10.5, math.nan])
+    def test_finite_horizon_product_refuses_non_integer_horizon(self, horizon):
+        with pytest.raises(ValueError) as refused:
+            epsilon_n(3, 1.0, 2, horizon)
+        assert str(refused.value) == (
+            f"horizon counts steps, so it must be an integer, not {horizon!r}")
+        assert epsilon_n(3, 1.0, 2, np.int64(10)) == epsilon_n(3, 1.0, 2, 10)
+
 
 class TestSingleVertexBound:
     def test_first_factor(self):

@@ -1,21 +1,24 @@
 import io
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliquegrowth import (
     OrderedClique,
     RateParams,
     State,
+    Trajectory,
     complete_graph,
     confinement_prob,
     exponent_vector,
     final_maximal_clique,
     make_rng,
+    process,
     run,
     transition_probs,
     write_trajectory_csv,
@@ -29,7 +32,8 @@ from cliquegrowth.process import (
     probs_from_exponents,
 )
 
-from conftest import KERNELS, drive_kernel, idx, scalar_pairs
+from conftest import (KERNELS, drive_kernel, idx, reference_write_trajectory_csv,
+                      scalar_pairs)
 
 
 def uniforms_selecting(params, g, x0, vertices):
@@ -523,7 +527,30 @@ def test_critical_clique_invariance(fig1):
         assert drift <= 1e-9
 
 
+# labels of one to nineteen bytes, negative and past 64 bits among them
+CSV_LABELS = [0, 9, 10, 99, 100, -3, -1000, 2**63 + 5]
+
+
 class TestCsv:
+    @given(labels=st.lists(st.sampled_from(CSV_LABELS), min_size=2, unique=True),
+           steps=st.sampled_from([0, 1, 9, 10, 11, 99_999, 100_000, 100_001]),
+           block=st.sampled_from([64, 1000, process.CSV_BLOCK]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(labels=CSV_LABELS, steps=100_001, block=64, seed=0)
+    @example(labels=CSV_LABELS, steps=100_001, block=1000, seed=0)
+    @settings(max_examples=60)
+    def test_encoder_writes_the_reference_text(self, labels, steps, block, seed):
+        # a path through the labels; blocks of 64 rows end inside a decade
+        # of steps and hold each decade change, one of 1000 ends at 10^5
+        g = Graph.from_edge_labels(zip(labels, labels[1:]))
+        alloc = np.random.default_rng(seed).integers(0, g.n, steps)
+        t = Trajectory(State.zeros(g.n), alloc)
+        want, got = io.StringIO(), io.StringIO()
+        reference_write_trajectory_csv(want, t, g)
+        with patch.object(process, "CSV_BLOCK", block):
+            write_trajectory_csv(got, t, g)
+        assert got.getvalue() == want.getvalue()
+
     def test_trajectory_csv(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
         t = run(fig1, p, State.zeros(fig1.n), 3, seed=2)

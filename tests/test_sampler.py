@@ -202,6 +202,8 @@ class Tally:
         def counted(chain, us):
             live = chain.state is not None
             picks, k = original(chain, us)
+            # `_allocate` counts and stores the picks as one array
+            assert isinstance(picks, np.ndarray) and picks.dtype == np.int64
             # a walk that neither draws nor names a kernel step stalls `_allocate`
             assert len(picks) or k
             # a state adds at most one memoized weight per live vertex and
