@@ -402,11 +402,13 @@ def _drift_rows(log_a: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
 
 def _chain_point(m: int, a, lam: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(log a, z as a single row), after checking the chain parameters, the
-    length of z and its logits."""
+    length of z, that it is finite, and its logits."""
     log_a = _chain_log_coefficients(m, a, lam)
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (m - 1,):
         raise ValueError("need z of length m-1")
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
     _check_logits(log_a, lam, float(np.abs(z).max()))
     return log_a, z[None, :]
 

@@ -22,7 +22,8 @@ safe vertices leave the law bitwise unchanged, so their draws take one
 `searchsorted`.  A small-graph run with no peaked column, such as the
 clique regime alpha < beta, never freezes: the count differences inside
 the final clique form a positive-recurrent chain, and the run walks a
-table of the kernel's laws keyed by d = L - max L (`_DifferenceChain`).
+table of laws keyed by d = L - max L, handing near ties to the kernel
+(`_DifferenceChain`).
 
 Every path draws a leading run of a block's uniforms and names the kernel
 steps that follow before it draws again; it reads the run's one exponent
@@ -38,7 +39,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import accumulate, chain
 from typing import IO, Mapping, NamedTuple
 
 import numpy as np
@@ -80,10 +81,10 @@ EXP_MEMO_MAX = 1 << 15
 # Most cells the difference chain's table holds in one run: per state, its
 # key of n exponents and four entries per live vertex.
 CHAIN_MAX_CELLS = 1 << 16
-# The difference chain keeps its live exponents above this, so that their
-# weights are normal floats and its tail bound holds for np.exp's rounding.
-CHAIN_LIVE_FLOOR = -600.0
-# A re-derived tail starts this far below what its bound may reach.
+# The difference chain's tail: the coordinates more than this below the top.
+CHAIN_TAIL = -37.0
+# A re-derived tail starts this far below CHAIN_TAIL, and a live exponent
+# this far below that again ends the walk.
 CHAIN_CUT_SLACK = 8.0
 # Most steps one run takes: its int64 allocations array is then 800 MB.
 MAX_STEPS = 10**8
@@ -516,46 +517,48 @@ class _Frozen:
         return law.C[picks], int(len(picks) < len(us) and us[len(picks)] == 0.0)
 
 
+# A band's link: the kernel takes the step.
+_BAND = (None, None, 0.0)
+
+
 class _DifferenceChain:
     """The scalar kernel's picks on the exact grid (`on_grid`), one table
     lookup a step, for runs that cannot freeze.
 
     On the grid the kernel's law depends only on d = L - max L, which it
-    computes exactly.  A state of the table is keyed by d with its *tail*
-    keyed as -inf: coordinates below all live ones by more than `gap`, so
-    that each weighs under 2^-56 / n of the smallest live weight.  Adding
-    such a weight to a partial sum of at least one live weight does not
-    round, and partial sums before the first live weight stay below
-    2^-56 <= u * total for every u > 0.  So the kernel's partial sums at
-    live coordinates are those of the live weights alone, and a state keeps
-    these (np.exp memoized, summed left to right) and per live vertex v a
-    link (v, state after a pick at v, rise), that state's key being
-    d + K[:, v] less its max with the same tail.
+    computes exactly.  A state of the table is keyed by d with its *tail*,
+    the coordinates below CHAIN_TAIL, keyed as -inf.  It keeps the partial
+    sums c_i of its live weights (`math.exp`, summed left to right) over
+    their total, and per live vertex v a link (v, state after a pick at v,
+    rise), that state's key being d + K[:, v] less its max with the same
+    tail.
+
+    These fractions are near the kernel's, not equal.  To first order each
+    is within (2n + 7) 2^-53 of the exact one (two ulps per weight from
+    either exp, 2^-53 per add over at most n adds, one division), and the
+    kernel's partial sum over its total, against u rounded once, within
+    (3n + 8) 2^-53 of it, the tail's n weights below e^-37 < 2^-53
+    included: in all under half of near = (n + 8) 2^-49.  So for a uniform
+    u farther than near from 0, from 1 and from every c_i / total, the
+    chain picks what the kernel picks.  The state's `edges` are those
+    fractions plus and minus near, made ascending; u's gap among them is a
+    link, and the even gaps, the *bands*, link to `_BAND`: a uniform in a
+    band, 0.0 among them, ends the walk, and the kernel takes its step.
 
     The walk carries a bound on the tail's exponents; a link adds to it its
-    rise, the largest tail entry of K[:, v] less the step's shift.  A state
-    holds while the bound stays below its threshold, its smallest live
-    exponent less `gap`.  A walk ends when the bound reaches it, after a
-    uniform of 0.0, and on entering a state whose live set holds a gap wide
-    enough to cut there (threshold -inf); the next walk first re-derives the
-    state from the run's exact exponents L = L0 + K x, to which `_allocate`
-    has added the walk's picks.  A re-derived state cuts its tail at the
-    first gap of at least gap + CHAIN_CUT_SLACK down from the top, above
-    CHAIN_LIVE_FLOOR, so the bound starts that far below its threshold and
-    the walk draws at least one step.
-
-    A walk hands one step to the kernel at a uniform of 0.0, whose first
-    positive weight may lie in the tail, and the rest of the run once the
-    table holds CHAIN_MAX_CELLS cells.
+    rise, the largest tail entry of K[:, v] less the step's shift.  A walk
+    ends at a band, when the bound reaches the state's threshold CHAIN_TAIL,
+    and on entering a state with a live exponent below CHAIN_TAIL - 2
+    CHAIN_CUT_SLACK (threshold -inf), so that a coordinate falling away
+    joins the tail and keys recur.  The next walk re-derives its state from
+    the run's exact exponents L = L0 + K x, to which `_allocate` has added
+    the picks, with the tail below CHAIN_TAIL - CHAIN_CUT_SLACK, so it takes
+    at least one step.  A full table (CHAIN_MAX_CELLS cells) hands the rest
+    of the run to the kernel.
     """
 
     def __init__(self, L: np.ndarray, K: np.ndarray):
-        # the np.exp weights of keys: a state adds at most one per live
-        # vertex, and four cells, so CHAIN_MAX_CELLS bounds this memo too
-        self.L, self.K, self.memo = L, K, {}
-        # n weights below e^-gap of the smallest live weight sum to less
-        # than 2^-56 of it, with a margin of e for np.exp's rounding
-        self.gap = 56 * math.log(2) + math.log(len(L)) + 1.0
+        self.L, self.K, self.near = L, K, (len(L) + 8) * 2.0**-49
         self.table: dict[tuple, tuple] = {}
         self.cells = 0
         self.state, self.bound = self._resync()
@@ -563,34 +566,34 @@ class _DifferenceChain:
     def walk(self, us: np.ndarray):
         """(vertices as an int64 array, kernel steps) for a leading run of
         the uniforms us, up to the bound reaching its threshold (no kernel
-        step), a uniform of 0.0 (one kernel step) or a full table (`state`
+        step), a uniform in a band (one kernel step) or a full table (`state`
         None: the kernel takes the rest of the run, MAX_STEPS)."""
         picks: list[int] = []
         append = picks.append
         s, bound, k = self.state, self.bound, 0
-        if s is not None and bound >= s[3]:
+        if s is not None and bound >= s[2]:
             s, bound = self.state, self.bound = self._resync()
         if s is None:
             return np.empty(0, dtype=np.int64), MAX_STEPS
-        cum, total, links, thr, _ = s
+        edges, links, thr, _ = s
         for u in us.tolist():
-            if u == 0.0:
-                bound, k = math.inf, 1
-                break
             if bound >= thr:
                 break
-            # u * total < total, as in the kernel, so pos is a live position
-            pos = bisect_right(cum, u * total)
+            pos = bisect_right(edges, u)
             v, nxt, rise = links[pos]
-            append(v)
             if nxt is None:
+                if v is None:  # a band
+                    bound, k = math.inf, 1
+                    break
                 nxt, rise = self._successor(s, pos)
                 if nxt is None:
+                    append(v)
                     s, k = None, MAX_STEPS  # v is the kernel's pick
                     break
+            append(v)
             bound += rise
             s = nxt
-            cum, total, links, thr, _ = s
+            edges, links, thr, _ = s
         self.state, self.bound = s, bound
         return np.fromiter(picks, np.int64, len(picks)), k
 
@@ -600,23 +603,9 @@ class _DifferenceChain:
         exps = self.L.tolist()
         top = max(exps)
         d = [x - top for x in exps]
-        live = set(self._cut(d))
-        key = tuple(x if j in live else -math.inf for j, x in enumerate(d))
-        bound = max((x for j, x in enumerate(d) if j not in live), default=-math.inf)
-        return self._state(key), bound
-
-    def _cut(self, d) -> list[int]:
-        """The coordinates of d, ascending, above its first gap of at least
-        gap + CHAIN_CUT_SLACK from the top; all finite ones if there is no
-        such gap above CHAIN_LIVE_FLOOR."""
-        order = sorted(range(len(d)), key=d.__getitem__, reverse=True)
-        for k in range(1, len(order)):
-            hi = d[order[k - 1]]
-            if hi < CHAIN_LIVE_FLOOR:
-                break
-            if hi - d[order[k]] >= self.gap + CHAIN_CUT_SLACK:
-                return sorted(order[:k])
-        return [j for j, x in enumerate(d) if x > -math.inf]
+        cut = CHAIN_TAIL - CHAIN_CUT_SLACK
+        key = tuple(x if x >= cut else -math.inf for x in d)
+        return self._state(key), max((x for x in d if x < cut), default=-math.inf)
 
     def _state(self, key: tuple):
         """The table's state for key, built on a miss; None if it is new and
@@ -625,29 +614,22 @@ class _DifferenceChain:
         if s is not None or self.cells >= CHAIN_MAX_CELLS:
             return s
         live = [j for j, x in enumerate(key) if x > -math.inf]
-        cum, total = [], 0.0
-        for j in live:
-            w = self.memo.get(key[j])
-            if w is None:
-                w = self.memo[key[j]] = float(np.exp(key[j]))
-            total += w
-            cum.append(total)
+        cum = list(accumulate(math.exp(key[j]) for j in live))
+        bounds = chain.from_iterable((c / cum[-1] - self.near, c / cum[-1] + self.near)
+                                     for c in [0.0] + cum)
+        edges = list(accumulate(bounds, max))[1:-1]
+        links = [_BAND, *chain.from_iterable(((v, None, 0.0), _BAND) for v in live)]
         low = min(key[j] for j in live)
-        tail = len(live) < len(key)
-        if self._cut(key) != live or (tail and low < CHAIN_LIVE_FLOOR):
-            thr = -math.inf
-        else:
-            thr = low - self.gap if tail else math.inf
-        s = (cum, total, [(v, None, 0.0) for v in live], thr, key)
-        self.table[key] = s
+        thr = CHAIN_TAIL if low >= CHAIN_TAIL - 2 * CHAIN_CUT_SLACK else -math.inf
+        s = self.table[key] = (edges, links, thr, key)
         self.cells += len(key) + 4 * len(live)
         return s
 
     def _successor(self, s, k: int):
-        """Link live position k of state s to the state after a pick there:
+        """Link position k of state s to the state after a pick there:
         (that state, the link's rise of the tail bound); the state is None
         if the table is full."""
-        _, _, links, _, key = s
+        _, links, _, key = s
         v = links[k][0]
         col = self.K[:, v].tolist()
         moved = [x + c for x, c in zip(key, col)]
@@ -728,8 +710,7 @@ class Trajectory:
 
     def counts_at(self, n: int) -> np.ndarray:
         """Counts after the first n allocations."""
-        if not 0 <= n <= self.n_steps:
-            raise ValueError(f"step {n} is outside the run's steps 0..{self.n_steps}")
+        n = _index(n, self.n_steps + 1, "step", "the run's steps")
         counts = self.initial.counts.copy()
         if n:
             np.add.at(counts, self.allocations[:n], 1)
@@ -740,12 +721,19 @@ class Trajectory:
         verts, n = list(vertices), len(self.initial.counts)
         out = np.empty((self.n_steps + 1, len(verts)), dtype=np.int64)
         for j, v in enumerate(verts):
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} is outside the graph's vertices 0..{n - 1}")
+            v = _index(v, n, "vertex", "the graph's vertices")
             out[0, j] = self.initial.counts[v]
             np.cumsum(self.allocations == v, out=out[1:, j])
             out[1:, j] += self.initial.counts[v]
         return out
+
+
+def _index(x, stop: int, what: str, where: str) -> int:
+    """x as an int in 0..stop - 1, which no non-integer is."""
+    i = operator.index(x) if hasattr(x, "__index__") else -1
+    if not 0 <= i < stop:
+        raise ValueError(f"{what} {x} is outside {where} 0..{stop - 1}")
+    return i
 
 
 def run(g: Graph, params: RateParams, x0: State, steps: int,

@@ -946,11 +946,15 @@ def fig1_call(oracle_call, horizon):
     (fig1_call(confinement_prob, -1), "horizon must be >= 0"),
     (lambda fig1: epsilon_n(8, 1.0, 0, 5), "need m >= 1 and horizon >= 1"),
     (lambda fig1: z_transition_probs(3, [1, 1], 1.0, [0]), "need z of length m-1"),
+    (lambda fig1: z_transition_probs(3, [1, 1], 1.0, [math.nan, 0]), "z must be finite"),
+    (lambda fig1: z_transition_probs(3, [1, 1], 1.0, [math.inf, 0]), "z must be finite"),
+    (lambda fig1: z_drift(3, [1, 1], 1.0, [math.nan, 0]), "z must be finite"),
+    (lambda fig1: z_drift(3, [1, 1], 1.0, [0, -math.inf]), "z must be finite"),
     (lambda fig1: drift_shell_max(3, [1, 1], 1.0, 3, 1), "need 0 <= c0 <= c1"),
     (lambda fig1: negative_drift_radius(3, [1, 1], 1.0, threshold=-100, c_max=3),
      "no radius up to 3 gives drift <= -100")],
-    ids=["q-horizon-0", "confine-horizon-negative", "epsilon-m-0", "z-length",
-         "shell-reversed", "no-radius"])
+    ids=["q-horizon-0", "confine-horizon-negative", "epsilon-m-0", "z-length", "z-nan",
+         "z-inf", "drift-z-nan", "drift-z-inf", "shell-reversed", "no-radius"])
 def test_refusals_in_own_words(fig1, call, message):
     with pytest.raises(ValueError) as refused:
         call(fig1)

@@ -387,17 +387,22 @@ class TestRun:
         paths = t.count_paths(range(fig1.n))
         assert (np.diff(paths, axis=0) >= 0).all()
 
-    @pytest.mark.parametrize("step", [-1, 11, 99])
+    @pytest.mark.parametrize("step", [-1, 11, 99, 2.5, "3", np.float64(4.0)])
     def test_counts_at_refuses_steps_outside_the_run(self, fig1, step):
         t = run(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n), 10, seed=1)
         with pytest.raises(ValueError, match=f"step {step} is outside the run's steps 0..10"):
             t.counts_at(step)
 
-    @pytest.mark.parametrize("vertex", [-1, 8])
+    @pytest.mark.parametrize("vertex", [-1, 8, 1.5, "2", np.float64(3.0)])
     def test_count_paths_refuses_vertices_outside_the_graph(self, fig1, vertex):
         t = run(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n), 10, seed=1)
         with pytest.raises(ValueError, match=f"vertex {vertex} is outside the graph's vertices 0..7"):
             t.count_paths([0, vertex])
+
+    def test_numpy_integers_index_steps_and_vertices(self, fig1):
+        t = run(fig1, RateParams.uniform(1.0, 1.0), State.zeros(fig1.n), 10, seed=1)
+        assert (t.counts_at(np.int64(4)) == t.counts_at(4)).all()
+        assert (t.count_paths(np.arange(3)) == t.count_paths([0, 1, 2])).all()
 
     def test_replay_reproduces_final_state(self, fig1):
         p = RateParams.uniform(1.0, 1.0)
